@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 MINUTE_FMT = "%Y-%m-%dT%H:%M"
@@ -129,9 +129,6 @@ def load_config(path, **extra) -> SimConfig:
         overrides = parse_config_file(fh.read())
     overrides.update(extra)
     return SimConfig(**overrides).validate()
-
-
-_FIELD_NAMES = {f.name for f in fields(SimConfig)}
 
 
 def rng_stream(seed: int, name: str) -> random.Random:

@@ -26,9 +26,11 @@ the message must be discarded.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import os
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -85,6 +87,14 @@ class AuthError(Exception):
         self.rebuilt = rebuilt
 
 
+_LOWER_HEX = re.compile("[0-9a-f]*")
+
+
+@functools.cache
+def _hex_len(algo: str) -> int:
+    return hashlib.new(algo).digest_size * 2
+
+
 @dataclass(frozen=True)
 class Digest:
     """Lowercase hex fingerprint whose length matches the configured hash."""
@@ -93,8 +103,7 @@ class Digest:
     algo: str = DEFAULT_HASH
 
     def __post_init__(self):
-        expected = hashlib.new(self.algo).digest_size * 2
-        if len(self.hex) != expected or any(c not in "0123456789abcdef" for c in self.hex):
+        if len(self.hex) != _hex_len(self.algo) or not _LOWER_HEX.fullmatch(self.hex):
             raise ValueError(f"not a {self.algo} hex digest: {self.hex!r}")
 
     def __str__(self) -> str:

@@ -3,6 +3,13 @@
 A block's hash covers the previous block hash, the canonical serialization of
 its indexes, and its mint timestamp, so any field mutation anywhere in a built
 chain is detectable by full re-verification.
+
+Verification is incremental by identity: a Chain remembers the block list it
+last verified successfully, and verify_chain re-checks only what follows the
+longest prefix whose blocks are the very same objects at the same positions.
+Blocks are frozen, so a changed block is a different object and is verified in
+full; a chain built with Chain(), Chain.from_blocks or parse_chain_dump starts
+with nothing verified.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from typing import Iterator
 from .config import fmt_minute, parse_minute
 from .envelope import DEFAULT_HASH, Digest, digest
 
-GENESIS_PREV = "0" * 64
 GENESIS_MINTED_AT = datetime(1970, 1, 1, 0, 0)
 
 BAD_GENESIS = "bad_genesis"
@@ -102,6 +108,7 @@ class Chain:
         self.algo = algo
         self.blocks: list[Block] = [genesis_block(algo)]
         self._by_hash: dict[str, Block] = {self.blocks[0].block_hash.hex: self.blocks[0]}
+        self._verified: list[Block] = []
 
     @classmethod
     def from_blocks(cls, blocks, algo: str = DEFAULT_HASH) -> "Chain":
@@ -110,6 +117,7 @@ class Chain:
         chain.algo = algo
         chain.blocks = list(blocks)
         chain._by_hash = {b.block_hash.hex: b for b in chain.blocks}
+        chain._verified = []
         return chain
 
     @property
@@ -150,13 +158,27 @@ class FirstBadBlock:
     reason: str
 
 
+def _verified_prefix(blocks: list[Block], verified: list[Block]) -> int:
+    """Length of the leading run of blocks identical (`is`) to the verified ones."""
+    for pos, (block, seen) in enumerate(zip(blocks, verified)):
+        if block is not seen:
+            return pos
+    return min(len(blocks), len(verified))
+
+
 def verify_chain(chain: Chain) -> FirstBadBlock | None:
-    """Recompute every hash and link; None means valid, else the earliest violation."""
-    if not chain.blocks or chain.blocks[0] != genesis_block(chain.algo):
+    """Recompute every hash and link; None means valid, else the earliest violation.
+
+    Blocks identical to the ones the last successful call verified, in the
+    same positions, are not recomputed.
+    """
+    blocks = list(chain.blocks)
+    start = _verified_prefix(blocks, chain._verified)
+    if start == 0 and (not blocks or blocks[0] != genesis_block(chain.algo)):
         return FirstBadBlock(0, BAD_GENESIS)
-    for pos in range(1, len(chain.blocks)):
-        block = chain.blocks[pos]
-        if block.prev_block_hash.hex != chain.blocks[pos - 1].block_hash.hex:
+    for pos in range(max(start, 1), len(blocks)):
+        block = blocks[pos]
+        if block.prev_block_hash.hex != blocks[pos - 1].block_hash.hex:
             return FirstBadBlock(pos, LINK_MISMATCH)
         if not block.indexes:
             return FirstBadBlock(pos, EMPTY_INDEXES)
@@ -166,6 +188,7 @@ def verify_chain(chain: Chain) -> FirstBadBlock | None:
         )
         if recomputed.hex != block.block_hash.hex:
             return FirstBadBlock(pos, HASH_MISMATCH)
+    chain._verified = blocks
     return None
 
 

@@ -6,12 +6,17 @@ vectors the ledger assigns to this node. The validator cyclically re-walks the
 whole chain, recomputes the digest of every locally held vector, and triggers
 automated recovery from the other listed holders when a digest disagrees or a
 record is missing.
+
+A Historian indexes its records by capture minute as well as by key, so the
+validator finds the candidates for a ledger index with one dict lookup. The
+digest itself is recomputed on every check and never cached, so an at-rest
+edit is caught on the next cycle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import events as ev
@@ -42,15 +47,15 @@ class DuplicateRecordError(ValueError):
     """(name, time) already present in this Historian."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistorianRecord:
     name: str
     values: tuple[int, ...]
     time: datetime
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.name, fmt_minute(self.time))
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.name, fmt_minute(self.time)))
 
     def vector(self) -> MeasurementVector:
         return MeasurementVector(self.name, self.time, self.values)
@@ -60,11 +65,17 @@ class HistorianRecord:
 
 
 class Historian:
-    """Keyed record store, insertion-ordered; persisted one canonical line per record."""
+    """Keyed record store, insertion-ordered; persisted one canonical line per record.
+
+    _by_minute maps each ISO minute to that minute's records, keyed like
+    _records and updated in step with it, so each minute's dict keeps the
+    relative order the records have in _records.
+    """
 
     def __init__(self, node_id: int):
         self.node_id = node_id
         self._records: dict[tuple[str, str], HistorianRecord] = {}
+        self._by_minute: dict[str, dict[tuple[str, str], HistorianRecord]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -76,23 +87,25 @@ class Historian:
         return self._records.get(key)
 
     def at_time(self, iso_minute: str) -> list[HistorianRecord]:
-        return [r for r in self._records.values() if r.key[1] == iso_minute]
+        return list(self._by_minute.get(iso_minute, {}).values())
 
     def put_new(self, record: HistorianRecord):
         if record.key in self._records:
             raise DuplicateRecordError(f"{record.key} already stored")
-        self._records[record.key] = record
+        self.overwrite(record)
 
     def overwrite(self, record: HistorianRecord):
         self._records[record.key] = record
+        self._by_minute.setdefault(record.key[1], {})[record.key] = record
 
     def delete(self, key: tuple[str, str]):
-        self._records.pop(key, None)
+        if self._records.pop(key, None) is not None:
+            del self._by_minute[key[1]][key]
 
     def tamper(self, key: tuple[str, str], forged_values) -> HistorianRecord:
         """Direct store edit used by the insider-attack scenario; returns the old record."""
         old = self._records[key]
-        self._records[key] = HistorianRecord(old.name, tuple(forged_values), old.time)
+        self.overwrite(HistorianRecord(old.name, tuple(forged_values), old.time))
         return old
 
     def dump(self) -> str:

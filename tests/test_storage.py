@@ -1,11 +1,16 @@
 """Storage node tests: register, replication, serving, validation, recovery."""
 
+import dataclasses
 import random
 from datetime import datetime
 
+import pytest
+
 from histchain import events as ev
+from histchain import storage
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
+    Digest,
     KeyDirectory,
     MeasurementVector,
     canonical_serialize,
@@ -15,7 +20,7 @@ from histchain.envelope import (
     vector_digest,
 )
 from histchain.events import EventLog
-from histchain.ledger import LedgerIndex
+from histchain.ledger import LedgerIndex, make_block
 from histchain.sim import Simulation
 from histchain.storage import (
     Historian,
@@ -24,7 +29,7 @@ from histchain.storage import (
     TAMPERED_RECOVERED,
     TAMPERED_UNRECOVERABLE,
 )
-from .helpers import mutated_chain
+from .helpers import BLOCK_MUTATIONS, flip_hex_char, mutate_block, mutated_chain
 
 TS = datetime(2020, 12, 23, 17, 27)
 VEC = MeasurementVector("Sensor 1", TS, (7, 6, 6, 7, 7, 6, 7, 6, 6, 6, 7))
@@ -299,3 +304,64 @@ class TestValidateAndRecover:
         for node in sim.nodes.values():
             node.validate_cycle(sim.chain_module.chain)
         assert len(sim.events.alarms()) == before == 0
+
+
+def held_indexes(sim, node_id):
+    return [ix for ix in indexes_of(sim) if node_id in ix.replica_ids]
+
+
+class TestIncrementalVerification:
+    """A cycle that already verified the live chain must still catch later edits."""
+
+    def validated_sim(self):
+        sim = scripted_sim()
+        for node in sim.nodes.values():
+            assert len(node.validate_cycle(sim.chain_module.chain)) == \
+                len(held_indexes(sim, node.node_id))
+        assert not sim.events.alarms()
+        return sim
+
+    @pytest.mark.parametrize("kind", BLOCK_MUTATIONS)
+    @pytest.mark.parametrize("position", [1, -1])
+    def test_block_replaced_in_place(self, kind, position):
+        sim = self.validated_sim()
+        chain = sim.chain_module.chain
+        chain.blocks[position] = mutate_block(chain.blocks[position], kind)
+        for node in sim.nodes.values():
+            assert node.validate_cycle(chain) == []
+            assert sim.events.by_code(ev.CHAIN_INVALID, node.name)
+
+    def test_bad_block_appended_behind_chain_append(self):
+        sim = self.validated_sim()
+        chain = sim.chain_module.chain
+        block = make_block(chain.tip.indexes, chain.tip.block_hash, chain.tip.minted_at)
+        chain.blocks.append(dataclasses.replace(
+            block, block_hash=Digest(flip_hex_char(block.block_hash.hex))))
+        assert sim.nodes[1].validate_cycle(chain) == []
+        assert sim.events.by_code(ev.CHAIN_INVALID, "node1")
+
+    def test_tampered_record_caught_and_every_held_record_rehashed(self, monkeypatch):
+        sim = self.validated_sim()
+        node = sim.nodes[1]
+        held = held_indexes(sim, 1)
+        ix = held[0]
+        record = next(r for r in node.historian.at_time(fmt_minute(ix.captured_at))
+                      if r.digest_hex() == ix.vector_digest.hex)
+        node.historian.tamper(record.key, [v + 1 for v in record.values])
+
+        calls = []
+        original = storage.vector_digest
+
+        def counting(vector, *args, **kwargs):
+            calls.append(vector.key)
+            return original(vector, *args, **kwargs)
+
+        monkeypatch.setattr(storage, "vector_digest", counting)
+        findings = node.validate_cycle(sim.chain_module.chain)
+        assert sim.events.by_code(ev.FDI_ALARM, "node1")
+        assert sim.events.by_code(ev.RECOVERED, "node1")
+        assert [f.verdict for f in findings].count(TAMPERED_RECOVERED) == 1
+        assert len(findings) == len(held)
+        assert len(calls) >= len(held)
+        assert {fmt_minute(ix.captured_at) for ix in held} <= {key[1] for key in calls}
+        assert node.historian.get(record.key) == record
