@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import events as ev
-from .config import SimConfig, fmt_minute
+from .config import SimConfig, fmt_minute, parse_minute
 from .envelope import CIPHER_HEADER_LEN
 from .ledger import dump_chain
 from .sim import Simulation
-from .storage import TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE
+from .storage import TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, HistorianRecord, ValidationFinding
 from .wire import INDEX, MEASUREMENT, Frame
 
 # Seeds giving replica layouts that match the documented narratives
@@ -50,16 +50,6 @@ class ScenarioSetupError(ValueError):
     """Scenario preconditions not met (e.g. target record absent)."""
 
 
-@dataclass(frozen=True)
-class AttackScenario:
-    """Fully determines the adversary's behaviour given the run seed."""
-
-    scenario_id: str
-    target: str
-    schedule: tuple[int, ...]
-    mutation: str
-
-
 @dataclass
 class Assertion:
     name: str
@@ -75,6 +65,10 @@ class ScenarioReport:
     notes: list[tuple[str, str]] = field(default_factory=list)
     event_lines: list[str] = field(default_factory=list)
     sim: Simulation | None = None
+    # Scenario A only: every Historian dump right after the at-rest edit, and
+    # the target node's validator findings.
+    attacked_dumps: dict[int, str] = field(default_factory=dict)
+    findings: list[ValidationFinding] = field(default_factory=list)
 
     def check(self, name: str, passed: bool, detail: str = ""):
         self.assertions.append(Assertion(name, bool(passed), detail))
@@ -160,8 +154,6 @@ def run_scenario_a(cfg: SimConfig | None = None,
     if rogue_record is not None:
         # Planted row that no ledger index covers, for the coverage-gap variant.
         name, minute, values = rogue_record
-        from .storage import HistorianRecord
-        from .config import parse_minute
         node.historian.overwrite(
             HistorianRecord(name, tuple(values), parse_minute(minute)))
 
@@ -188,9 +180,9 @@ def run_scenario_a(cfg: SimConfig | None = None,
     covered = target_node in holders
     report.note("ledger_coverage", "covered" if covered else "outside ledger coverage")
 
-    attacked_dumps = {i: n.historian.dump() for i, n in sim.nodes.items()}
+    report.attacked_dumps = {i: n.historian.dump() for i, n in sim.nodes.items()}
 
-    findings = node.validate_cycle(sim.chain_module.chain)
+    findings = report.findings = node.validate_cycle(sim.chain_module.chain)
     flagged = [f for f in findings if f.verdict != "intact"]
 
     if not covered:
@@ -225,11 +217,9 @@ def run_scenario_a(cfg: SimConfig | None = None,
     if outdir is not None:
         outdir = Path(outdir)
         sim.write_artifacts(outdir)
-        for i, text in attacked_dumps.items():
+        for i, text in report.attacked_dumps.items():
             (outdir / f"historian{i}.tampered.txt").write_text(text, encoding="utf-8")
         report.write(outdir)
-    report.attacked_dumps = attacked_dumps
-    report.findings = findings
     return report
 
 

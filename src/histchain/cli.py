@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .attacks import run_scenario_a, run_scenario_b, run_scenario_c
 from .audit import audit_directory
-from .config import ConfigError, SimConfig, parse_config_file
+from .config import ConfigError, load_config
 from .ledger import DumpFormatError
 from .sim import Simulation
 
@@ -53,11 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args) -> SimConfig:
+def _flag_overrides(args) -> dict:
     overrides = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = parse_config_file(fh.read())
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.nodes is not None:
@@ -66,11 +63,12 @@ def _make_config(args) -> SimConfig:
         overrides["replication_factor"] = args.replication_factor
     if args.trace_wire:
         overrides["trace_wire"] = True
-    return SimConfig(**overrides).validate()
+    return overrides
 
 
 def _cmd_run(args) -> int:
-    cfg = _make_config(args)
+    overrides = _flag_overrides(args)
+    cfg = load_config(args.config, **overrides)
     if args.scenario is None:
         sim = Simulation(cfg)
         sim.run(args.minutes)
@@ -80,12 +78,10 @@ def _cmd_run(args) -> int:
               f"{alarms} alarms; artifacts in {args.out}")
         return 0
     runner = {"A": run_scenario_a, "B": run_scenario_b, "C": run_scenario_c}[args.scenario]
-    kwargs = {"outdir": args.out}
-    if args.seed is None and args.config is None and args.nodes is None \
-            and args.replication_factor is None and not args.trace_wire:
-        report = runner(**kwargs)  # scenario default seed
+    if args.config is None and not overrides:
+        report = runner(outdir=args.out)  # scenario default seed
     else:
-        report = runner(cfg, **kwargs)
+        report = runner(cfg, outdir=args.out)
     for assertion in report.assertions:
         status = "PASS" if assertion.passed else "FAIL"
         print(f"{assertion.name}: {status}" + (f" ({assertion.detail})" if assertion.detail else ""))

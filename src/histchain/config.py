@@ -124,11 +124,14 @@ def parse_config_file(text: str) -> dict:
     return overrides
 
 
-def load_config(path, **extra) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        overrides = parse_config_file(fh.read())
-    overrides.update(extra)
-    return SimConfig(**overrides).validate()
+def load_config(path=None, **overrides) -> SimConfig:
+    """Validated SimConfig from an optional config file, with overrides on top."""
+    fields = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            fields = parse_config_file(fh.read())
+    fields.update(overrides)
+    return SimConfig(**fields).validate()
 
 
 def rng_stream(seed: int, name: str) -> random.Random:

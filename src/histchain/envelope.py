@@ -26,7 +26,6 @@ the message must be discarded.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import os
 import random
@@ -51,8 +50,6 @@ from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .config import MINUTE_FMT, fmt_minute
-
-DEFAULT_HASH = "sha256"
 
 EPH_PUB_LEN = 32
 WRAP_NONCE_LEN = 12
@@ -87,31 +84,25 @@ class AuthError(Exception):
         self.rebuilt = rebuilt
 
 
-_LOWER_HEX = re.compile("[0-9a-f]*")
-
-
-@functools.cache
-def _hex_len(algo: str) -> int:
-    return hashlib.new(algo).digest_size * 2
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
 class Digest:
-    """Lowercase hex fingerprint whose length matches the configured hash."""
+    """Lowercase hex SHA-256 fingerprint."""
 
     hex: str
-    algo: str = DEFAULT_HASH
 
     def __post_init__(self):
-        if len(self.hex) != _hex_len(self.algo) or not _LOWER_HEX.fullmatch(self.hex):
-            raise ValueError(f"not a {self.algo} hex digest: {self.hex!r}")
+        if not _SHA256_HEX.fullmatch(self.hex):
+            raise ValueError(f"not a sha256 hex digest: {self.hex!r}")
 
     def __str__(self) -> str:
         return self.hex
 
 
-def digest(data: bytes, algo: str = DEFAULT_HASH) -> Digest:
-    return Digest(hashlib.new(algo, data).hexdigest(), algo)
+def digest(data: bytes) -> Digest:
+    return Digest(hashlib.sha256(data).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -165,8 +156,8 @@ def parse_canonical(data: bytes) -> MeasurementVector:
     return MeasurementVector(name, captured_at, values)
 
 
-def vector_digest(vector: MeasurementVector, algo: str = DEFAULT_HASH) -> Digest:
-    return digest(canonical_serialize(vector), algo)
+def vector_digest(vector: MeasurementVector) -> Digest:
+    return digest(canonical_serialize(vector))
 
 
 @dataclass
@@ -208,9 +199,6 @@ class KeyDirectory:
     def sig_pub(self, node_id: str) -> Ed25519PublicKey:
         return self._sig[node_id]
 
-    def node_ids(self) -> list[str]:
-        return list(self._enc)
-
 
 @dataclass(frozen=True)
 class SignedEnvelope:
@@ -221,8 +209,8 @@ class SignedEnvelope:
 
 
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
-         recipient_enc_pub: X25519PublicKey, rng: random.Random | None = None,
-         algo: str = DEFAULT_HASH) -> SignedEnvelope:
+         recipient_enc_pub: X25519PublicKey,
+         rng: random.Random | None = None) -> SignedEnvelope:
     """Encrypt plaintext to the recipient and sign its digest as the sender."""
     sym_key = _rand_bytes(rng, 32)
     eph_priv = X25519PrivateKey.from_private_bytes(_rand_bytes(rng, 32))
@@ -237,14 +225,13 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     )
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
 
-    claimed = digest(plaintext, algo).hex.encode("ascii")
+    claimed = digest(plaintext).hex.encode("ascii")
     signature = claimed + sender.sig_priv.sign(claimed)
     return SignedEnvelope(sender.node_id, recipient_id, ciphertext, signature)
 
 
 def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
-                  sender_sig_pub: Ed25519PublicKey,
-                  algo: str = DEFAULT_HASH) -> bytes:
+                  sender_sig_pub: Ed25519PublicKey) -> bytes:
     """Decrypt and authenticate an envelope; raises AuthError on any failure."""
     ct = env.ciphertext
     if len(ct) < CIPHER_HEADER_LEN:
@@ -262,7 +249,7 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
         raise AuthError(AuthError.DECRYPT_FAILED, f"key unwrap failed: {exc}") from None
     plaintext = Cipher(ChaCha20(sym_key, body_nonce), mode=None).decryptor().update(body)
 
-    rebuilt = digest(plaintext, algo).hex
+    rebuilt = digest(plaintext).hex
     claimed_bytes = env.signature[:-SIG_LEN]
     sig = env.signature[-SIG_LEN:]
     claimed = claimed_bytes.decode("ascii", errors="replace")

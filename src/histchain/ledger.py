@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator
 
 from .config import fmt_minute, parse_minute
-from .envelope import DEFAULT_HASH, Digest, digest
+from .envelope import Digest, digest
 
 GENESIS_MINTED_AT = datetime(1970, 1, 1, 0, 0)
 
@@ -85,39 +84,35 @@ class Block:
     minted_at: datetime
 
 
-def make_block(indexes, prev_hash: Digest, minted_at: datetime,
-               algo: str = DEFAULT_HASH) -> Block:
+def make_block(indexes, prev_hash: Digest, minted_at: datetime) -> Block:
     """Mint a block over a non-empty index list; pure function of its inputs."""
     indexes = tuple(indexes)
     if not indexes:
         raise EmptyBlockError("refusing to mint a block with no indexes")
-    block_hash = digest(block_preimage(prev_hash.hex, indexes, minted_at), algo)
+    block_hash = digest(block_preimage(prev_hash.hex, indexes, minted_at))
     return Block(indexes, block_hash, prev_hash, minted_at)
 
 
-def genesis_block(algo: str = DEFAULT_HASH) -> Block:
-    prev = Digest("0" * len(digest(b"", algo).hex), algo)
-    block_hash = digest(block_preimage(prev.hex, (), GENESIS_MINTED_AT), algo)
+def genesis_block() -> Block:
+    prev = Digest("0" * 64)
+    block_hash = digest(block_preimage(prev.hex, (), GENESIS_MINTED_AT))
     return Block((), block_hash, prev, GENESIS_MINTED_AT)
 
 
 class Chain:
     """Single-writer chain; append is the only mutation and readers see snapshots."""
 
-    def __init__(self, algo: str = DEFAULT_HASH):
-        self.algo = algo
-        self.blocks: list[Block] = [genesis_block(algo)]
+    def __init__(self):
+        self.blocks: list[Block] = [genesis_block()]
         self._by_hash: dict[str, Block] = {self.blocks[0].block_hash.hex: self.blocks[0]}
         self._verified: list[Block] = []
 
     @classmethod
-    def from_blocks(cls, blocks, algo: str = DEFAULT_HASH) -> "Chain":
+    def from_blocks(cls, blocks) -> "Chain":
         """Rebuild from stored blocks without validation; pair with verify_chain."""
-        chain = cls.__new__(cls)
-        chain.algo = algo
+        chain = cls()
         chain.blocks = list(blocks)
         chain._by_hash = {b.block_hash.hex: b for b in chain.blocks}
-        chain._verified = []
         return chain
 
     @property
@@ -142,15 +137,6 @@ class Chain:
         except KeyError:
             raise UnknownBlockError(block_hash_hex) from None
 
-    def walk_back(self, from_block_hash_hex: str) -> Iterator[Block]:
-        """Follow prev links from the named block down to genesis, each block once."""
-        current = self.lookup(from_block_hash_hex)
-        while True:
-            yield current
-            if current.prev_block_hash.hex == self.blocks[0].prev_block_hash.hex:
-                return
-            current = self.lookup(current.prev_block_hash.hex)
-
 
 @dataclass(frozen=True)
 class FirstBadBlock:
@@ -174,7 +160,7 @@ def verify_chain(chain: Chain) -> FirstBadBlock | None:
     """
     blocks = list(chain.blocks)
     start = _verified_prefix(blocks, chain._verified)
-    if start == 0 and (not blocks or blocks[0] != genesis_block(chain.algo)):
+    if start == 0 and (not blocks or blocks[0] != genesis_block()):
         return FirstBadBlock(0, BAD_GENESIS)
     for pos in range(max(start, 1), len(blocks)):
         block = blocks[pos]
@@ -183,9 +169,7 @@ def verify_chain(chain: Chain) -> FirstBadBlock | None:
         if not block.indexes:
             return FirstBadBlock(pos, EMPTY_INDEXES)
         recomputed = digest(
-            block_preimage(block.prev_block_hash.hex, block.indexes, block.minted_at),
-            chain.algo,
-        )
+            block_preimage(block.prev_block_hash.hex, block.indexes, block.minted_at))
         if recomputed.hex != block.block_hash.hex:
             return FirstBadBlock(pos, HASH_MISMATCH)
     chain._verified = blocks
@@ -207,7 +191,7 @@ def dump_chain(chain: Chain) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_chain_dump(text: str, algo: str = DEFAULT_HASH) -> Chain:
+def parse_chain_dump(text: str) -> Chain:
     blocks: list[Block] = []
     current: dict | None = None
 
@@ -232,15 +216,15 @@ def parse_chain_dump(text: str, algo: str = DEFAULT_HASH) -> Chain:
                     raise ValueError(f"position {pos} out of order")
                 current = {
                     "minted_at": parse_minute(parts[2]),
-                    "hash": Digest(parts[3], algo),
-                    "prev": Digest(parts[4], algo),
+                    "hash": Digest(parts[3]),
+                    "prev": Digest(parts[4]),
                     "indexes": [],
                 }
             elif parts[0] == "index":
                 if current is None or len(parts) != 4:
                     raise ValueError("index line outside a block or malformed")
                 current["indexes"].append(LedgerIndex(
-                    Digest(parts[1], algo),
+                    Digest(parts[1]),
                     parse_minute(parts[2]),
                     tuple(int(i) for i in parts[3].split(",")),
                 ))
@@ -251,4 +235,4 @@ def parse_chain_dump(text: str, algo: str = DEFAULT_HASH) -> Chain:
     finish()
     if not blocks:
         raise DumpFormatError("empty chain dump")
-    return Chain.from_blocks(blocks, algo)
+    return Chain.from_blocks(blocks)

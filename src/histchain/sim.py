@@ -69,9 +69,7 @@ class NodeTransport:
             self._frame(dst, msg_type, env), self.sim.request_handlers)
         if response is None:
             return None
-        return unpack_envelope(response.payload,
-                               self.sim.registry.name(response.sender_id),
-                               self.sim.registry.name(response.recipient_id))
+        return self.sim.unpack_frame(response)
 
 
 class PlcEndpoint:
@@ -161,19 +159,15 @@ class Simulation:
 
         def node_handler(node):
             def handle(frame: Frame):
-                env = unpack_envelope(frame.payload,
-                                      self.registry.name(frame.sender_id),
-                                      self.registry.name(frame.recipient_id))
-                node.handle_frame(env, frame.msg_type, self.chain_module.chain)
+                node.handle_frame(self.unpack_frame(frame), frame.msg_type,
+                                  self.chain_module.chain)
             return handle
 
         for i, node in self.nodes.items():
             handlers[f"node{i}"] = node_handler(node)
 
         def chain_handler(frame: Frame):
-            env = unpack_envelope(frame.payload,
-                                  self.registry.name(frame.sender_id),
-                                  self.registry.name(frame.recipient_id))
+            env = self.unpack_frame(frame)
             if frame.msg_type == INDEX:
                 self.chain_module.collect(env)
 
@@ -188,10 +182,7 @@ class Simulation:
             def handle(frame: Frame):
                 if frame.msg_type != REPLICA_REQ:
                     return None
-                env = unpack_envelope(frame.payload,
-                                      self.registry.name(frame.sender_id),
-                                      self.registry.name(frame.recipient_id))
-                reply = node.serve_replica(env)
+                reply = node.serve_replica(self.unpack_frame(frame))
                 if reply is None:
                     return None
                 return Frame(1, REPLICA_RESP,
@@ -202,6 +193,12 @@ class Simulation:
         for i, node in self.nodes.items():
             handlers[f"node{i}"] = responder(node)
         return handlers
+
+    def unpack_frame(self, frame: Frame):
+        """The envelope a frame carries, addressed by endpoint name; the one
+        place an endpoint decodes a payload."""
+        return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
+                               self.registry.name(frame.recipient_id))
 
     # -- clock --------------------------------------------------------------
 
@@ -267,8 +264,9 @@ class Simulation:
         self.network.pump(self.handlers)
         block = self.chain_module.close_interval(ts)
         if block is not None:
+            transport = NodeTransport(self, "chain")
             for name, env in self.chain_module.broadcast_log(block.block_hash):
-                NodeTransport(self, "chain").send(name, LOG, env)
+                transport.send(name, LOG, env)
             self.network.pump(self.handlers)
         for node in self.nodes.values():
             node.validate_cycle(self.chain_module.chain)

@@ -5,7 +5,9 @@ index to the block-minting module. The replication handler pulls copies of
 vectors the ledger assigns to this node. The validator cyclically re-walks the
 whole chain, recomputes the digest of every locally held vector, and triggers
 automated recovery from the other listed holders when a digest disagrees or a
-record is missing.
+record is missing. Replica pull and recovery share one holder loop: the first
+copy that matches the ledger digest, asked for in ledger order, overwrites the
+local one.
 
 A Historian indexes its records by capture minute as well as by key, so the
 validator finds the candidates for a ledger index with one dict lookup. The
@@ -242,7 +244,12 @@ class StorageNode:
         pulled = []
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
-                if self._pull_replica(ix):
+                outcome = self._fetch_from_holders(ix)
+                if outcome is not None:
+                    name, minute = outcome.vector.key
+                    self.events.info(self.tick, self.name, ev.REPLICA_STORED,
+                                     f"replica {name}@{minute} pulled from "
+                                     f"node{outcome.recovered_from}")
                     pulled.append(ix.replica_ids[0])
         return pulled
 
@@ -260,20 +267,19 @@ class StorageNode:
                 )
             del self.pending_submissions[digest_hex]
 
-    def _pull_replica(self, ix: LedgerIndex) -> bool:
+    def _fetch_from_holders(self, ix: LedgerIndex) -> RecoveryOutcome | None:
+        """Ask the other listed holders in ledger order; the first copy that
+        matches the ledger digest overwrites the local one."""
         sources = [n for n in ix.replica_ids if n != self.node_id]
         for source in sources:
             vector = self._request_vector(source, ix)
             if vector is None:
                 continue
             record = HistorianRecord(vector.sensor_name, vector.values, vector.captured_at)
-            existing = self.historian.get(record.key)
-            if existing is None or existing.digest_hex() != ix.vector_digest.hex:
-                self.historian.overwrite(record)
-            self.events.info(self.tick, self.name, ev.REPLICA_STORED,
-                             f"replica {record.key[0]}@{record.key[1]} pulled from node{source}")
-            return True
-        return False
+            previous = self.historian.get(record.key)
+            self.historian.overwrite(record)
+            return RecoveryOutcome(source, vector, previous)
+        return None
 
     def _request_vector(self, source: int, ix: LedgerIndex) -> MeasurementVector | None:
         """Sealed replica request to one holder; verified against the ledger digest."""
@@ -352,7 +358,7 @@ class StorageNode:
                               f"({bad.reason}); validation aborted")
             return []
         findings = []
-        for block in chain.walk_back(chain.tip.block_hash.hex):
+        for block in reversed(chain.blocks):
             for ix in block.indexes:
                 if self.node_id not in ix.replica_ids:
                     continue
@@ -394,19 +400,15 @@ class StorageNode:
 
     def recover(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Pull the vector from the other listed holders in order; overwrite on match."""
-        sources = [n for n in ix.replica_ids if n != self.node_id]
-        for source in sources:
-            vector = self._request_vector(source, ix)
-            if vector is None:
-                continue
-            record = HistorianRecord(vector.sensor_name, vector.values, vector.captured_at)
-            previous = self.historian.get(record.key)
-            self.historian.overwrite(record)
-            before = f"previous values {list(previous.values)}" if previous else "record was missing"
-            self.events.info(self.tick, self.name, ev.RECOVERED,
-                             f"{record.key[0]}@{record.key[1]} restored from node{source}; {before}")
-            return RecoveryOutcome(source, vector, previous)
-        self.events.alarm(self.tick, self.name, ev.UNRECOVERABLE,
-                          f"no intact copy of {ix.vector_digest.hex} reachable; "
-                          "operator intervention required")
-        return None
+        outcome = self._fetch_from_holders(ix)
+        if outcome is None:
+            self.events.alarm(self.tick, self.name, ev.UNRECOVERABLE,
+                              f"no intact copy of {ix.vector_digest.hex} reachable; "
+                              "operator intervention required")
+            return None
+        name, minute = outcome.vector.key
+        previous = outcome.previous
+        before = f"previous values {list(previous.values)}" if previous else "record was missing"
+        self.events.info(self.tick, self.name, ev.RECOVERED,
+                         f"{name}@{minute} restored from node{outcome.recovered_from}; {before}")
+        return outcome

@@ -4,7 +4,6 @@ import pytest
 
 from histchain import events as ev
 from histchain.attacks import (
-    AttackScenario,
     ScenarioSetupError,
     TABLE1_ROWS,
     run_scenario_a,
@@ -121,7 +120,7 @@ class TestScenarioArtifacts:
         assert (tmp_path / "historian1.tampered.txt").exists()
         assert (tmp_path / "chain.txt").exists()
 
-    def test_scenario_dataclass_is_config_only(self):
-        scenario = AttackScenario("B_mitm_plc_storage", "plc1->node1", (1,),
-                                  "flip reading bytes")
-        assert scenario.schedule == (1,)
+    def test_scenario_a_fields_default_empty_on_other_reports(self):
+        report = run_scenario_b()
+        assert report.findings == []
+        assert report.attacked_dumps == {}

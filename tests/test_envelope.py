@@ -101,7 +101,6 @@ class TestDigest:
         assert digest(b"abc") == digest(b"abc")
 
     def test_configurable_hash_length(self):
-        assert len(digest(b"abc", algo="sha1").hex) == 40
         assert len(digest(b"abc").hex) == 64
 
     def test_digest_type_validates(self):
@@ -126,6 +125,7 @@ class TestDigest:
     @example("0" * 63 + "\u0663")
     @example("a" * 63)
     @example("a" * 65)
+    @example("a" * 40)
     def test_validation_matches_reference_predicate(self, text):
         if len(text) == 64 and all(c in "0123456789abcdef" for c in text):
             assert Digest(text).hex == text
@@ -254,4 +254,3 @@ class TestKeystore:
         directory.register(keys)
         assert directory.enc_pub("node1") is keys.enc_pub
         assert directory.sig_pub("node1") is keys.sig_pub
-        assert directory.node_ids() == ["node1"]

@@ -20,7 +20,7 @@ from histchain.envelope import (
     vector_digest,
 )
 from histchain.events import EventLog
-from histchain.ledger import LedgerIndex, make_block
+from histchain.ledger import Chain, LedgerIndex, make_block
 from histchain.sim import Simulation
 from histchain.storage import (
     Historian,
@@ -201,6 +201,45 @@ class TestReplication:
             records = sim.nodes[nid].historian.at_time(fmt_minute(ix.captured_at))
             assert all(r.digest_hex() != ix.vector_digest.hex for r in records) or \
                 sim.events.by_code(ev.REPLICA_STORED, f"node{nid}")
+
+    def test_pull_keeps_intact_copy_and_replaces_tampered_one(self):
+        sim = scripted_sim()
+        chain = sim.chain_module.chain
+        block = chain.tip
+        ix = block.indexes[0]
+        holder = sim.nodes[ix.replica_ids[1]]
+        (record,) = [r for r in holder.historian.at_time(fmt_minute(ix.captured_at))
+                     if r.digest_hex() == ix.vector_digest.hex]
+        key = record.key
+
+        def announce():
+            return seal(block.block_hash.hex.encode(), sim.keystore["chain"],
+                        holder.name, holder.keys.enc_pub)
+
+        dump = holder.historian.dump()
+        stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
+        assert holder.handle_log(announce(), chain)
+        assert holder.historian.dump() == dump
+        assert len(sim.events.by_code(ev.REPLICA_STORED, holder.name)) > stored_before
+
+        holder.historian.tamper(key, (99,))
+        holder.handle_log(announce(), chain)
+        assert holder.historian.get(key).digest_hex() == ix.vector_digest.hex
+        assert holder.historian.dump() == dump
+
+    def test_pull_with_no_answer_raises_no_unrecoverable(self):
+        node, keys, _ = standalone_node()
+        for name in ("node2", "node3"):
+            node.directory.register(generate_node_keys(name, random.Random(name)))
+        chain = Chain()
+        chain.append(make_block([LedgerIndex(vector_digest(VEC), TS, (2, 1, 3))],
+                                chain.tip.block_hash, TS))
+        env = seal(chain.tip.block_hash.hex.encode(), keys["chain"], "node1",
+                   keys["node1"].enc_pub)
+        assert node.handle_log(env, chain) == []
+        assert len(node.historian) == 0
+        assert len(node.events.by_code(ev.REPLICA_NO_RESPONSE, "node1")) == 2
+        assert not node.events.by_code(ev.UNRECOVERABLE)
 
 
 class TestServeReplica:
