@@ -14,12 +14,12 @@ from histchain.config import SimConfig
 from histchain.sim import Simulation
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--minutes", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--outdir", type=Path, default=Path("artifacts/clean"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sim = Simulation(SimConfig(seed=args.seed))
     sim.run(args.minutes)
@@ -36,10 +36,9 @@ def main() -> int:
     print(f"alarms: {len(sim.events.alarms())}")
 
     report = audit_directory(args.outdir)
-    flagged = report.flagged()
-    print(f"offline audit: {len(report.findings)} checks, {len(flagged)} flagged, "
+    print(f"offline audit: {len(report.findings)} checks, {report.flagged_count} flagged, "
           f"{len(report.uncovered)} uncovered")
-    if report.chain_issue is not None or flagged:
+    if not report.all_intact:
         print("AUDIT FAILED")
         return 1
     print(f"artifacts in {args.outdir}")

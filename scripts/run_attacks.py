@@ -12,10 +12,10 @@ from pathlib import Path
 from histchain.attacks import run_scenario_a, run_scenario_b, run_scenario_c
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("artifacts/attacks"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     runners = [
         ("A_historian_tamper", run_scenario_a),

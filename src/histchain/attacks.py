@@ -25,10 +25,10 @@ from pathlib import Path
 
 from . import events as ev
 from .config import SimConfig, fmt_minute, parse_minute
-from .envelope import CIPHER_HEADER_LEN
+from .envelope import CIPHER_HEADER_LEN, MeasurementVector, vector_digest
 from .ledger import dump_chain
 from .sim import Simulation
-from .storage import TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, HistorianRecord, ValidationFinding
+from .storage import TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, ValidationFinding
 from .wire import INDEX, MEASUREMENT, Frame
 
 # Seeds giving replica layouts that match the documented narratives
@@ -155,19 +155,19 @@ def run_scenario_a(cfg: SimConfig | None = None,
         # Planted row that no ledger index covers, for the coverage-gap variant.
         name, minute, values = rogue_record
         node.historian.overwrite(
-            HistorianRecord(name, tuple(values), parse_minute(minute)))
+            MeasurementVector(name, parse_minute(minute), values))
 
     key = tuple(record_key)
     if node.historian.get(key) is None:
         raise ScenarioSetupError(f"record {key} not present in historian{target_node}")
 
-    rows = [(r.name, r.key[1], tuple(r.values)) for r in sim.historian(1).records()]
+    rows = [(r.sensor_name, r.key[1], r.values) for r in sim.historian(1).records()]
     if target_node == 1 and rogue_record is None:
         report.check("historian1_holds_expected_rows", rows == list(TABLE1_ROWS),
                      f"rows={rows}")
 
     original = node.historian.tamper(key, forged_values)
-    original_digest = original.digest_hex()
+    original_digest = vector_digest(original).hex
     for other in extra_corrupt_nodes:
         if sim.nodes[other].historian.get(key) is not None:
             sim.nodes[other].historian.tamper(key, forged_values)
@@ -314,7 +314,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
 
     rec1 = sim.historian(1).get(("Sensor 1", minute))
     rec2 = sim.historian(2).get(("Sensor 2", minute))
-    suppressed_digest = rec1.digest_hex() if rec1 else None
+    suppressed_digest = vector_digest(rec1).hex if rec1 else None
     report.note("suppressed_digest", suppressed_digest)
 
     if attack_node2_too:
@@ -327,7 +327,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
         report.check("block_carries_node2_index",
                      bool(attacked_blocks) and rec2 is not None
                      and attacked_blocks[0].indexes[0].vector_digest.hex
-                     == rec2.digest_hex())
+                     == vector_digest(rec2).hex)
         report.check("rejection_alarmed",
                      len(sim.events.by_code(ev.INDEX_REJECTED, "chain")) == 1)
         lo = attack_interval * cfg.interval_ticks
@@ -343,7 +343,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
     next_minute = fmt_minute(sim.interval_ts(attack_interval + 1))
     next_rec = sim.historian(1).get(("Sensor 1", next_minute))
     report.check("next_interval_indexed_normally",
-                 next_rec is not None and next_rec.digest_hex() in chain_text,
+                 next_rec is not None and vector_digest(next_rec).hex in chain_text,
                  "vector captured after the attack reaches the ledger")
     report.finalize(sim)
     if outdir is not None:

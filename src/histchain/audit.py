@@ -3,7 +3,8 @@
 Re-verifies the chain dump, then checks every ledger index against every
 listed Historian dump by recomputing record digests. Serves as the standalone
 oracle for the in-simulation validator: on the same state, both must flag the
-same records.
+same records. A Historian line that does not parse is reported as malformed,
+and the ledger index it held as missing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import fmt_minute
+from .envelope import vector_digest
 from .ledger import FirstBadBlock, parse_chain_dump, verify_chain
 from .storage import Historian
 
@@ -34,14 +36,21 @@ class AuditReport:
     chain_issue: FirstBadBlock | None = None
     findings: list[AuditFinding] = field(default_factory=list)
     uncovered: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
+    # (node id, 1-based line number) of each Historian line that does not parse.
+    malformed: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def all_intact(self) -> bool:
-        return (self.chain_issue is None
+        return (self.chain_issue is None and not self.malformed
                 and all(f.verdict == INTACT for f in self.findings))
 
     def flagged(self) -> list[AuditFinding]:
         return [f for f in self.findings if f.verdict != INTACT]
+
+    @property
+    def flagged_count(self) -> int:
+        """Findings that are not intact plus Historian lines that do not parse."""
+        return len(self.flagged()) + len(self.malformed)
 
     def to_text(self) -> str:
         lines = []
@@ -53,6 +62,8 @@ class AuditReport:
             name = f.key[0] if f.key[0] is not None else "?"
             lines.append(f"finding|node{f.node_id}|{f.verdict}|{name}|{f.key[1]}"
                          f"|{f.expected_digest}|{f.found_digest or '-'}")
+        for node_id, lineno in self.malformed:
+            lines.append(f"malformed|node{node_id}|{lineno}")
         for node_id, key in self.uncovered:
             lines.append(f"uncovered|node{node_id}|{key[0]}|{key[1]}")
         return "".join(line + "\n" for line in lines)
@@ -66,10 +77,10 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
     if report.chain_issue is not None:
         return report
 
-    stores = {nid: Historian.load(nid, text) for nid, text in historian_texts.items()}
-
-    for node_id in sorted(stores):
-        store = stores[node_id]
+    for node_id in sorted(historian_texts):
+        bad_lines: list[int] = []
+        store = Historian.load(node_id, historian_texts[node_id], bad_lines)
+        report.malformed.extend((node_id, lineno) for lineno in bad_lines)
         duties = [
             ix
             for block in chain.blocks[1:]
@@ -84,7 +95,7 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
             minute = fmt_minute(ix.captured_at)
             expected = ix.vector_digest.hex
             hit = next((r for r in store.at_time(minute)
-                        if r.key not in used and r.digest_hex() == expected), None)
+                        if r.key not in used and vector_digest(r).hex == expected), None)
             if hit is not None:
                 used.add(hit.key)
                 verdicts[pos] = AuditFinding(node_id, hit.key, expected, expected, INTACT)
@@ -97,7 +108,7 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
             if stray is not None:
                 used.add(stray.key)
                 verdicts[pos] = AuditFinding(node_id, stray.key, expected,
-                                             stray.digest_hex(), MISMATCH)
+                                             vector_digest(stray).hex, MISMATCH)
             else:
                 verdicts[pos] = AuditFinding(node_id, (None, minute), expected,
                                              None, MISSING)
@@ -119,7 +130,8 @@ def audit_directory(artifact_dir) -> AuditReport:
         stem = path.stem.removeprefix("historian")
         if not stem.isdigit():
             continue
-        historians[int(stem)] = path.read_text(encoding="utf-8")
+        # An undecodable byte becomes U+FFFD, so its line is reported, not fatal.
+        historians[int(stem)] = path.read_text(encoding="utf-8", errors="replace")
     if not historians:
         raise IOError(f"no historian dumps found in {artifact_dir}")
     return audit_artifacts(chain_path.read_text(encoding="utf-8"), historians)

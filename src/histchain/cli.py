@@ -96,10 +96,9 @@ def _cmd_audit(args) -> int:
     if report.chain_issue is not None:
         print("audit: chain verification FAILED")
         return 1
-    flagged = report.flagged()
-    print(f"audit: {len(report.findings)} checks, {len(flagged)} flagged, "
+    print(f"audit: {len(report.findings)} checks, {report.flagged_count} flagged, "
           f"{len(report.uncovered)} uncovered records")
-    return 0 if not flagged else 1
+    return 0 if report.all_intact else 1
 
 
 def _cmd_dump_chain(args) -> int:

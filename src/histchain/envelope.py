@@ -30,7 +30,7 @@ import hashlib
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -107,11 +107,15 @@ def digest(data: bytes) -> Digest:
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    """One sensor's readings for one interval; the unit of storage and hashing."""
+    """One sensor's readings for one interval; the unit of storage and hashing.
+
+    key is (sensor_name, ISO capture minute), computed once on construction.
+    """
 
     sensor_name: str
     captured_at: datetime
     values: tuple[int, ...]
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -123,16 +127,13 @@ class MeasurementVector:
             raise SerializationError(f"bad sensor name {self.sensor_name!r}")
         if self.captured_at.second or self.captured_at.microsecond:
             raise SerializationError("captured_at must be minute-aligned")
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.sensor_name, fmt_minute(self.captured_at))
+        object.__setattr__(self, "key", (self.sensor_name, fmt_minute(self.captured_at)))
 
 
 def canonical_serialize(vector: MeasurementVector) -> bytes:
     """Stable, injective byte form: name|ISO-minute|comma-joined values."""
     values = ",".join(str(v) for v in vector.values)
-    return f"{vector.sensor_name}|{fmt_minute(vector.captured_at)}|{values}".encode("utf-8")
+    return f"{vector.sensor_name}|{vector.key[1]}|{values}".encode("utf-8")
 
 
 def parse_canonical(data: bytes) -> MeasurementVector:

@@ -68,6 +68,18 @@ class LedgerIndex:
         return f"{self.vector_digest.hex}|{fmt_minute(self.captured_at)}|{ids}"
 
 
+def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
+    """`digest hex|ISO minute`: the body of an INDEX submission and of a REPLICA_REQ."""
+    return f"{vector_digest.hex}|{fmt_minute(captured_at)}".encode("ascii")
+
+
+def parse_vector_ref(body: bytes) -> tuple[Digest, datetime]:
+    """Inverse of format_vector_ref; raises ValueError unless the body is a
+    SHA-256 hex digest and an ISO minute joined by one `|`."""
+    digest_hex, minute = body.decode("ascii").split("|")
+    return Digest(digest_hex), parse_minute(minute)
+
+
 def serialize_indexes(indexes) -> str:
     return "\n".join(ix.line() for ix in indexes)
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from . import events as ev
-from .config import parse_minute
 from .envelope import (
     AuthError,
     Digest,
@@ -19,7 +18,7 @@ from .envelope import (
     open_envelope,
     seal,
 )
-from .ledger import Block, Chain, LedgerIndex, make_block
+from .ledger import Block, Chain, LedgerIndex, make_block, parse_vector_ref
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,15 @@ class ChainModule:
             self.events.alarm(self.tick, "chain", ev.INDEX_REJECTED, detail)
             return False
         try:
-            digest_hex, minute = plaintext.decode("ascii").split("|")
-            submission = IndexSubmission(
-                int(env.sender_id.removeprefix("node")),
-                Digest(digest_hex),
-                parse_minute(minute),
-            )
-        except (UnicodeDecodeError, ValueError):
+            submission = IndexSubmission(int(env.sender_id.removeprefix("node")),
+                                         *parse_vector_ref(plaintext))
+        except ValueError:
             self.events.alarm(self.tick, "chain", ev.INDEX_REJECTED,
                               f"index from {env.sender_id} authentic but malformed")
             return False
         self.buffer.append(submission)
         self.events.info(self.tick, "chain", ev.INDEX_ACCEPTED,
-                         f"index from {env.sender_id} verified: {digest_hex}")
+                         f"index from {env.sender_id} verified: {submission.vector_digest.hex}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:

@@ -38,6 +38,7 @@ from .wire import (
     MEASUREMENT,
     REPLICA_REQ,
     REPLICA_RESP,
+    DecodeError,
     EndpointRegistry,
     Frame,
     Network,
@@ -69,7 +70,7 @@ class NodeTransport:
             self._frame(dst, msg_type, env), self.sim.request_handlers)
         if response is None:
             return None
-        return self.sim.unpack_frame(response)
+        return self.sim.unpack_frame(response, self.src)
 
 
 class PlcEndpoint:
@@ -159,16 +160,17 @@ class Simulation:
 
         def node_handler(node):
             def handle(frame: Frame):
-                node.handle_frame(self.unpack_frame(frame), frame.msg_type,
-                                  self.chain_module.chain)
+                env = self.unpack_frame(frame, node.name)
+                if env is not None:
+                    node.handle_frame(env, frame.msg_type, self.chain_module.chain)
             return handle
 
         for i, node in self.nodes.items():
             handlers[f"node{i}"] = node_handler(node)
 
         def chain_handler(frame: Frame):
-            env = self.unpack_frame(frame)
-            if frame.msg_type == INDEX:
+            env = self.unpack_frame(frame, "chain")
+            if env is not None and frame.msg_type == INDEX:
                 self.chain_module.collect(env)
 
         handlers["chain"] = chain_handler
@@ -182,7 +184,8 @@ class Simulation:
             def handle(frame: Frame):
                 if frame.msg_type != REPLICA_REQ:
                     return None
-                reply = node.serve_replica(self.unpack_frame(frame))
+                env = self.unpack_frame(frame, node.name)
+                reply = None if env is None else node.serve_replica(env)
                 if reply is None:
                     return None
                 return Frame(1, REPLICA_RESP,
@@ -194,11 +197,25 @@ class Simulation:
             handlers[f"node{i}"] = responder(node)
         return handlers
 
-    def unpack_frame(self, frame: Frame):
+    def unpack_frame(self, frame: Frame, receiver: str):
         """The envelope a frame carries, addressed by endpoint name; the one
-        place an endpoint decodes a payload."""
-        return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
-                               self.registry.name(frame.recipient_id))
+        place an endpoint decodes a payload.
+
+        A frame that does not decode, or names an unknown endpoint, is dropped:
+        `receiver`, the endpoint whose handler got it, raises MALFORMED_PAYLOAD
+        and None is returned.
+        """
+        try:
+            return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
+                                   self.registry.name(frame.recipient_id))
+        except KeyError as exc:
+            reason = f"unknown endpoint id {exc}"
+        except DecodeError as exc:
+            reason = str(exc)
+        self.events.alarm(self.tick, receiver, ev.MALFORMED_PAYLOAD,
+                          f"frame type {frame.msg_type} from wire id {frame.sender_id} "
+                          f"dropped: {reason}")
+        return None
 
     # -- clock --------------------------------------------------------------
 

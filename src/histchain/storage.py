@@ -9,22 +9,23 @@ record is missing. Replica pull and recovery share one holder loop: the first
 copy that matches the ledger digest, asked for in ledger order, overwrites the
 local one.
 
-A Historian indexes its records by capture minute as well as by key, so the
-validator finds the candidates for a ledger index with one dict lookup. The
-digest itself is recomputed on every check and never cached, so an at-rest
-edit is caught on the next cycle.
+A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
+parsed, and indexes them by capture minute as well as by key, so the validator
+finds the candidates for a ledger index with one dict lookup. The digest
+itself is recomputed on every check and never cached, so an at-rest edit is
+caught on the next cycle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 
 from . import events as ev
-from .config import fmt_minute, parse_minute
+from .config import fmt_minute
 from .envelope import (
     AuthError,
+    Digest,
     KeyDirectory,
     MeasurementVector,
     NodeKeys,
@@ -35,7 +36,7 @@ from .envelope import (
     seal,
     vector_digest,
 )
-from .ledger import Chain, LedgerIndex, verify_chain
+from .ledger import Chain, LedgerIndex, format_vector_ref, parse_vector_ref, verify_chain
 from .wire import INDEX, LOG, MEASUREMENT, REPLICA_REQ
 
 INTACT = "intact"
@@ -49,23 +50,6 @@ class DuplicateRecordError(ValueError):
     """(name, time) already present in this Historian."""
 
 
-@dataclass(frozen=True)
-class HistorianRecord:
-    name: str
-    values: tuple[int, ...]
-    time: datetime
-    key: tuple[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", (self.name, fmt_minute(self.time)))
-
-    def vector(self) -> MeasurementVector:
-        return MeasurementVector(self.name, self.time, self.values)
-
-    def digest_hex(self) -> str:
-        return vector_digest(self.vector()).hex
-
-
 class Historian:
     """Keyed record store, insertion-ordered; persisted one canonical line per record.
 
@@ -76,27 +60,27 @@ class Historian:
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self._records: dict[tuple[str, str], HistorianRecord] = {}
-        self._by_minute: dict[str, dict[tuple[str, str], HistorianRecord]] = {}
+        self._records: dict[tuple[str, str], MeasurementVector] = {}
+        self._by_minute: dict[str, dict[tuple[str, str], MeasurementVector]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def records(self) -> list[HistorianRecord]:
+    def records(self) -> list[MeasurementVector]:
         return list(self._records.values())
 
-    def get(self, key: tuple[str, str]) -> HistorianRecord | None:
+    def get(self, key: tuple[str, str]) -> MeasurementVector | None:
         return self._records.get(key)
 
-    def at_time(self, iso_minute: str) -> list[HistorianRecord]:
+    def at_time(self, iso_minute: str) -> list[MeasurementVector]:
         return list(self._by_minute.get(iso_minute, {}).values())
 
-    def put_new(self, record: HistorianRecord):
+    def put_new(self, record: MeasurementVector):
         if record.key in self._records:
             raise DuplicateRecordError(f"{record.key} already stored")
         self.overwrite(record)
 
-    def overwrite(self, record: HistorianRecord):
+    def overwrite(self, record: MeasurementVector):
         self._records[record.key] = record
         self._by_minute.setdefault(record.key[1], {})[record.key] = record
 
@@ -104,27 +88,35 @@ class Historian:
         if self._records.pop(key, None) is not None:
             del self._by_minute[key[1]][key]
 
-    def tamper(self, key: tuple[str, str], forged_values) -> HistorianRecord:
-        """Direct store edit used by the insider-attack scenario; returns the old record."""
+    def tamper(self, key: tuple[str, str], forged_values) -> MeasurementVector:
+        """Direct store edit used by the insider-attack scenario; returns the old record.
+
+        Raises SerializationError, leaving the store unchanged, for values no
+        canonical record can hold (none, or any that is not a non-negative int).
+        """
         old = self._records[key]
-        self.overwrite(HistorianRecord(old.name, tuple(forged_values), old.time))
+        self.overwrite(MeasurementVector(old.sensor_name, old.captured_at, forged_values))
         return old
 
     def dump(self) -> str:
         return "".join(
-            canonical_serialize(r.vector()).decode("utf-8") + "\n"
-            for r in self._records.values()
+            canonical_serialize(r).decode("utf-8") + "\n" for r in self._records.values()
         )
 
     @classmethod
-    def load(cls, node_id: int, text: str) -> "Historian":
+    def load(cls, node_id: int, text: str, malformed: list[int] | None = None) -> "Historian":
+        """Inverse of dump. A line that does not parse raises SerializationError,
+        or, when a `malformed` list is given, has its 1-based number appended."""
         historian = cls(node_id)
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             if not raw.strip():
                 continue
-            vector = parse_canonical(raw.encode("utf-8"))
-            historian.overwrite(HistorianRecord(vector.sensor_name, vector.values,
-                                                vector.captured_at))
+            try:
+                historian.overwrite(parse_canonical(raw.encode("utf-8")))
+            except SerializationError:
+                if malformed is None:
+                    raise
+                malformed.append(lineno)
         return historian
 
 
@@ -143,7 +135,7 @@ class ValidationFinding:
 class RecoveryOutcome:
     recovered_from: int
     vector: MeasurementVector
-    previous: HistorianRecord | None
+    previous: MeasurementVector | None
 
 
 class StorageNode:
@@ -205,23 +197,23 @@ class StorageNode:
             self.events.alarm(self.tick, self.name, ev.MALFORMED_PAYLOAD,
                               f"authentic but unparseable measurement: {exc}")
             return None
-        record = HistorianRecord(vector.sensor_name, vector.values, vector.captured_at)
         try:
-            self.historian.put_new(record)
+            self.historian.put_new(vector)
         except DuplicateRecordError:
             self.events.alarm(self.tick, self.name, ev.DUPLICATE_RECORD,
-                              f"{record.key} already stored; rejected")
+                              f"{vector.key} already stored; rejected")
             return None
         # Independent recomputation over the canonical form, which embeds the
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
         self.events.info(self.tick, self.name, ev.MSG_AUTHENTIC,
                          f"vector from {env.sender_id} verified; digest={fingerprint.hex}")
+        name, minute = vector.key
         self.events.info(self.tick, self.name, ev.STORED,
-                         f"stored {record.key[0]}@{record.key[1]}; replication pending")
-        submission = f"{fingerprint.hex}|{record.key[1]}".encode("ascii")
-        self.pending_submissions[fingerprint.hex] = record.key[1]
-        self.transport.send("chain", INDEX, self._seal_to("chain", submission))
+                         f"stored {name}@{minute}; replication pending")
+        self.pending_submissions[fingerprint.hex] = minute
+        self.transport.send("chain", INDEX, self._seal_to(
+            "chain", format_vector_ref(fingerprint, vector.captured_at)))
         return fingerprint
 
     # -- replication handler ------------------------------------------------
@@ -275,15 +267,14 @@ class StorageNode:
             vector = self._request_vector(source, ix)
             if vector is None:
                 continue
-            record = HistorianRecord(vector.sensor_name, vector.values, vector.captured_at)
-            previous = self.historian.get(record.key)
-            self.historian.overwrite(record)
+            previous = self.historian.get(vector.key)
+            self.historian.overwrite(vector)
             return RecoveryOutcome(source, vector, previous)
         return None
 
     def _request_vector(self, source: int, ix: LedgerIndex) -> MeasurementVector | None:
         """Sealed replica request to one holder; verified against the ledger digest."""
-        request = f"{ix.vector_digest.hex}|{fmt_minute(ix.captured_at)}".encode("ascii")
+        request = format_vector_ref(ix.vector_digest, ix.captured_at)
         response = self.transport.round_trip(
             f"node{source}", REPLICA_REQ, self._seal_to(f"node{source}", request))
         if response is None:
@@ -325,25 +316,21 @@ class StorageNode:
                               f"replica request from {env.sender_id} failed: {exc.detail}")
             return None
         try:
-            digest_hex, minute = plaintext.decode("ascii").split("|")
-            parse_minute(minute)
-        except (UnicodeDecodeError, ValueError):
+            wanted, captured_at = parse_vector_ref(plaintext)
+        except ValueError:
             self.events.alarm(self.tick, self.name, ev.REPLICA_REQUEST_REJECTED,
                               "authentic but malformed replica request")
             return None
-        record = self._best_copy(digest_hex, minute)
-        if record is None:
-            body = NOT_FOUND_MARKER
-        else:
-            body = canonical_serialize(record.vector())
+        record = self._best_copy(wanted, fmt_minute(captured_at))
+        body = NOT_FOUND_MARKER if record is None else canonical_serialize(record)
         return self._seal_to(env.sender_id, body)
 
-    def _best_copy(self, digest_hex: str, minute: str) -> HistorianRecord | None:
+    def _best_copy(self, wanted: Digest, minute: str) -> MeasurementVector | None:
         """Exact digest match if present; otherwise whatever this node holds for
         that minute (the requester re-verifies against the ledger)."""
         candidates = self.historian.at_time(minute)
         for record in candidates:
-            if record.digest_hex() == digest_hex:
+            if vector_digest(record) == wanted:
                 return record
         return candidates[0] if candidates else None
 
@@ -368,35 +355,29 @@ class StorageNode:
     def _check_index(self, ix: LedgerIndex) -> ValidationFinding:
         minute = fmt_minute(ix.captured_at)
         expected = ix.vector_digest.hex
-        for record in self.historian.at_time(minute):
-            if record.digest_hex() == expected:
+        records = self.historian.at_time(minute)
+        for record in records:
+            if vector_digest(record).hex == expected:
                 self.events.info(self.tick, self.name, ev.CHECK_OK,
-                                 f"{record.key[0]}@{minute} matches the ledger")
+                                 f"{record.sensor_name}@{minute} matches the ledger")
                 return ValidationFinding(record.key, INTACT, expected, expected)
         self.events.alarm(self.tick, self.name, ev.FDI_ALARM,
                           f"no local record for {minute} matches ledger digest "
                           f"{expected}; data falsified or missing, recovering")
         outcome = self.recover(ix)
         if outcome is None:
-            key = self._unmatched_key(minute)
-            return ValidationFinding((key, minute), TAMPERED_UNRECOVERABLE,
-                                     expected, self._found_digest(key, minute))
+            # A failed recovery leaves the store untouched, so `records` is
+            # still what this node holds for the minute.
+            only = records[0] if len(records) == 1 else None
+            return ValidationFinding(
+                (only.sensor_name if only else None, minute), TAMPERED_UNRECOVERABLE,
+                expected, vector_digest(only).hex if only else None)
         previous = outcome.previous
         return ValidationFinding(
             (outcome.vector.sensor_name, minute), TAMPERED_RECOVERED, expected,
-            previous.digest_hex() if previous else None,
+            vector_digest(previous).hex if previous else None,
             recovered_from=outcome.recovered_from,
         )
-
-    def _unmatched_key(self, minute: str) -> str | None:
-        records = self.historian.at_time(minute)
-        return records[0].name if len(records) == 1 else None
-
-    def _found_digest(self, name: str | None, minute: str) -> str | None:
-        if name is None:
-            return None
-        record = self.historian.get((name, minute))
-        return record.digest_hex() if record else None
 
     def recover(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Pull the vector from the other listed holders in order; overwrite on match."""

@@ -43,6 +43,7 @@ from histchain.envelope import (
     generate_node_keys,
     open_envelope,
     seal,
+    vector_digest,
 )
 from histchain.ledger import dump_chain, verify_chain
 from histchain.minter import draw_replicas
@@ -149,7 +150,7 @@ def test_criterion_5_recovery_matrix():
         if outcome is not None:
             recovered_trials += 1
             stored = sim.historian(invoking).get(key)
-            assert stored.digest_hex() == ix.vector_digest.hex
+            assert vector_digest(stored).hex == ix.vector_digest.hex
         for nid in holders:  # reset for the next trial
             sim.historian(nid).tamper(key, original)
     assert 0 < recovered_trials < 500

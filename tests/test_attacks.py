@@ -23,7 +23,7 @@ class TestScenarioA:
 
     def test_fixture_rows_as_documented(self):
         report = run_scenario_a()
-        rows = [(r.name, r.key[1], r.values) for r in report.sim.historian(1).records()]
+        rows = [(r.sensor_name, r.key[1], r.values) for r in report.sim.historian(1).records()]
         assert rows == list(TABLE1_ROWS)
 
     def test_recovery_falls_back_to_third_holder(self):

@@ -3,8 +3,10 @@
 import pytest
 
 from histchain.attacks import run_scenario_a, run_scenario_c
-from histchain.audit import MISMATCH, audit_artifacts, audit_directory
+from histchain.audit import MISMATCH, MISSING, audit_artifacts, audit_directory
+from histchain.cli import main
 from histchain.config import SimConfig
+from histchain.envelope import parse_canonical, vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
 from .helpers import flip_hex_char
@@ -70,6 +72,38 @@ class TestHandEdits:
         assert report.chain_issue is not None
         assert report.chain_issue.position == 2
         assert not report.all_intact
+
+
+def negative_value(line):
+    name, minute, values = line.split("|")
+    return f"{name}|{minute}|-1,{values.split(',', 1)[1]}"
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize("edit", [negative_value, lambda line: "garbage",
+                                      lambda line: "\udcff\udcfe"],
+                             ids=["negative_value", "garbage", "not_utf8"])
+    def test_reported_with_line_number_and_index_missing(self, edit, tmp_path, capsys):
+        sim, _, _ = clean_artifacts()
+        sim.write_artifacts(tmp_path)
+        hist = tmp_path / "historian1.txt"
+        lines = hist.read_text().splitlines()
+        held = vector_digest(parse_canonical(lines[0].encode())).hex
+        lines[0] = edit(lines[0])
+        hist.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+
+        report = audit_directory(tmp_path)
+        assert report.malformed == [(1, 1)]
+        assert "malformed|node1|1\n" in report.to_text()
+        assert [(f.node_id, f.verdict, f.expected_digest) for f in report.flagged()] \
+            == [(1, MISSING, held)]
+        assert report.flagged_count == 2
+        assert not report.all_intact
+
+        assert main(["audit", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "malformed|node1|1\n" in out
+        assert "2 flagged" in out
 
 
 class TestOracleEquivalence:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from histchain.config import fmt_minute
-from histchain.storage import DuplicateRecordError, Historian, HistorianRecord
+from histchain.envelope import MeasurementVector
+from histchain.storage import DuplicateRecordError, Historian
 
 NAMES = ("Sensor 1", "Sensor 2", "Sensor 3")
 TIMES = tuple(datetime(2020, 12, 23, 17, m) for m in (26, 27, 28))
@@ -27,7 +28,7 @@ OPS = st.lists(st.one_of(
 ), max_size=40)
 
 
-def linear_scan(historian: Historian, minute: str) -> list[HistorianRecord]:
+def linear_scan(historian: Historian, minute: str) -> list[MeasurementVector]:
     return [r for r in historian.records() if r.key[1] == minute]
 
 
@@ -41,11 +42,11 @@ def apply(historian: Historian, op) -> Historian:
     if kind == "put_new":
         if present:
             with pytest.raises(DuplicateRecordError):
-                historian.put_new(HistorianRecord(name, args[2], time))
+                historian.put_new(MeasurementVector(name, time, args[2]))
         else:
-            historian.put_new(HistorianRecord(name, args[2], time))
+            historian.put_new(MeasurementVector(name, time, args[2]))
     elif kind == "overwrite":
-        historian.overwrite(HistorianRecord(name, args[2], time))
+        historian.overwrite(MeasurementVector(name, time, args[2]))
     elif kind == "delete":
         historian.delete(key)
     elif present:
@@ -67,9 +68,9 @@ def test_at_time_matches_linear_scan_after_every_step(ops):
 
 
 def test_record_is_frozen():
-    record = HistorianRecord("Sensor 1", (2, 5), TIMES[0])
+    record = MeasurementVector("Sensor 1", TIMES[0], (2, 5))
     assert record.key == ("Sensor 1", MINUTES[0])
-    for field, value in (("values", (9, 9)), ("name", "Sensor 9"),
-                         ("time", TIMES[1]), ("key", ("Sensor 9", MINUTES[1]))):
+    for field, value in (("values", (9, 9)), ("sensor_name", "Sensor 9"),
+                         ("captured_at", TIMES[1]), ("key", ("Sensor 9", MINUTES[1]))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, value)

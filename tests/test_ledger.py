@@ -21,9 +21,11 @@ from histchain.ledger import (
     LedgerIndex,
     UnknownBlockError,
     dump_chain,
+    format_vector_ref,
     genesis_block,
     make_block,
     parse_chain_dump,
+    parse_vector_ref,
     verify_chain,
 )
 from .helpers import BLOCK_MUTATIONS, build_chain, mutated_chain
@@ -47,6 +49,27 @@ class TestLedgerIndex:
     def test_line_format(self):
         ix = one_index()
         assert ix.line() == f"{digest(b'vector-bytes').hex}|2020-12-23T03:24|1,6,3"
+
+
+class TestVectorRef:
+    def test_round_trip_keeps_wire_bytes(self):
+        d = digest(b"vector")
+        ts = datetime(2020, 12, 23, 17, 27)
+        body = format_vector_ref(d, ts)
+        assert body == f"{d.hex}|2020-12-23T17:27".encode("ascii")
+        assert parse_vector_ref(body) == (d, ts)
+
+    @pytest.mark.parametrize("body", [
+        b"XYZ|2020-12-23T17:27",
+        ("AB" * 32 + "|2020-12-23T17:27").encode(),
+        ("ab" * 32 + "|2020-12-23 17:27").encode(),
+        ("ab" * 32 + "|2020-12-23T17:27|1").encode(),
+        "ab\u00e9|2020-12-23T17:27".encode("utf-8"),
+        b"",
+    ])
+    def test_malformed_body_raises_value_error(self, body):
+        with pytest.raises(ValueError):
+            parse_vector_ref(body)
 
 
 class TestMakeBlock:

@@ -1,9 +1,12 @@
 """End-to-end simulation behaviour: closed loop, determinism, artifacts."""
 
+import dataclasses
+
 import pytest
 
 from histchain import events as ev
 from histchain.config import ConfigError, SimConfig, parse_config_file
+from histchain.envelope import vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
 
@@ -51,8 +54,46 @@ class TestClosedLoopRun:
         assert len(set(index_digests)) == len(index_digests)
         for node in (1, 2):
             for record in sim.historian(node).records():
-                if record.name == f"Sensor {node}":  # origin copies
-                    assert index_digests.count(record.digest_hex()) == 1
+                if record.sensor_name == f"Sensor {node}":  # origin copies
+                    assert index_digests.count(vector_digest(record).hex) == 1
+
+
+def cut_payload(frame):
+    return dataclasses.replace(frame, payload=frame.payload[:3])
+
+
+def unknown_sender(frame):
+    return dataclasses.replace(frame, sender_id=999)
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("src, dst, interceptor", [
+        ("plc1", "node1", cut_payload),
+        ("node1", "chain", cut_payload),
+        ("plc1", "node1", unknown_sender),
+    ])
+    def test_receiver_alarms_drops_and_next_interval_is_normal(self, src, dst, interceptor):
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        handles = []
+
+        def before(sim_, k):
+            if k == 1:
+                handles.append(sim_.install_interceptor(src, dst, interceptor))
+
+        def after(sim_, k):
+            while handles:
+                sim_.remove_interceptor(handles.pop())
+
+        sim.run(3, before, after)
+        malformed = sim.events.by_code(ev.MALFORMED_PAYLOAD)
+        assert [r.actor for r in malformed] == [dst]
+        assert all(r.tick // cfg.interval_ticks == 1 for r in sim.events.alarms())
+        tip = sim.chain_module.chain.tip
+        assert tip.minted_at == sim.interval_ts(2) and len(tip.indexes) == 2
+        stored = [r.actor for r in sim.events.by_code(ev.STORED)
+                  if r.tick // cfg.interval_ticks == 2]
+        assert sorted(stored) == ["node1", "node2"]
 
 
 class TestDeterminism:

@@ -24,7 +24,6 @@ from histchain.ledger import Chain, LedgerIndex, make_block
 from histchain.sim import Simulation
 from histchain.storage import (
     Historian,
-    HistorianRecord,
     StorageNode,
     TAMPERED_RECOVERED,
     TAMPERED_UNRECOVERABLE,
@@ -120,8 +119,8 @@ class TestRegister:
 class TestHistorian:
     def test_dump_load_round_trip(self):
         historian = Historian(1)
-        historian.put_new(HistorianRecord("Sensor 1", (2, 5), datetime(2020, 12, 23, 17, 26)))
-        historian.put_new(HistorianRecord("Sensor 2", (4, 4), datetime(2020, 12, 23, 17, 28)))
+        historian.put_new(MeasurementVector("Sensor 1", datetime(2020, 12, 23, 17, 26), (2, 5)))
+        historian.put_new(MeasurementVector("Sensor 2", datetime(2020, 12, 23, 17, 28), (4, 4)))
         text = historian.dump()
         assert text == "Sensor 1|2020-12-23T17:26|2,5\nSensor 2|2020-12-23T17:28|4,4\n"
         loaded = Historian.load(1, text)
@@ -129,9 +128,9 @@ class TestHistorian:
 
     def test_at_time_filters(self):
         historian = Historian(1)
-        historian.put_new(HistorianRecord("Sensor 1", (1,), TS))
-        historian.put_new(HistorianRecord("Sensor 2", (2,), TS))
-        historian.put_new(HistorianRecord("Sensor 1", (3,), datetime(2020, 12, 23, 17, 28)))
+        historian.put_new(MeasurementVector("Sensor 1", TS, (1,)))
+        historian.put_new(MeasurementVector("Sensor 2", TS, (2,)))
+        historian.put_new(MeasurementVector("Sensor 1", datetime(2020, 12, 23, 17, 28), (3,)))
         assert len(historian.at_time("2020-12-23T17:27")) == 2
 
 
@@ -155,7 +154,7 @@ class TestReplication:
             minute = fmt_minute(ix.captured_at)
             holders = [
                 nid for nid, node in sim.nodes.items()
-                if any(r.digest_hex() == ix.vector_digest.hex
+                if any(vector_digest(r).hex == ix.vector_digest.hex
                        for r in node.historian.at_time(minute))
             ]
             assert sorted(holders) == sorted(ix.replica_ids)
@@ -166,7 +165,7 @@ class TestReplication:
             for nid in sim.nodes:
                 if nid not in ix.replica_ids:
                     records = sim.nodes[nid].historian.at_time(fmt_minute(ix.captured_at))
-                    assert all(r.digest_hex() != ix.vector_digest.hex for r in records)
+                    assert all(vector_digest(r).hex != ix.vector_digest.hex for r in records)
 
     def test_corrupted_log_announcement_ignored_with_alarm(self):
         sim = scripted_sim()
@@ -199,7 +198,7 @@ class TestReplication:
         assert mismatches, "corrupted replica answers must raise alarms"
         for nid in ix.replica_ids[1:]:
             records = sim.nodes[nid].historian.at_time(fmt_minute(ix.captured_at))
-            assert all(r.digest_hex() != ix.vector_digest.hex for r in records) or \
+            assert all(vector_digest(r).hex != ix.vector_digest.hex for r in records) or \
                 sim.events.by_code(ev.REPLICA_STORED, f"node{nid}")
 
     def test_pull_keeps_intact_copy_and_replaces_tampered_one(self):
@@ -209,7 +208,7 @@ class TestReplication:
         ix = block.indexes[0]
         holder = sim.nodes[ix.replica_ids[1]]
         (record,) = [r for r in holder.historian.at_time(fmt_minute(ix.captured_at))
-                     if r.digest_hex() == ix.vector_digest.hex]
+                     if vector_digest(r).hex == ix.vector_digest.hex]
         key = record.key
 
         def announce():
@@ -224,7 +223,7 @@ class TestReplication:
 
         holder.historian.tamper(key, (99,))
         holder.handle_log(announce(), chain)
-        assert holder.historian.get(key).digest_hex() == ix.vector_digest.hex
+        assert vector_digest(holder.historian.get(key)).hex == ix.vector_digest.hex
         assert holder.historian.dump() == dump
 
     def test_pull_with_no_answer_raises_no_unrecoverable(self):
@@ -270,6 +269,17 @@ class TestServeReplica:
         reply = node.serve_replica(type(env)(env.sender_id, env.recipient_id,
                                              bytes(ct), env.signature))
         assert reply is None
+        assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
+
+
+    @pytest.mark.parametrize("digest_hex", ["not-hex", "AB" * 32, "ab" * 31],
+                             ids=["not_hex", "uppercase", "short"])
+    def test_authentic_request_with_bad_digest_rejected(self, digest_hex):
+        node, keys, _ = standalone_node()
+        node.register(sealed_measurement(keys))
+        request = f"{digest_hex}|2020-12-23T17:27".encode("ascii")
+        env = seal(request, keys["plc1"], "node1", keys["node1"].enc_pub)
+        assert node.serve_replica(env) is None
         assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
 
 
@@ -385,7 +395,7 @@ class TestIncrementalVerification:
         held = held_indexes(sim, 1)
         ix = held[0]
         record = next(r for r in node.historian.at_time(fmt_minute(ix.captured_at))
-                      if r.digest_hex() == ix.vector_digest.hex)
+                      if vector_digest(r).hex == ix.vector_digest.hex)
         node.historian.tamper(record.key, [v + 1 for v in record.values])
 
         calls = []
