@@ -3,8 +3,9 @@
 Re-verifies the chain dump, then checks every ledger index against every
 listed Historian dump by recomputing record digests. Serves as the standalone
 oracle for the in-simulation validator: on the same state, both must flag the
-same records. A Historian line that does not parse is reported as malformed,
-and the ledger index it held as missing.
+same records. A Historian line that is not a canonical record, or repeats the
+key of an earlier line, is reported as malformed, and a ledger index that only
+such a line held as missing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import fmt_minute
 from .envelope import vector_digest
 from .ledger import FirstBadBlock, parse_chain_dump, verify_chain
 from .storage import Historian
@@ -36,7 +36,7 @@ class AuditReport:
     chain_issue: FirstBadBlock | None = None
     findings: list[AuditFinding] = field(default_factory=list)
     uncovered: list[tuple[int, tuple[str, str]]] = field(default_factory=list)
-    # (node id, 1-based line number) of each Historian line that does not parse.
+    # (node id, 1-based line number) of each Historian line Historian.load rejects.
     malformed: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -49,7 +49,7 @@ class AuditReport:
 
     @property
     def flagged_count(self) -> int:
-        """Findings that are not intact plus Historian lines that do not parse."""
+        """Findings that are not intact plus rejected Historian lines."""
         return len(self.flagged()) + len(self.malformed)
 
     def to_text(self) -> str:
@@ -92,7 +92,7 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
         # Exact digest matches first, so a tampered record can never steal the
         # verdict of an intact one sharing the same minute.
         for pos, ix in enumerate(duties):
-            minute = fmt_minute(ix.captured_at)
+            minute = ix.minute
             expected = ix.vector_digest.hex
             hit = next((r for r in store.at_time(minute)
                         if r.key not in used and vector_digest(r).hex == expected), None)
@@ -102,7 +102,7 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
         for pos, ix in enumerate(duties):
             if pos in verdicts:
                 continue
-            minute = fmt_minute(ix.captured_at)
+            minute = ix.minute
             expected = ix.vector_digest.hex
             stray = next((r for r in store.at_time(minute) if r.key not in used), None)
             if stray is not None:

@@ -1,7 +1,13 @@
-"""Run configuration, the flat key=value config file format, and seeded RNG streams.
+"""Run configuration, the flat key=value config file format, seeded RNG streams,
+and the ISO-minute codec every artifact and wire body uses.
 
 All randomness in a run flows from the single config seed through named
 sub-streams, so adding a new consumer never perturbs an existing one.
+
+An ISO minute is `YYYY-MM-DDTHH:MM` (MINUTE_FMT) for a naive datetime.
+fmt_minute writes it, and parse_minute is strict: it accepts exactly the
+strings fmt_minute writes, so no second spelling of a minute (seconds, a
+space, the basic format, a zone, unpadded fields, non-ASCII digits) parses.
 """
 
 from __future__ import annotations
@@ -19,14 +25,20 @@ class ConfigError(ValueError):
 
 
 def fmt_minute(ts: datetime) -> str:
-    return ts.strftime(MINUTE_FMT)
+    """MINUTE_FMT for a naive datetime with a four-digit year."""
+    return ts.isoformat(timespec="minutes")
 
 
 def parse_minute(text: str) -> datetime:
+    """Inverse of fmt_minute; raises ConfigError unless fmt_minute of the
+    result gives `text` back."""
     try:
-        return datetime.strptime(text, MINUTE_FMT)
-    except ValueError as exc:
-        raise ConfigError(f"bad minute timestamp {text!r}: {exc}") from None
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        ts = None
+    if ts is None or ts.tzinfo is not None or fmt_minute(ts) != text:
+        raise ConfigError(f"bad minute timestamp {text!r}: expected {MINUTE_FMT}")
+    return ts
 
 
 @dataclass

@@ -21,6 +21,10 @@ Every inter-node message travels as a SignedEnvelope built from two pieces:
 open_envelope() decrypts, recomputes the payload digest, authenticates the
 claimed digest, and compares the two; any disagreement raises AuthError and
 the message must be discarded.
+
+A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
+in plain decimal. parse_canonical is strict: it accepts exactly the bytes
+canonical_serialize writes, so one record has one spelling and one digest.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import repeat
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import serialization
@@ -49,7 +54,7 @@ from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .config import MINUTE_FMT, fmt_minute
+from .config import fmt_minute
 
 EPH_PUB_LEN = 32
 WRAP_NONCE_LEN = 12
@@ -118,26 +123,29 @@ class MeasurementVector:
     key: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if not values:
             raise SerializationError("measurement vector has no values")
-        if any(not isinstance(v, int) or v < 0 for v in self.values):
+        if not all(map(isinstance, values, repeat(int))) or min(values) < 0:
             raise SerializationError("values must be non-negative integers")
         if not self.sensor_name or "|" in self.sensor_name:
             raise SerializationError(f"bad sensor name {self.sensor_name!r}")
-        if self.captured_at.second or self.captured_at.microsecond:
-            raise SerializationError("captured_at must be minute-aligned")
-        object.__setattr__(self, "key", (self.sensor_name, fmt_minute(self.captured_at)))
+        captured_at = self.captured_at
+        if captured_at.second or captured_at.microsecond or captured_at.tzinfo is not None:
+            raise SerializationError("captured_at must be a naive, minute-aligned time")
+        object.__setattr__(self, "key", (self.sensor_name, fmt_minute(captured_at)))
 
 
 def canonical_serialize(vector: MeasurementVector) -> bytes:
     """Stable, injective byte form: name|ISO-minute|comma-joined values."""
-    values = ",".join(str(v) for v in vector.values)
+    values = ",".join(map(str, vector.values))
     return f"{vector.sensor_name}|{vector.key[1]}|{values}".encode("utf-8")
 
 
 def parse_canonical(data: bytes) -> MeasurementVector:
-    """Inverse of canonical_serialize; rejects anything off-format."""
+    """Inverse of canonical_serialize; raises SerializationError unless
+    canonical_serialize of the result gives `data` back."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -147,14 +155,17 @@ def parse_canonical(data: bytes) -> MeasurementVector:
         raise SerializationError(f"expected 3 fields, got {len(parts)}")
     name, stamp, values_text = parts
     try:
-        captured_at = datetime.strptime(stamp, MINUTE_FMT)
+        captured_at = datetime.fromisoformat(stamp)
     except ValueError as exc:
         raise SerializationError(f"bad timestamp {stamp!r}: {exc}") from None
     try:
-        values = tuple(int(v) for v in values_text.split(","))
+        values = tuple(map(int, values_text.split(",")))
     except ValueError as exc:
         raise SerializationError(f"bad values {values_text!r}: {exc}") from None
-    return MeasurementVector(name, captured_at, values)
+    vector = MeasurementVector(name, captured_at, values)
+    if canonical_serialize(vector) != data:
+        raise SerializationError(f"not in canonical form: {text!r}")
+    return vector
 
 
 def vector_digest(vector: MeasurementVector) -> Digest:

@@ -10,11 +10,15 @@ longest prefix whose blocks are the very same objects at the same positions.
 Blocks are frozen, so a changed block is a different object and is verified in
 full; a chain built with Chain(), Chain.from_blocks or parse_chain_dump starts
 with nothing verified.
+
+Every field of a chain dump and of a `digest|minute` body is read strictly: a
+minute, a position or a replica id parses only in the spelling the writer
+gives it (config.parse_minute, plain decimal), so one chain has one dump.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from .config import fmt_minute, parse_minute
@@ -49,12 +53,14 @@ class LedgerIndex:
     """One stored vector: its digest, capture time, and the ordered holder list.
 
     replica_ids[0] is the origin node; the rest are the randomly assigned
-    replica holders, all distinct.
+    replica holders, all distinct. minute is the ISO capture minute, computed
+    once on construction.
     """
 
     vector_digest: Digest
     captured_at: datetime
     replica_ids: tuple[int, ...]
+    minute: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "replica_ids", tuple(self.replica_ids))
@@ -62,10 +68,11 @@ class LedgerIndex:
             raise ValueError("replica list is empty")
         if len(set(self.replica_ids)) != len(self.replica_ids):
             raise ValueError(f"replica ids not distinct: {self.replica_ids}")
+        object.__setattr__(self, "minute", fmt_minute(self.captured_at))
 
     def line(self) -> str:
-        ids = ",".join(str(i) for i in self.replica_ids)
-        return f"{self.vector_digest.hex}|{fmt_minute(self.captured_at)}|{ids}"
+        ids = ",".join(map(str, self.replica_ids))
+        return f"{self.vector_digest.hex}|{self.minute}|{ids}"
 
 
 def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
@@ -75,7 +82,7 @@ def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
 
 def parse_vector_ref(body: bytes) -> tuple[Digest, datetime]:
     """Inverse of format_vector_ref; raises ValueError unless the body is a
-    SHA-256 hex digest and an ISO minute joined by one `|`."""
+    SHA-256 hex digest and a strict ISO minute joined by one `|`."""
     digest_hex, minute = body.decode("ascii").split("|")
     return Digest(digest_hex), parse_minute(minute)
 
@@ -223,9 +230,8 @@ def parse_chain_dump(text: str) -> Chain:
                 if len(parts) != 5:
                     raise ValueError("block line needs 5 fields")
                 finish()
-                pos = int(parts[1])
-                if pos != len(blocks):
-                    raise ValueError(f"position {pos} out of order")
+                if parts[1] != str(len(blocks)):
+                    raise ValueError(f"position {parts[1]!r} out of order")
                 current = {
                     "minted_at": parse_minute(parts[2]),
                     "hash": Digest(parts[3]),
@@ -235,11 +241,11 @@ def parse_chain_dump(text: str) -> Chain:
             elif parts[0] == "index":
                 if current is None or len(parts) != 4:
                     raise ValueError("index line outside a block or malformed")
+                ids = tuple(map(int, parts[3].split(",")))
+                if ",".join(map(str, ids)) != parts[3]:
+                    raise ValueError(f"replica ids {parts[3]!r} not in plain decimal")
                 current["indexes"].append(LedgerIndex(
-                    Digest(parts[1]),
-                    parse_minute(parts[2]),
-                    tuple(int(i) for i in parts[3].split(",")),
-                ))
+                    Digest(parts[1]), parse_minute(parts[2]), ids))
             else:
                 raise ValueError(f"unknown record type {parts[0]!r}")
         except (ValueError, KeyError) as exc:

@@ -104,7 +104,7 @@ class Simulation:
         self.cfg = cfg
         self.events = ev.EventLog()
         self.registry = EndpointRegistry(cfg.n_storage_nodes)
-        self.network = Network(self.registry, trace=cfg.trace_wire)
+        self.network = Network(self.registry, self.drop_frame, trace=cfg.trace_wire)
         self.crypto_rng = rng_stream(cfg.seed, "crypto")
         self.replica_rng = rng_stream(cfg.seed, "replica-choice")
 
@@ -201,9 +201,9 @@ class Simulation:
         """The envelope a frame carries, addressed by endpoint name; the one
         place an endpoint decodes a payload.
 
-        A frame that does not decode, or names an unknown endpoint, is dropped:
-        `receiver`, the endpoint whose handler got it, raises MALFORMED_PAYLOAD
-        and None is returned.
+        A frame whose payload does not decode, or that names an unknown
+        endpoint, is dropped: `receiver`, the endpoint whose handler got it,
+        raises MALFORMED_PAYLOAD and None is returned.
         """
         try:
             return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
@@ -212,10 +212,15 @@ class Simulation:
             reason = f"unknown endpoint id {exc}"
         except DecodeError as exc:
             reason = str(exc)
-        self.events.alarm(self.tick, receiver, ev.MALFORMED_PAYLOAD,
-                          f"frame type {frame.msg_type} from wire id {frame.sender_id} "
-                          f"dropped: {reason}")
+        self.drop_frame(receiver, frame.msg_type, frame.sender_id, reason)
         return None
+
+    def drop_frame(self, receiver: str, msg_type: int, sender_id: int, reason: str):
+        """MALFORMED_PAYLOAD by the receiver of a dropped frame; also the
+        network's on_malformed, for a header decode_frame rejects."""
+        self.events.alarm(self.tick, receiver, ev.MALFORMED_PAYLOAD,
+                          f"frame type {msg_type} from wire id {sender_id} "
+                          f"dropped: {reason}")
 
     # -- clock --------------------------------------------------------------
 

@@ -105,15 +105,17 @@ class Historian:
 
     @classmethod
     def load(cls, node_id: int, text: str, malformed: list[int] | None = None) -> "Historian":
-        """Inverse of dump. A line that does not parse raises SerializationError,
-        or, when a `malformed` list is given, has its 1-based number appended."""
+        """Inverse of dump. A line that is not a canonical record raises
+        SerializationError, and one whose key an earlier line already holds
+        raises DuplicateRecordError; when a `malformed` list is given, either
+        kind of line is skipped and its 1-based number appended instead."""
         historian = cls(node_id)
         for lineno, raw in enumerate(text.splitlines(), 1):
             if not raw.strip():
                 continue
             try:
-                historian.overwrite(parse_canonical(raw.encode("utf-8")))
-            except SerializationError:
+                historian.put_new(parse_canonical(raw.encode("utf-8")))
+            except (SerializationError, DuplicateRecordError):
                 if malformed is None:
                     raise
                 malformed.append(lineno)
@@ -353,7 +355,7 @@ class StorageNode:
         return findings
 
     def _check_index(self, ix: LedgerIndex) -> ValidationFinding:
-        minute = fmt_minute(ix.captured_at)
+        minute = ix.minute
         expected = ix.vector_digest.hex
         records = self.historian.at_time(minute)
         for record in records:

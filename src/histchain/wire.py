@@ -8,6 +8,12 @@ Frame layout (big-endian), bit-exact:
 The payload of every frame is a packed envelope: ciphertext_len(4) followed by
 the ciphertext and then the signature bytes. Adversaries sit on links as
 interceptors: pure functions Frame -> Frame (mutate) or None (drop).
+
+A link carries bytes. The sender encodes with encode_frame, which refuses a
+frame no honest endpoint sends; an interceptor's rewrite goes on the wire as
+pack_frame writes it, any header included; the receiver decodes with
+decode_frame, so a frame with an unknown version or type is handed to the
+network's on_malformed callback instead of a handler.
 """
 
 from __future__ import annotations
@@ -55,16 +61,24 @@ class Frame:
     payload: bytes
 
 
+def pack_frame(frame: Frame) -> bytes:
+    """The frame's bytes, whatever its version and type; raises EncodeError
+    only for a field too wide for its place in the header."""
+    try:
+        header = HEADER.pack(frame.version, frame.msg_type, frame.sender_id,
+                             frame.recipient_id, len(frame.payload))
+    except struct.error as exc:
+        raise EncodeError(f"header field out of range: {exc}") from None
+    return header + frame.payload
+
+
 def encode_frame(frame: Frame) -> bytes:
+    """Sender-side pack_frame: also refuses a version or type decode_frame rejects."""
     if frame.version != FRAME_VERSION:
         raise EncodeError(f"unsupported version {frame.version}")
     if frame.msg_type not in MSG_TYPES:
         raise EncodeError(f"unknown msg_type {frame.msg_type}")
-    if not (0 <= frame.sender_id <= 0xFFFF and 0 <= frame.recipient_id <= 0xFFFF):
-        raise EncodeError("endpoint ids must fit in 2 bytes")
-    header = HEADER.pack(frame.version, frame.msg_type, frame.sender_id,
-                         frame.recipient_id, len(frame.payload))
-    return header + frame.payload
+    return pack_frame(frame)
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -113,6 +127,8 @@ class EndpointRegistry:
 
 
 Interceptor = Callable[[Frame], Optional[Frame]]
+# (receiving endpoint name, msg_type, sender_id, why decode_frame rejected the frame)
+MalformedHandler = Callable[[str, int, int, str], None]
 
 
 @dataclass
@@ -122,12 +138,12 @@ class InterceptorHandle:
 
 
 class Link:
-    """Directional FIFO between two endpoints; at most one interceptor."""
+    """Directional FIFO of frame bytes between two endpoints; at most one interceptor."""
 
     def __init__(self, src: str, dst: str):
         self.src = src
         self.dst = dst
-        self.queue: deque[Frame] = deque()
+        self.queue: deque[bytes] = deque()
         self.interceptor: Interceptor | None = None
 
     def apply(self, frame: Frame) -> Frame | None:
@@ -137,13 +153,19 @@ class Link:
 
 
 class Network:
-    """Owns all links and delivery; endpoints never touch queues directly."""
+    """Owns all links and delivery; endpoints never touch queues directly.
 
-    def __init__(self, registry: EndpointRegistry, trace: bool = False):
+    A frame that decode_frame rejects at the receiver is not delivered; its
+    header and the reason go to on_malformed with the receiving endpoint's name.
+    """
+
+    def __init__(self, registry: EndpointRegistry, on_malformed: MalformedHandler,
+                 trace: bool = False):
         self.registry = registry
         self.links: dict[tuple[str, str], Link] = {}
         self._ready: deque[tuple[str, str]] = deque()
         self.trace: list[str] | None = [] if trace else None
+        self.on_malformed = on_malformed
 
     def add_link(self, src: str, dst: str) -> Link:
         link = self.links.get((src, dst))
@@ -163,43 +185,58 @@ class Network:
     def remove_interceptor(self, handle: InterceptorHandle):
         self.links[(handle.src, handle.dst)].interceptor = None
 
-    def _record(self, frame: Frame):
+    def _transmit(self, link: Link, frame: Frame) -> bytes | None:
+        """The bytes `link` delivers for a sent frame, or None if dropped.
+
+        A frame no honest endpoint sends raises EncodeError here, at the sender.
+        """
+        data = encode_frame(frame)
+        delivered = link.apply(frame)
+        if delivered is None:
+            return None
+        if delivered is not frame:
+            data = pack_frame(delivered)
         if self.trace is not None:
-            self.trace.append(encode_frame(frame).hex())
+            self.trace.append(data.hex())
+        return data
+
+    def _receive(self, receiver: str, data: bytes) -> Frame | None:
+        try:
+            return decode_frame(data)
+        except DecodeError as exc:
+            _, msg_type, sender_id, _, _ = HEADER.unpack_from(data)
+            self.on_malformed(receiver, msg_type, sender_id, str(exc))
+            return None
 
     def send(self, frame: Frame):
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
-        encode_frame(frame)  # malformed frames error at the sender
         link = self.links[(src, dst)]
-        delivered = link.apply(frame)
-        if delivered is None:
+        data = self._transmit(link, frame)
+        if data is None:
             return
-        self._record(delivered)
-        link.queue.append(delivered)
+        link.queue.append(data)
         self._ready.append((src, dst))
 
     def pump(self, handlers: dict[str, Callable[[Frame], None]]):
         """Deliver queued frames in send order until quiet; handlers may send more."""
         while self._ready:
             key = self._ready.popleft()
-            frame = self.links[key].queue.popleft()
-            handlers[key[1]](frame)
+            frame = self._receive(key[1], self.links[key].queue.popleft())
+            if frame is not None:
+                handlers[key[1]](frame)
 
     def round_trip(self, frame: Frame,
                    responders: dict[str, Callable[[Frame], Frame | None]]) -> Frame | None:
         """Synchronous request/response over a link pair, interceptors included."""
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
-        outbound = self.links[(src, dst)].apply(frame)
-        if outbound is None:
+        data = self._transmit(self.links[(src, dst)], frame)
+        request = None if data is None else self._receive(dst, data)
+        if request is None:
             return None
-        self._record(outbound)
-        response = responders[dst](outbound)
+        response = responders[dst](request)
         if response is None:
             return None
-        inbound = self.links[(dst, src)].apply(response)
-        if inbound is None:
-            return None
-        self._record(inbound)
-        return inbound
+        data = self._transmit(self.links[(dst, src)], response)
+        return None if data is None else self._receive(src, data)

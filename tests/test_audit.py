@@ -9,6 +9,7 @@ from histchain.config import SimConfig
 from histchain.envelope import parse_canonical, vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
+from histchain.storage import DuplicateRecordError, Historian
 from .helpers import flip_hex_char
 
 
@@ -104,6 +105,34 @@ class TestMalformedLines:
         out = capsys.readouterr().out
         assert "malformed|node1|1\n" in out
         assert "2 flagged" in out
+
+
+class TestDuplicateLines:
+    def test_forged_copy_above_original_is_flagged(self, tmp_path, capsys):
+        sim, _, _ = clean_artifacts()
+        sim.write_artifacts(tmp_path)
+        hist = tmp_path / "historian1.txt"
+        lines = hist.read_text().splitlines()
+        name, minute, values = lines[0].split("|")
+        first, *rest = values.split(",")
+        forged = "|".join([name, minute, ",".join([str(int(first) + 1), *rest])])
+        hist.write_text("\n".join([forged, *lines]) + "\n", encoding="utf-8")
+
+        report = audit_directory(tmp_path)
+        assert report.malformed == [(1, 2)]
+        assert "malformed|node1|2\n" in report.to_text()
+        assert [(f.node_id, f.verdict, f.key) for f in report.flagged()] \
+            == [(1, MISMATCH, (name, minute))]
+        assert not report.all_intact
+
+        assert main(["audit", str(tmp_path)]) == 1
+        assert "2 flagged" in capsys.readouterr().out
+
+    def test_load_without_malformed_list_raises(self):
+        _, _, historians = clean_artifacts(minutes=1)
+        first = historians[1].splitlines()[0]
+        with pytest.raises(DuplicateRecordError):
+            Historian.load(1, f"{first}\n{first}\n")
 
 
 class TestOracleEquivalence:

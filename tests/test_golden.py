@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from histchain.attacks import run_scenario_a, run_scenario_b, run_scenario_c
+from histchain.audit import audit_directory
 from histchain.config import SimConfig
+from histchain.ledger import dump_chain, parse_chain_dump
 from histchain.sim import Simulation
+from histchain.storage import Historian
 
 RUN_10_MINUTES_SEED_42 = {
     "chain.txt": "4af0bde2da52c028535719f8def80f462327e959d7ec2a0b14b234225582848a",
@@ -25,6 +28,9 @@ RUN_10_MINUTES_SEED_42 = {
     "historian6.txt": "c4a696f6ed99f99f8018714200fa7d7b1e477f1fb7452d3eccb6a850c58b82cd",
     "wire_trace.txt": "98f40096e39c7a44e4dc242d83e10295b346500b9f84841b0105bd1b87528edc",
 }
+
+# SHA-256 of audit_directory(...).to_text() over the run above.
+AUDIT_10_MINUTES_SEED_42 = "94faefe4f4bc4bcfaf8dc24d997959120c56c85047de8bcb05fdbabb59a5c159"
 
 SCENARIO_A = {
     "chain.txt": "4497b1093af43b3b05ebdbc2e7a597a34a5680511f43bcbb487a3b5b4e261d69",
@@ -79,6 +85,21 @@ def test_clean_run_artifacts_pinned(tmp_path):
     sim.run(10)
     sim.write_artifacts(tmp_path)
     assert fingerprints(tmp_path) == RUN_10_MINUTES_SEED_42
+
+
+def test_parsers_give_back_the_pinned_bytes(tmp_path):
+    """Each reader of an artifact inverts its writer on the pinned run, and
+    the offline audit of that run reads the same."""
+    sim = Simulation(SimConfig(seed=42, trace_wire=True))
+    sim.run(10)
+    sim.write_artifacts(tmp_path)
+    for node_id in sim.nodes:
+        text = (tmp_path / f"historian{node_id}.txt").read_text(encoding="utf-8")
+        assert Historian.load(node_id, text).dump() == text
+    chain_text = (tmp_path / "chain.txt").read_text(encoding="utf-8")
+    assert dump_chain(parse_chain_dump(chain_text)) == chain_text
+    report = audit_directory(tmp_path).to_text().encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == AUDIT_10_MINUTES_SEED_42
 
 
 @pytest.mark.parametrize("run_scenario, expected", [

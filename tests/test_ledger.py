@@ -196,3 +196,25 @@ class TestChainDump:
         lines[0] = lines[0].replace("block|0", "block|1", 1)
         with pytest.raises(DumpFormatError):
             parse_chain_dump("\n".join(lines))
+
+    @pytest.mark.parametrize("old, new", [
+        ("block|1|", "block|01|"),
+        ("block|1|", "block|+1|"),
+        ("|2020-12-23T17:26|", "|2020-12-23 17:26|"),
+        ("|2020-12-23T17:26|", "|2020-12-23T17:26:00|"),
+    ])
+    def test_rejects_second_spelling_of_a_field(self, old, new):
+        text = dump_chain(build_chain(2))
+        assert old in text
+        with pytest.raises(DumpFormatError):
+            parse_chain_dump(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("respell", ["0{}", "+{}", " {}", "{}_0"])
+    def test_rejects_replica_id_not_in_plain_decimal(self, respell):
+        lines = dump_chain(build_chain(2)).splitlines()
+        pos = next(i for i, line in enumerate(lines) if line.startswith("index|"))
+        head, ids = lines[pos].rsplit("|", 1)
+        first, rest = ids.split(",", 1)
+        lines[pos] = f"{head}|{respell.format(first)},{rest}"
+        with pytest.raises(DumpFormatError):
+            parse_chain_dump("\n".join(lines) + "\n")

@@ -95,6 +95,38 @@ class TestMalformedFrames:
                   if r.tick // cfg.interval_ticks == 2]
         assert sorted(stored) == ["node1", "node2"]
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("field, value, offset", [
+        ("msg_type", 99, 1),
+        ("version", 7, 0),
+    ])
+    def test_rewritten_header_alarms_once_and_drops(self, trace, field, value, offset):
+        cfg = SimConfig(seed=42, trace_wire=trace)
+        sim = Simulation(cfg)
+        handles = []
+
+        def before(sim_, k):
+            if k == 1:
+                handles.append(sim_.install_interceptor(
+                    "plc1", "node1", lambda f: dataclasses.replace(f, **{field: value})))
+
+        def after(sim_, k):
+            while handles:
+                sim_.remove_interceptor(handles.pop())
+
+        sim.run(3, before, after)
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.MALFORMED_PAYLOAD)]
+        assert alarms[0].tick // cfg.interval_ticks == 1
+        stored = [(r.actor, r.tick // cfg.interval_ticks) for r in sim.events.by_code(ev.STORED)]
+        assert ("node1", 1) not in stored and ("node1", 2) in stored
+        blocks = sim.chain_module.chain.blocks
+        assert [len(b.indexes) for b in blocks[1:]] == [2, 1, 2]
+        if trace:
+            rewritten = [line for line in sim.network.trace
+                         if bytes.fromhex(line)[offset] == value]
+            assert len(rewritten) == 1
+
 
 class TestDeterminism:
     def run_artifacts(self, trace=False):

@@ -24,6 +24,7 @@ from histchain.wire import (
     decode_frame,
     encode_frame,
     pack_envelope,
+    pack_frame,
     unpack_envelope,
 )
 
@@ -77,6 +78,20 @@ class TestFrameCodec:
         with pytest.raises(EncodeError):
             encode_frame(Frame(9, MEASUREMENT, 0, 0, b""))
 
+    def test_pack_writes_any_header_that_fits(self):
+        frame = Frame(7, 99, 101, 1, b"abc")
+        raw = pack_frame(frame)
+        assert raw == bytes([7, 99, 0, 101, 0, 1, 0, 0, 0, 3]) + b"abc"
+        with pytest.raises(DecodeError) as exc:
+            decode_frame(raw)
+        assert exc.value.reason == UNKNOWN_TYPE
+        with pytest.raises(EncodeError):
+            pack_frame(Frame(1, 256, 0, 0, b""))
+
+    @given(FRAMES)
+    def test_pack_equals_encode_for_well_formed_frames(self, frame):
+        assert pack_frame(frame) == encode_frame(frame)
+
     def test_header_is_ten_bytes(self):
         assert HEADER_LEN == 10
         assert len(encode_frame(Frame(1, MEASUREMENT, 1, 2, b""))) == 10
@@ -104,9 +119,13 @@ class TestEnvelopePacking:
             unpack_envelope(struct.pack(">I", 10) + b"abc", "a", "b")
 
 
-def small_network(trace=False):
+def unexpected_rejection(*report):
+    raise AssertionError(f"well-formed frame rejected: {report}")
+
+
+def small_network(trace=False, on_malformed=unexpected_rejection):
     registry = EndpointRegistry(2)
-    network = Network(registry, trace=trace)
+    network = Network(registry, on_malformed, trace=trace)
     network.add_link("plc1", "node1")
     network.add_link("node1", "node2")
     network.add_link("node2", "node1")
@@ -234,3 +253,45 @@ class TestNetwork:
         network.send(sent)
         network.pump({"node1": lambda f: None})
         assert network.trace == [encode_frame(sent).hex()]
+
+
+def retype(frame):
+    return Frame(frame.version, 99, frame.sender_id, frame.recipient_id, frame.payload)
+
+
+class TestMalformedHeaders:
+    def test_receiver_reports_and_nothing_is_delivered(self):
+        rejected = []
+        registry, network = small_network(
+            trace=True, on_malformed=lambda *args: rejected.append(args))
+        network.install_interceptor("plc1", "node1", retype)
+        sent = frame_to(registry, "plc1", "node1", payload=b"zz")
+        network.send(sent)
+        got = []
+        network.pump({"node1": got.append})
+        assert got == []
+        assert [args[:3] for args in rejected] == [("node1", 99, sent.sender_id)]
+        assert rejected[0][3].startswith(UNKNOWN_TYPE)
+        assert network.trace == [pack_frame(retype(sent)).hex()]
+
+    @pytest.mark.parametrize("link, receiver", [
+        (("node1", "node2"), "node2"),
+        (("node2", "node1"), "node1"),
+    ])
+    def test_round_trip_leg_reported_by_its_receiver(self, link, receiver):
+        rejected = []
+        registry, network = small_network(
+            on_malformed=lambda name, *header_and_reason: rejected.append(name))
+        network.install_interceptor(*link, retype)
+        answered = []
+
+        def responder(frame):
+            answered.append(frame)
+            return frame_to(registry, "node2", "node1", msg_type=REPLICA_REQ)
+
+        response = network.round_trip(
+            frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
+            {"node2": responder})
+        assert response is None
+        assert rejected == [receiver]
+        assert len(answered) == (receiver == "node1")
