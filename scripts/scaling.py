@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Scaling record: wall time, peak RSS and event count of one seeded run as
+simulated minutes grow.
+
+    python3 scripts/scaling.py                        # m = 10, 160, 640, 1440
+    python3 scripts/scaling.py --minutes 10 160 --out /tmp/scaling.json
+
+Each size runs `Simulation(SimConfig(seed=42)).run(m)` in a fresh Python
+process, so one run's heap never inflates the next one's peak RSS. Wall time
+covers `run` alone: no import, no set-up, no artifact writing. The table goes
+to BENCH_scaling.json at the repo root unless --out says otherwise.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import histchain
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_MINUTES = (10, 160, 640, 1440)
+SEED = 42
+
+CHILD_CODE = """\
+import json, resource, sys
+from time import perf_counter
+from histchain.config import SimConfig
+from histchain.sim import Simulation
+sim = Simulation(SimConfig(seed={seed}))
+start = perf_counter()
+sim.run({minutes})
+wall = perf_counter() - start
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+json.dump({{"minutes": {minutes}, "wall_s": round(wall, 3),
+           "peak_rss_mb": round(peak_kb / 1024, 1), "events": len(sim.events)}},
+          sys.stdout)
+"""
+
+
+def measure(minutes: int) -> dict:
+    """One run of `minutes` intervals in a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(histchain.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", CHILD_CODE.format(seed=SEED, minutes=minutes)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--minutes", type=int, nargs="+", default=list(DEFAULT_MINUTES))
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
+    args = parser.parse_args(argv)
+
+    runs = []
+    for minutes in args.minutes:
+        row = measure(minutes)
+        print(f"m={minutes}: {row['wall_s']} s, {row['peak_rss_mb']} MB peak RSS, "
+              f"{row['events']} events", flush=True)
+        runs.append(row)
+    record = {
+        "run": f"Simulation(SimConfig(seed={SEED})).run(m), one fresh process per m",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

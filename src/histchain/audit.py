@@ -130,8 +130,14 @@ def audit_directory(artifact_dir) -> AuditReport:
         stem = path.stem.removeprefix("historian")
         if not stem.isdigit():
             continue
-        # An undecodable byte becomes U+FFFD, so its line is reported, not fatal.
-        historians[int(stem)] = path.read_text(encoding="utf-8", errors="replace")
+        historians[int(stem)] = _read_verbatim(path)
     if not historians:
         raise IOError(f"no historian dumps found in {artifact_dir}")
-    return audit_artifacts(chain_path.read_text(encoding="utf-8"), historians)
+    return audit_artifacts(_read_verbatim(chain_path), historians)
+
+
+def _read_verbatim(path: Path) -> str:
+    """File text with its line ends untouched (read_text would turn `\r\n`
+    into `\n` before the strict parsers see it). An undecodable byte becomes
+    U+FFFD, so its line is reported, not fatal."""
+    return path.read_bytes().decode("utf-8", errors="replace")

@@ -59,8 +59,11 @@ class SimConfig:
     trace_wire: bool = False
 
     def validate(self) -> "SimConfig":
-        if self.n_storage_nodes < 1:
-            raise ConfigError("n_storage_nodes must be >= 1")
+        # PLC2 always sends to node2, and storage nodes take wire ids 1..N
+        # below plc1's 101.
+        if not (2 <= self.n_storage_nodes <= 100):
+            raise ConfigError(
+                f"n_storage_nodes {self.n_storage_nodes} must be between 2 and 100")
         if not (1 <= self.replication_factor <= self.n_storage_nodes):
             raise ConfigError(
                 f"replication_factor {self.replication_factor} must be between 1 "

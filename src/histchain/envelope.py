@@ -23,13 +23,17 @@ claimed digest, and compares the two; any disagreement raises AuthError and
 the message must be discarded.
 
 A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
-in plain decimal. parse_canonical is strict: it accepts exactly the bytes
-canonical_serialize writes, so one record has one spelling and one digest.
+in plain decimal. A MeasurementVector builds these bytes once, on
+construction, and keeps them as `canonical`: they are what a Historian dump
+writes and what vector_digest hashes, so the validator hashes exactly the
+bytes at rest. vector_digest recomputes SHA-256 on every call; nothing caches
+a digest. parse_canonical is strict: it accepts exactly the bytes a vector's
+`canonical` holds, so one record has one spelling and one digest. A sensor
+name holds no `|` and no line boundary, so a record is always one dump line.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import os
 import random
@@ -92,9 +96,9 @@ class AuthError(Exception):
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
-    """Lowercase hex SHA-256 fingerprint."""
+    """Lowercase hex SHA-256 fingerprint; the constructor checks its input."""
 
     hex: str
 
@@ -107,20 +111,26 @@ class Digest:
 
 
 def digest(data: bytes) -> Digest:
-    return Digest(hashlib.sha256(data).hexdigest())
+    """SHA-256 of data. hashlib's hexdigest is lowercase hex by construction,
+    so this Digest skips the check the constructor gives outside input."""
+    result = object.__new__(Digest)
+    object.__setattr__(result, "hex", hashlib.sha256(data).hexdigest())
+    return result
 
 
 @dataclass(frozen=True)
 class MeasurementVector:
     """One sensor's readings for one interval; the unit of storage and hashing.
 
-    key is (sensor_name, ISO capture minute), computed once on construction.
+    key is (sensor_name, ISO capture minute) and canonical is the record's
+    canonical bytes; both are computed once on construction.
     """
 
     sensor_name: str
     captured_at: datetime
     values: tuple[int, ...]
     key: tuple[str, str] = field(init=False, repr=False, compare=False)
+    canonical: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(self.values)
@@ -129,23 +139,30 @@ class MeasurementVector:
             raise SerializationError("measurement vector has no values")
         if not all(map(isinstance, values, repeat(int))) or min(values) < 0:
             raise SerializationError("values must be non-negative integers")
-        if not self.sensor_name or "|" in self.sensor_name:
-            raise SerializationError(f"bad sensor name {self.sensor_name!r}")
+        name = self.sensor_name
+        # splitlines() != [name] also catches the empty name and a trailing break.
+        if "|" in name or name.splitlines() != [name]:
+            raise SerializationError(f"bad sensor name {name!r}")
         captured_at = self.captured_at
         if captured_at.second or captured_at.microsecond or captured_at.tzinfo is not None:
             raise SerializationError("captured_at must be a naive, minute-aligned time")
-        object.__setattr__(self, "key", (self.sensor_name, fmt_minute(captured_at)))
+        minute = fmt_minute(captured_at)
+        try:
+            canonical = f"{name}|{minute}|{','.join(map(int.__repr__, values))}".encode("utf-8")
+        except ValueError as exc:  # a lone surrogate, or an int too long for str()
+            raise SerializationError(f"record has no canonical form: {exc}") from None
+        object.__setattr__(self, "key", (name, minute))
+        object.__setattr__(self, "canonical", canonical)
 
 
 def canonical_serialize(vector: MeasurementVector) -> bytes:
     """Stable, injective byte form: name|ISO-minute|comma-joined values."""
-    values = ",".join(map(str, vector.values))
-    return f"{vector.sensor_name}|{vector.key[1]}|{values}".encode("utf-8")
+    return vector.canonical
 
 
 def parse_canonical(data: bytes) -> MeasurementVector:
-    """Inverse of canonical_serialize; raises SerializationError unless
-    canonical_serialize of the result gives `data` back."""
+    """Inverse of canonical_serialize; raises SerializationError unless the
+    result's canonical bytes are `data`."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -163,13 +180,14 @@ def parse_canonical(data: bytes) -> MeasurementVector:
     except ValueError as exc:
         raise SerializationError(f"bad values {values_text!r}: {exc}") from None
     vector = MeasurementVector(name, captured_at, values)
-    if canonical_serialize(vector) != data:
+    if vector.canonical != data:
         raise SerializationError(f"not in canonical form: {text!r}")
     return vector
 
 
 def vector_digest(vector: MeasurementVector) -> Digest:
-    return digest(canonical_serialize(vector))
+    """SHA-256 of the record's canonical bytes, recomputed on every call."""
+    return digest(vector.canonical)
 
 
 @dataclass
@@ -280,50 +298,3 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
             claimed=claimed, rebuilt=rebuilt,
         )
     return plaintext
-
-
-# Keystore file: one record per node, node id then the four key blobs
-# (enc private, enc public, sig private, sig public) as base64 raw bytes.
-
-def save_keystore(path, keystore: dict[str, NodeKeys]):
-    lines = []
-    for node_id, keys in keystore.items():
-        blobs = [
-            keys.enc_priv.private_bytes(
-                serialization.Encoding.Raw, serialization.PrivateFormat.Raw,
-                serialization.NoEncryption()),
-            keys.enc_pub.public_bytes(
-                serialization.Encoding.Raw, serialization.PublicFormat.Raw),
-            keys.sig_priv.private_bytes(
-                serialization.Encoding.Raw, serialization.PrivateFormat.Raw,
-                serialization.NoEncryption()),
-            keys.sig_pub.public_bytes(
-                serialization.Encoding.Raw, serialization.PublicFormat.Raw),
-        ]
-        encoded = " ".join(base64.b64encode(b).decode("ascii") for b in blobs)
-        lines.append(f"{node_id} {encoded}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
-def load_keystore(path) -> dict[str, NodeKeys]:
-    keystore = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            node_id, *blobs = line.split(" ")
-            if len(blobs) != 4:
-                raise ValueError(f"keystore record for {node_id!r} needs 4 key blobs")
-            enc_priv_b, enc_pub_b, sig_priv_b, sig_pub_b = (
-                base64.b64decode(b) for b in blobs
-            )
-            keystore[node_id] = NodeKeys(
-                node_id,
-                X25519PrivateKey.from_private_bytes(enc_priv_b),
-                X25519PublicKey.from_public_bytes(enc_pub_b),
-                Ed25519PrivateKey.from_private_bytes(sig_priv_b),
-                Ed25519PublicKey.from_public_bytes(sig_pub_b),
-            )
-    return keystore

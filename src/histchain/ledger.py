@@ -13,7 +13,8 @@ with nothing verified.
 
 Every field of a chain dump and of a `digest|minute` body is read strictly: a
 minute, a position or a replica id parses only in the spelling the writer
-gives it (config.parse_minute, plain decimal), so one chain has one dump.
+gives it (config.parse_minute, plain decimal), and lines end in `\n` alone,
+so one chain has one dump.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ def dump_chain(chain: Chain) -> str:
 
 
 def parse_chain_dump(text: str) -> Chain:
+    """Inverse of dump_chain; raises DumpFormatError unless every line,
+    blank ones included, is a `block|` or `index|` line ended by `\n` alone."""
     blocks: list[Block] = []
     current: dict | None = None
 
@@ -221,9 +224,10 @@ def parse_chain_dump(text: str) -> Chain:
                 current["prev"], current["minted_at"],
             ))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
+    *lines, unterminated = text.split("\n")
+    if unterminated:
+        raise DumpFormatError(f"line {len(lines) + 1}: no trailing newline")
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split("|")
         try:
             if parts[0] == "block":

@@ -18,7 +18,6 @@ from .envelope import (
     KeyDirectory,
     MeasurementVector,
     NodeKeys,
-    canonical_serialize,
     generate_node_keys,
     seal,
 )
@@ -92,7 +91,7 @@ class PlcEndpoint:
             return False
         vector = MeasurementVector(self.sensor_name, captured_at, tuple(self.buffer))
         self.buffer = []
-        env = seal(canonical_serialize(vector), self.keys, self.target,
+        env = seal(vector.canonical, self.keys, self.target,
                    self.directory.enc_pub(self.target), self.rng)
         self.transport.send(self.target, MEASUREMENT, env)
         return True
@@ -136,6 +135,7 @@ class Simulation:
             self.replica_rng, cfg.n_storage_nodes, cfg.replication_factor,
             self.crypto_rng,
         )
+        self.chain_transport = NodeTransport(self, "chain")
         self.handlers = self._build_handlers()
         self.request_handlers = self._build_request_handlers()
         self.tick = 0
@@ -286,9 +286,8 @@ class Simulation:
         self.network.pump(self.handlers)
         block = self.chain_module.close_interval(ts)
         if block is not None:
-            transport = NodeTransport(self, "chain")
             for name, env in self.chain_module.broadcast_log(block.block_hash):
-                transport.send(name, LOG, env)
+                self.chain_transport.send(name, LOG, env)
             self.network.pump(self.handlers)
         for node in self.nodes.values():
             node.validate_cycle(self.chain_module.chain)

@@ -11,9 +11,16 @@ local one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
 parsed, and indexes them by capture minute as well as by key, so the validator
-finds the candidates for a ledger index with one dict lookup. The digest
-itself is recomputed on every check and never cached, so an at-rest edit is
-caught on the next cycle.
+finds the candidates for a ledger index with one dict lookup. Each record
+carries its canonical bytes, which are the very line `dump` persists, and the
+check is one SHA-256 over them. The digest is recomputed on every check and
+never cached, and every store edit (put_new, overwrite, tamper, load, replica
+pull) stores a new frozen record, so an at-rest edit is caught on the next
+cycle.
+
+The event log records decisions, not "still fine": each completed validator
+cycle logs one CHECK_OK summary per node (`checked=N intact=M chain_len=L`),
+while FDI_ALARM, RECOVERED and UNRECOVERABLE stay one line per record.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .envelope import (
     MeasurementVector,
     NodeKeys,
     SerializationError,
-    canonical_serialize,
     open_envelope,
     parse_canonical,
     seal,
@@ -99,30 +105,34 @@ class Historian:
         return old
 
     def dump(self) -> str:
-        return "".join(
-            canonical_serialize(r).decode("utf-8") + "\n" for r in self._records.values()
-        )
+        """Each record's canonical bytes, one `\n`-terminated line per record."""
+        return b"".join(r.canonical + b"\n" for r in self._records.values()).decode("utf-8")
 
     @classmethod
     def load(cls, node_id: int, text: str, malformed: list[int] | None = None) -> "Historian":
-        """Inverse of dump. A line that is not a canonical record raises
-        SerializationError, and one whose key an earlier line already holds
-        raises DuplicateRecordError; when a `malformed` list is given, either
-        kind of line is skipped and its 1-based number appended instead."""
+        """Inverse of dump. Lines end in `\n` alone, and the text ends with one.
+        A line that is not a canonical record (a blank line, or a last line
+        with no `\n`, included) raises SerializationError, and one whose key
+        an earlier line already holds raises DuplicateRecordError; when a
+        `malformed` list is given, either kind of line is skipped and its
+        1-based number appended instead."""
         historian = cls(node_id)
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            if not raw.strip():
-                continue
+        *lines, unterminated = text.split("\n")
+        for lineno, raw in enumerate(lines, 1):
             try:
                 historian.put_new(parse_canonical(raw.encode("utf-8")))
             except (SerializationError, DuplicateRecordError):
                 if malformed is None:
                     raise
                 malformed.append(lineno)
+        if unterminated:
+            if malformed is None:
+                raise SerializationError(f"line {len(lines) + 1} has no trailing newline")
+            malformed.append(len(lines) + 1)
         return historian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationFinding:
     """Per-index verdict from one validator pass over the chain."""
 
@@ -324,7 +334,7 @@ class StorageNode:
                               "authentic but malformed replica request")
             return None
         record = self._best_copy(wanted, fmt_minute(captured_at))
-        body = NOT_FOUND_MARKER if record is None else canonical_serialize(record)
+        body = NOT_FOUND_MARKER if record is None else record.canonical
         return self._seal_to(env.sender_id, body)
 
     def _best_copy(self, wanted: Digest, minute: str) -> MeasurementVector | None:
@@ -352,6 +362,10 @@ class StorageNode:
                 if self.node_id not in ix.replica_ids:
                     continue
                 findings.append(self._check_index(ix))
+        intact = sum(f.verdict == INTACT for f in findings)
+        self.events.info(self.tick, self.name, ev.CHECK_OK,
+                         f"checked={len(findings)} intact={intact} "
+                         f"chain_len={len(chain.blocks)}")
         return findings
 
     def _check_index(self, ix: LedgerIndex) -> ValidationFinding:
@@ -360,8 +374,6 @@ class StorageNode:
         records = self.historian.at_time(minute)
         for record in records:
             if vector_digest(record).hex == expected:
-                self.events.info(self.tick, self.name, ev.CHECK_OK,
-                                 f"{record.sensor_name}@{minute} matches the ledger")
                 return ValidationFinding(record.key, INTACT, expected, expected)
         self.events.alarm(self.tick, self.name, ev.FDI_ALARM,
                           f"no local record for {minute} matches ledger digest "

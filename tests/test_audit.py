@@ -7,7 +7,7 @@ from histchain.audit import MISMATCH, MISSING, audit_artifacts, audit_directory
 from histchain.cli import main
 from histchain.config import SimConfig
 from histchain.envelope import parse_canonical, vector_digest
-from histchain.ledger import dump_chain
+from histchain.ledger import DumpFormatError, dump_chain
 from histchain.sim import Simulation
 from histchain.storage import DuplicateRecordError, Historian
 from .helpers import flip_hex_char
@@ -164,6 +164,21 @@ class TestAuditDirectory:
 
     def test_missing_chain_dump_raises(self, tmp_path):
         with pytest.raises(IOError):
+            audit_directory(tmp_path)
+
+    def test_crlf_line_ends_are_malformed(self, tmp_path):
+        """The files are read as bytes, so a `\r\n` reaches the strict parsers."""
+        sim, _, _ = clean_artifacts(minutes=2)
+        sim.write_artifacts(tmp_path)
+        hist = tmp_path / "historian1.txt"
+        hist.write_bytes(hist.read_bytes().replace(b"\n", b"\r\n", 1))
+        report = audit_directory(tmp_path)
+        assert report.malformed == [(1, 1)]
+        assert not report.all_intact
+
+        chain = tmp_path / "chain.txt"
+        chain.write_bytes(chain.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(DumpFormatError):
             audit_directory(tmp_path)
 
     def test_ignores_tampered_snapshot_files(self, tmp_path):

@@ -16,10 +16,15 @@ from histchain.envelope import (
     parse_canonical,
 )
 from histchain.ledger import format_vector_ref, parse_vector_ref
+from histchain.storage import Historian
 
 NAIVE = st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31, 23, 59))
 MINUTES = NAIVE.map(lambda t: t.replace(second=0, microsecond=0))
-NAMES = st.text(min_size=1, max_size=12).filter(lambda name: "|" not in name)
+NAMES = st.text(min_size=1, max_size=12).filter(
+    lambda name: "|" not in name and name.splitlines() == [name])
+# Every boundary str.splitlines() splits on; none may sit in a sensor name.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
 VALUES = st.lists(st.integers(min_value=0, max_value=10**30), min_size=1, max_size=12)
 VECTORS = st.builds(MeasurementVector, NAMES, MINUTES, VALUES)
 
@@ -119,10 +124,78 @@ class TestRecord:
         with pytest.raises(SerializationError):
             parse_canonical(f"Sensor 1|{stamp}|3".encode("utf-8"))
 
+    @given(st.text(min_size=1, max_size=12))
+    @example("Sensor\n1")
+    @example("Sensor\r1")
+    @example("Sensor\r\n1")
+    @example("Sensor\v1")
+    @example("Sensor\f1")
+    @example("Sensor\x1c1")
+    @example("Sensor\x1d1")
+    @example("Sensor\x1e1")
+    @example("Sensor\x851")
+    @example("Sensor\u20281")
+    @example("Sensor\u20291")
+    @example("Sensor 1\n")
+    def test_accepted_name_survives_a_historian_dump(self, name):
+        """A name either is refused or comes back from the one-line-per-record dump."""
+        try:
+            vector = MeasurementVector(name, datetime(2020, 12, 23, 17, 26), (1,))
+        except SerializationError:
+            return
+        historian = Historian(1)
+        historian.put_new(vector)
+        assert Historian.load(1, historian.dump()).records() == [vector]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    def test_line_break_in_name_rejected(self, brk):
+        with pytest.raises(SerializationError):
+            MeasurementVector(f"Sensor{brk}1", datetime(2020, 12, 23, 17, 26), (1,))
+        with pytest.raises(SerializationError):
+            parse_canonical(f"Sensor{brk}1|2020-12-23T17:26|1".encode("utf-8"))
+
+    def test_int_subclass_values_written_in_plain_decimal(self):
+        vector = MeasurementVector("Sensor 1", datetime(2020, 12, 23, 17, 26), (True, 2))
+        assert vector.canonical == b"Sensor 1|2020-12-23T17:26|1,2"
+        assert parse_canonical(vector.canonical) == vector
+
     def test_zone_aware_time_rejected(self):
         aware = datetime(2020, 12, 23, 17, 26, tzinfo=timezone.utc)
         with pytest.raises(SerializationError):
             MeasurementVector("Sensor 1", aware, (1,))
+
+
+class TestHistorianDump:
+    """Historian.load reads `\n`-terminated canonical lines and nothing else."""
+
+    @given(st.lists(st.one_of(
+        st.sampled_from(["Sensor 1|2020-12-23T17:26|1", "Sensor 2|2020-12-23T17:26|2"]),
+        st.sampled_from(["\n", " "] + LINE_BREAKS),
+        RECORD_TEXTS), max_size=8).map("".join))
+    @example("Sensor 1|2020-12-23T17:26|1\r\n\n  \nSensor 2|2020-12-23T17:26|2\x0b")
+    @example("Sensor 1|2020-12-23T17:26|1\n\nSensor 2|2020-12-23T17:26|2\n")
+    @example("Sensor 1|2020-12-23T17:26|1")
+    def test_loads_only_what_dump_writes(self, text):
+        malformed: list[int] = []
+        historian = Historian.load(1, text, malformed)
+        if not malformed:
+            assert historian.dump() == text
+
+    @pytest.mark.parametrize("text, bad_lines", [
+        ("Sensor 1|2020-12-23T17:26|1\r\nSensor 2|2020-12-23T17:26|2\n", [1]),
+        ("Sensor 1|2020-12-23T17:26|1\n\nSensor 2|2020-12-23T17:26|2\n", [2]),
+        ("Sensor 1|2020-12-23T17:26|1\n  \nSensor 2|2020-12-23T17:26|2\n", [2]),
+        ("Sensor 1|2020-12-23T17:26|1\x0bSensor 2|2020-12-23T17:26|2\n", [1]),
+        ("Sensor 1|2020-12-23T17:26|1\nSensor 2|2020-12-23T17:26|2", [2]),
+        ("Sensor 1|2020-12-23T17:26|1\r\n\n  \nSensor 2|2020-12-23T17:26|2\x0b",
+         [1, 2, 3, 4]),
+    ], ids=["crlf", "blank", "whitespace", "vt", "no_final_newline", "all"])
+    def test_second_spellings_rejected(self, text, bad_lines):
+        with pytest.raises(SerializationError):
+            Historian.load(1, text)
+        malformed: list[int] = []
+        Historian.load(1, text, malformed)
+        assert malformed == bad_lines
 
 
 class TestVectorRef:

@@ -18,10 +18,8 @@ from histchain.envelope import (
     canonical_serialize,
     digest,
     generate_node_keys,
-    load_keystore,
     open_envelope,
     parse_canonical,
-    save_keystore,
     seal,
     vector_digest,
 )
@@ -237,17 +235,6 @@ class TestSealOpen:
 
 
 class TestKeystore:
-    def test_save_load_round_trip(self, tmp_path):
-        rng = random.Random(3)
-        keystore = {name: generate_node_keys(name, rng)
-                    for name in ("plc1", "node1", "chain")}
-        path = tmp_path / "keys.txt"
-        save_keystore(path, keystore)
-        loaded = load_keystore(path)
-        assert set(loaded) == set(keystore)
-        env = seal(b"check", keystore["plc1"], "node1", loaded["node1"].enc_pub)
-        assert open_envelope(env, loaded["node1"], keystore["plc1"].sig_pub) == b"check"
-
     def test_directory_lookup(self):
         directory = KeyDirectory()
         keys = generate_node_keys("node1", random.Random(4))

@@ -70,7 +70,19 @@ def test_at_time_matches_linear_scan_after_every_step(ops):
 def test_record_is_frozen():
     record = MeasurementVector("Sensor 1", TIMES[0], (2, 5))
     assert record.key == ("Sensor 1", MINUTES[0])
+    assert record.canonical == b"Sensor 1|2020-12-23T17:26|2,5"
     for field, value in (("values", (9, 9)), ("sensor_name", "Sensor 9"),
-                         ("captured_at", TIMES[1]), ("key", ("Sensor 9", MINUTES[1]))):
+                         ("captured_at", TIMES[1]), ("key", ("Sensor 9", MINUTES[1])),
+                         ("canonical", b"Sensor 1|2020-12-23T17:26|9,9")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, value)
+
+
+def test_tamper_changes_the_persisted_line():
+    historian = Historian(1)
+    historian.put_new(MeasurementVector("Sensor 1", TIMES[0], (2, 5)))
+    historian.put_new(MeasurementVector("Sensor 2", TIMES[0], (4, 4)))
+    old = historian.tamper(("Sensor 1", MINUTES[0]), (2, 6))
+    assert old.canonical == b"Sensor 1|2020-12-23T17:26|2,5"
+    assert historian.get(("Sensor 1", MINUTES[0])).canonical == b"Sensor 1|2020-12-23T17:26|2,6"
+    assert historian.dump() == "Sensor 1|2020-12-23T17:26|2,6\nSensor 2|2020-12-23T17:26|4,4\n"

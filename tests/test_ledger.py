@@ -194,8 +194,22 @@ class TestChainDump:
         chain = build_chain(3)
         lines = dump_chain(chain).splitlines()
         lines[0] = lines[0].replace("block|0", "block|1", 1)
+        with pytest.raises(DumpFormatError, match="out of order"):
+            parse_chain_dump("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("respell", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\x0b"),
+        lambda text: text.replace("\n", "\n\n", 1),
+        lambda text: text.replace("\n", "\n  \n", 1),
+        lambda text: text + "\n",
+        lambda text: text[:-1],
+    ], ids=["crlf", "vt", "blank_line", "whitespace_line", "trailing_blank",
+            "no_final_newline"])
+    def test_rejects_second_spelling_of_a_line_end(self, respell):
+        text = dump_chain(build_chain(2))
         with pytest.raises(DumpFormatError):
-            parse_chain_dump("\n".join(lines))
+            parse_chain_dump(respell(text))
 
     @pytest.mark.parametrize("old, new", [
         ("block|1|", "block|01|"),

@@ -179,6 +179,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(n_storage_nodes=6, replication_factor=7).validate()
 
+    @pytest.mark.parametrize("n_nodes, replication", [(1, 1), (101, 3)])
+    def test_node_count_outside_wiring_rejected(self, n_nodes, replication):
+        # PLC2 always sends to node2, and node101 would take plc1's wire id.
+        with pytest.raises(ConfigError, match="n_storage_nodes"):
+            SimConfig(n_storage_nodes=n_nodes, replication_factor=replication).validate()
+
+    @pytest.mark.parametrize("n_nodes, replication", [(2, 2), (100, 3)])
+    def test_node_count_at_the_bounds_runs_clean(self, n_nodes, replication):
+        sim = Simulation(SimConfig(n_storage_nodes=n_nodes, replication_factor=replication))
+        sim.run(1)
+        assert len(sim.chain_module.chain) == 2
+        assert not sim.events.alarms()
+
     def test_setpoints_must_be_ordered(self):
         with pytest.raises(ConfigError):
             SimConfig(setpoint_low=6, setpoint_high=3).validate()

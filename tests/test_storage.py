@@ -115,6 +115,16 @@ class TestRegister:
                                     bytes(ct), env.signature))
             assert len(node.historian) == size
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"], ids=repr)
+    def test_line_break_in_name_is_malformed_payload(self, brk):
+        node, keys, transport = standalone_node()
+        payload = f"Sensor{brk}1|2020-12-23T17:27|7,6".encode("utf-8")
+        assert node.register(seal(payload, keys["plc1"], "node1", keys["node1"].enc_pub)) is None
+        assert len(node.historian) == 0
+        assert transport.sent == []
+        assert len(node.events.by_code(ev.MALFORMED_PAYLOAD, "node1")) == 1
+
 
 class TestHistorian:
     def test_dump_load_round_trip(self):
@@ -353,6 +363,53 @@ class TestValidateAndRecover:
         for node in sim.nodes.values():
             node.validate_cycle(sim.chain_module.chain)
         assert len(sim.events.alarms()) == before == 0
+
+
+class TestCheckSummary:
+    """One CHECK_OK per node per completed cycle; anomalies stay per record."""
+
+    @staticmethod
+    def summary(checked, intact, chain_len):
+        return f"checked={checked} intact={intact} chain_len={chain_len}"
+
+    def test_one_line_per_node_per_interval(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(5)
+        blocks = sim.chain_module.chain.blocks
+        for node_id in sim.nodes:
+            lines = sim.events.by_code(ev.CHECK_OK, f"node{node_id}")
+            assert len(lines) == 5
+            for k, line in enumerate(lines):
+                assert line.tick == (k + 1) * sim.cfg.interval_ticks - 1
+                held = sum(node_id in ix.replica_ids
+                           for block in blocks[:k + 2] for ix in block.indexes)
+                assert line.detail == self.summary(held, held, k + 2)
+
+    def test_tamper_shows_in_the_next_cycle(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(5)
+        ix = sim.chain_module.chain.blocks[2].indexes[0]
+        node = sim.nodes[ix.replica_ids[1]]
+        (record,) = [r for r in node.historian.at_time(ix.minute)
+                     if vector_digest(r).hex == ix.vector_digest.hex]
+        node.historian.tamper(record.key, [v + 1 for v in record.values])
+        before = len(sim.events)
+        sim.run(1)
+        cycle = [r for r in sim.events.records[before:] if r.actor == node.name]
+        codes = [r.code for r in cycle]
+        assert codes[-3:] == [ev.FDI_ALARM, ev.RECOVERED, ev.CHECK_OK]
+        assert codes.count(ev.CHECK_OK) == 1
+        # The interval's block adds the indexes of the new minute; the
+        # summary counts the tampered one as not intact.
+        held = len(held_indexes(sim, node.node_id))
+        assert cycle[-1].detail == self.summary(held, held - 1, 7)
+
+    def test_aborted_cycle_logs_no_summary(self):
+        sim = scripted_sim()
+        broken = mutated_chain(sim.chain_module.chain, 1, "index_digest")
+        before = len(sim.events.by_code(ev.CHECK_OK, "node1"))
+        assert sim.nodes[1].validate_cycle(broken) == []
+        assert len(sim.events.by_code(ev.CHECK_OK, "node1")) == before
 
 
 def held_indexes(sim, node_id):
