@@ -33,7 +33,6 @@ COVERAGE_GAP = "COVERAGE_GAP"
 REPLICA_MISMATCH = "REPLICA_MISMATCH"
 REPLICA_NO_RESPONSE = "REPLICA_NO_RESPONSE"
 REPLICA_REQUEST_REJECTED = "REPLICA_REQUEST_REJECTED"
-SENSOR_MISMATCH = "SENSOR_MISMATCH"
 
 
 @dataclass(frozen=True)
@@ -50,19 +49,24 @@ class EventRecord:
 
 
 class EventLog:
-    """Totally ordered by (tick, append sequence); records are never rewritten."""
+    """Totally ordered by (tick, append sequence); records are never rewritten.
+
+    `tick` is the run's one clock: the simulation advances it, and every
+    record is stamped with its value at append time.
+    """
 
     def __init__(self):
         self.records: list[EventRecord] = []
+        self.tick = 0
 
-    def append(self, tick: int, actor: str, severity: str, code: str, detail: str = ""):
-        self.records.append(EventRecord(tick, actor, severity, code, detail))
+    def append(self, actor: str, severity: str, code: str, detail: str = ""):
+        self.records.append(EventRecord(self.tick, actor, severity, code, detail))
 
-    def info(self, tick: int, actor: str, code: str, detail: str = ""):
-        self.append(tick, actor, INFO, code, detail)
+    def info(self, actor: str, code: str, detail: str = ""):
+        self.append(actor, INFO, code, detail)
 
-    def alarm(self, tick: int, actor: str, code: str, detail: str = ""):
-        self.append(tick, actor, ALARM, code, detail)
+    def alarm(self, actor: str, code: str, detail: str = ""):
+        self.append(actor, ALARM, code, detail)
 
     def alarms(self) -> list[EventRecord]:
         return [r for r in self.records if r.severity == ALARM]

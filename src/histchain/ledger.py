@@ -124,7 +124,6 @@ class Chain:
 
     def __init__(self):
         self.blocks: list[Block] = [genesis_block()]
-        self._by_hash: dict[str, Block] = {self.blocks[0].block_hash.hex: self.blocks[0]}
         self._verified: list[Block] = []
 
     @classmethod
@@ -132,7 +131,6 @@ class Chain:
         """Rebuild from stored blocks without validation; pair with verify_chain."""
         chain = cls()
         chain.blocks = list(blocks)
-        chain._by_hash = {b.block_hash.hex: b for b in chain.blocks}
         return chain
 
     @property
@@ -149,13 +147,15 @@ class Chain:
                 f"tip is {self.tip.block_hash.hex[:12]}.."
             )
         self.blocks.append(block)
-        self._by_hash[block.block_hash.hex] = block
 
     def lookup(self, block_hash_hex: str) -> Block:
-        try:
-            return self._by_hash[block_hash_hex]
-        except KeyError:
-            raise UnknownBlockError(block_hash_hex) from None
+        """The block with this hash, searched from the tip back, so the
+        announced block, always the tip, is found first; raises
+        UnknownBlockError when no block has it."""
+        for block in reversed(self.blocks):
+            if block.block_hash.hex == block_hash_hex:
+                return block
+        raise UnknownBlockError(block_hash_hex)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class ChainModule:
         self.replication_factor = replication_factor
         self.chain = Chain()
         self.buffer: list[IndexSubmission] = []
-        self.tick = 0
 
     def collect(self, env) -> bool:
         """Verify one index submission; buffer it for the open interval."""
@@ -62,24 +61,24 @@ class ChainModule:
             detail = f"index from {env.sender_id} corrupted ({exc.detail}); dropped"
             if exc.claimed is not None:
                 detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
-            self.events.alarm(self.tick, "chain", ev.INDEX_REJECTED, detail)
+            self.events.alarm("chain", ev.INDEX_REJECTED, detail)
             return False
         try:
             submission = IndexSubmission(int(env.sender_id.removeprefix("node")),
                                          *parse_vector_ref(plaintext))
         except ValueError:
-            self.events.alarm(self.tick, "chain", ev.INDEX_REJECTED,
+            self.events.alarm("chain", ev.INDEX_REJECTED,
                               f"index from {env.sender_id} authentic but malformed")
             return False
         self.buffer.append(submission)
-        self.events.info(self.tick, "chain", ev.INDEX_ACCEPTED,
+        self.events.info("chain", ev.INDEX_ACCEPTED,
                          f"index from {env.sender_id} verified: {submission.vector_digest.hex}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:
         """Mint one block from the buffered submissions, or nothing if none came."""
         if not self.buffer:
-            self.events.info(self.tick, "chain", ev.NO_BLOCK,
+            self.events.info("chain", ev.NO_BLOCK,
                              "no authentic index this interval; chain unchanged")
             return None
         indexes = [
@@ -93,7 +92,7 @@ class ChainModule:
         self.buffer = []
         block = make_block(indexes, self.chain.tip.block_hash, minted_at)
         self.chain.append(block)
-        self.events.info(self.tick, "chain", ev.BLOCK_MINTED,
+        self.events.info("chain", ev.BLOCK_MINTED,
                          f"hash={block.block_hash.hex} n_indexes={len(indexes)}")
         return block
 

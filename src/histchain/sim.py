@@ -24,7 +24,6 @@ from .envelope import (
 from .ledger import dump_chain
 from .minter import ChainModule
 from .plant import (
-    SensorMismatchError,
     TwoTankPlant,
     default_plcs,
     plc_control,
@@ -138,7 +137,6 @@ class Simulation:
         self.chain_transport = NodeTransport(self, "chain")
         self.handlers = self._build_handlers()
         self.request_handlers = self._build_request_handlers()
-        self.tick = 0
         self.intervals_run = 0
 
     # -- wiring -------------------------------------------------------------
@@ -174,7 +172,6 @@ class Simulation:
                 self.chain_module.collect(env)
 
         handlers["chain"] = chain_handler
-        handlers["plc1"] = handlers["plc2"] = lambda frame: None
         return handlers
 
     def _build_request_handlers(self):
@@ -218,17 +215,11 @@ class Simulation:
     def drop_frame(self, receiver: str, msg_type: int, sender_id: int, reason: str):
         """MALFORMED_PAYLOAD by the receiver of a dropped frame; also the
         network's on_malformed, for a header decode_frame rejects."""
-        self.events.alarm(self.tick, receiver, ev.MALFORMED_PAYLOAD,
+        self.events.alarm(receiver, ev.MALFORMED_PAYLOAD,
                           f"frame type {msg_type} from wire id {sender_id} "
                           f"dropped: {reason}")
 
     # -- clock --------------------------------------------------------------
-
-    def _set_tick(self, tick: int):
-        self.tick = tick
-        for node in self.nodes.values():
-            node.tick = tick
-        self.chain_module.tick = tick
 
     def interval_ts(self, interval_index: int):
         return self.cfg.interval_start(interval_index)
@@ -243,16 +234,11 @@ class Simulation:
             base = k * self.cfg.interval_ticks
             for step in range(self.cfg.interval_ticks):
                 t = base + step
-                self._set_tick(t)
+                self.events.tick = t
                 for name, state in self.plc_states.items():
                     reading = read_sensor(self.plant.tanks, state.sensor_id, t,
                                           noise_seed)
-                    try:
-                        commands = plc_control(state, reading)
-                    except SensorMismatchError:
-                        self.events.alarm(t, name, ev.SENSOR_MISMATCH,
-                                          "reading rejected by controller")
-                        continue
+                    commands = plc_control(state, reading)
                     state.valve_commands = commands
                     self.plant.apply_commands(commands)
                     if step % self.cfg.sample_every == 0:
@@ -267,18 +253,15 @@ class Simulation:
         None to stay silent that interval.
         """
         for entry in script:
-            k = self.intervals_run
-            self._set_tick((k + 1) * self.cfg.interval_ticks - 1)
             for name, values in entry.items():
                 if values is not None:
                     self.plcs[name].buffer = list(values)
-            self._run_boundary(k, before_boundary, after_boundary)
+            self._run_boundary(self.intervals_run, before_boundary, after_boundary)
 
     def _run_boundary(self, interval_index: int, before_boundary, after_boundary):
         """End-of-interval phases: flush, deliver, mint, announce, replicate, validate."""
         ts = self.interval_ts(interval_index)
-        boundary_tick = (interval_index + 1) * self.cfg.interval_ticks - 1
-        self._set_tick(boundary_tick)
+        self.events.tick = (interval_index + 1) * self.cfg.interval_ticks - 1
         if before_boundary:
             before_boundary(self, interval_index)
         for plc in self.plcs.values():
@@ -301,9 +284,12 @@ class Simulation:
         return self.nodes[node_id].historian
 
     def install_interceptor(self, src: str, dst: str, fn):
+        """Put `fn` on the src->dst link (see wire.Interceptor). A frame it
+        returns with a header field too wide for its slot raises
+        wire.EncodeError out of the run; that is the interceptor's fault."""
         handle, replaced = self.network.install_interceptor(src, dst, fn)
         if replaced:
-            self.events.info(self.tick, "network", ev.INTERCEPTOR_REPLACED,
+            self.events.info("network", ev.INTERCEPTOR_REPLACED,
                              f"link {src}->{dst} interceptor replaced; last install wins")
         return handle
 

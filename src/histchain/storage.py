@@ -10,13 +10,12 @@ copy that matches the ledger digest, asked for in ledger order, overwrites the
 local one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
-parsed, and indexes them by capture minute as well as by key, so the validator
-finds the candidates for a ledger index with one dict lookup. Each record
-carries its canonical bytes, which are the very line `dump` persists, and the
-check is one SHA-256 over them. The digest is recomputed on every check and
-never cached, and every store edit (put_new, overwrite, tamper, load, replica
-pull) stores a new frozen record, so an at-rest edit is caught on the next
-cycle.
+parsed, grouped by capture minute, so the validator finds the candidates for a
+ledger index with one dict lookup. Each record carries its canonical bytes,
+which are the very line `dump` persists, and the check is one SHA-256 over
+them. The digest is recomputed on every check and never cached, and every
+store edit (put_new, overwrite, tamper, load, replica pull) stores a new
+frozen record, so an at-rest edit is caught on the next cycle.
 
 The event log records decisions, not "still fine": each completed validator
 cycle logs one CHECK_OK summary per node (`checked=N intact=M chain_len=L`),
@@ -57,42 +56,45 @@ class DuplicateRecordError(ValueError):
 
 
 class Historian:
-    """Keyed record store, insertion-ordered; persisted one canonical line per record.
+    """Keyed record store grouped by capture minute; persisted one canonical
+    line per record.
 
-    _by_minute maps each ISO minute to that minute's records, keyed like
-    _records and updated in step with it, so each minute's dict keeps the
-    relative order the records have in _records.
+    The one map goes from ISO minute to that minute's {key -> record}, so
+    `at_time` is one lookup and `get` two. `records` and `dump` walk the
+    groups: minutes in the order each first got a record (a minute left
+    empty by `delete` is forgotten), and records within a minute in insertion
+    order. When each record arrives in minute order this is insertion order.
     """
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self._records: dict[tuple[str, str], MeasurementVector] = {}
         self._by_minute: dict[str, dict[tuple[str, str], MeasurementVector]] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(map(len, self._by_minute.values()))
 
     def records(self) -> list[MeasurementVector]:
-        return list(self._records.values())
+        return [r for group in self._by_minute.values() for r in group.values()]
 
     def get(self, key: tuple[str, str]) -> MeasurementVector | None:
-        return self._records.get(key)
+        return self._by_minute.get(key[1], {}).get(key)
 
     def at_time(self, iso_minute: str) -> list[MeasurementVector]:
         return list(self._by_minute.get(iso_minute, {}).values())
 
     def put_new(self, record: MeasurementVector):
-        if record.key in self._records:
+        if self.get(record.key) is not None:
             raise DuplicateRecordError(f"{record.key} already stored")
         self.overwrite(record)
 
     def overwrite(self, record: MeasurementVector):
-        self._records[record.key] = record
         self._by_minute.setdefault(record.key[1], {})[record.key] = record
 
     def delete(self, key: tuple[str, str]):
-        if self._records.pop(key, None) is not None:
-            del self._by_minute[key[1]][key]
+        group = self._by_minute.get(key[1], {})
+        group.pop(key, None)
+        if not group:
+            self._by_minute.pop(key[1], None)
 
     def tamper(self, key: tuple[str, str], forged_values) -> MeasurementVector:
         """Direct store edit used by the insider-attack scenario; returns the old record.
@@ -100,13 +102,13 @@ class Historian:
         Raises SerializationError, leaving the store unchanged, for values no
         canonical record can hold (none, or any that is not a non-negative int).
         """
-        old = self._records[key]
+        old = self._by_minute[key[1]][key]
         self.overwrite(MeasurementVector(old.sensor_name, old.captured_at, forged_values))
         return old
 
     def dump(self) -> str:
         """Each record's canonical bytes, one `\n`-terminated line per record."""
-        return b"".join(r.canonical + b"\n" for r in self._records.values()).decode("utf-8")
+        return b"".join(r.canonical + b"\n" for r in self.records()).decode("utf-8")
 
     @classmethod
     def load(cls, node_id: int, text: str, malformed: list[int] | None = None) -> "Historian":
@@ -166,7 +168,6 @@ class StorageNode:
         # digest hex -> capture minute for vectors submitted but not yet seen
         # in a minted block; anything left behind is a ledger coverage gap.
         self.pending_submissions: dict[str, str] = {}
-        self.tick = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -182,7 +183,7 @@ class StorageNode:
         detail = f"{context}: {exc.detail}"
         if exc.claimed is not None:
             detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
-        self.events.alarm(self.tick, self.name, code, detail)
+        self.events.alarm(self.name, code, detail)
 
     # -- register ----------------------------------------------------------
 
@@ -206,22 +207,22 @@ class StorageNode:
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
-            self.events.alarm(self.tick, self.name, ev.MALFORMED_PAYLOAD,
+            self.events.alarm(self.name, ev.MALFORMED_PAYLOAD,
                               f"authentic but unparseable measurement: {exc}")
             return None
         try:
             self.historian.put_new(vector)
         except DuplicateRecordError:
-            self.events.alarm(self.tick, self.name, ev.DUPLICATE_RECORD,
+            self.events.alarm(self.name, ev.DUPLICATE_RECORD,
                               f"{vector.key} already stored; rejected")
             return None
         # Independent recomputation over the canonical form, which embeds the
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
-        self.events.info(self.tick, self.name, ev.MSG_AUTHENTIC,
+        self.events.info(self.name, ev.MSG_AUTHENTIC,
                          f"vector from {env.sender_id} verified; digest={fingerprint.hex}")
         name, minute = vector.key
-        self.events.info(self.tick, self.name, ev.STORED,
+        self.events.info(self.name, ev.STORED,
                          f"stored {name}@{minute}; replication pending")
         self.pending_submissions[fingerprint.hex] = minute
         self.transport.send("chain", INDEX, self._seal_to(
@@ -241,7 +242,7 @@ class StorageNode:
         try:
             block = chain.lookup(block_hash)
         except KeyError:
-            self.events.alarm(self.tick, self.name, ev.UNKNOWN_BLOCK,
+            self.events.alarm(self.name, ev.UNKNOWN_BLOCK,
                               f"announced block {block_hash[:16]}.. not in chain view")
             return []
         self._reconcile_submissions(block)
@@ -251,7 +252,7 @@ class StorageNode:
                 outcome = self._fetch_from_holders(ix)
                 if outcome is not None:
                     name, minute = outcome.vector.key
-                    self.events.info(self.tick, self.name, ev.REPLICA_STORED,
+                    self.events.info(self.name, ev.REPLICA_STORED,
                                      f"replica {name}@{minute} pulled from "
                                      f"node{outcome.recovered_from}")
                     pulled.append(ix.replica_ids[0])
@@ -265,7 +266,7 @@ class StorageNode:
                 continue
             if digest_hex not in block_digests:
                 self.events.alarm(
-                    self.tick, self.name, ev.COVERAGE_GAP,
+                    self.name, ev.COVERAGE_GAP,
                     f"vector {digest_hex} captured {minute} never reached the ledger; "
                     "its integrity cannot be checked by the validator",
                 )
@@ -290,29 +291,29 @@ class StorageNode:
         response = self.transport.round_trip(
             f"node{source}", REPLICA_REQ, self._seal_to(f"node{source}", request))
         if response is None:
-            self.events.alarm(self.tick, self.name, ev.REPLICA_NO_RESPONSE,
+            self.events.alarm(self.name, ev.REPLICA_NO_RESPONSE,
                               f"node{source} did not answer for {ix.vector_digest.hex}")
             return None
         try:
             plaintext = open_envelope(response, self.keys,
                                       self.directory.sig_pub(f"node{source}"))
         except AuthError as exc:
-            self.events.alarm(self.tick, self.name, ev.REPLICA_MISMATCH,
+            self.events.alarm(self.name, ev.REPLICA_MISMATCH,
                               f"replica answer from node{source} failed: {exc.detail}")
             return None
         if plaintext == NOT_FOUND_MARKER:
-            self.events.info(self.tick, self.name, ev.REPLICA_NOT_FOUND,
+            self.events.info(self.name, ev.REPLICA_NOT_FOUND,
                              f"node{source} holds nothing for {ix.vector_digest.hex}")
             return None
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
-            self.events.alarm(self.tick, self.name, ev.REPLICA_MISMATCH,
+            self.events.alarm(self.name, ev.REPLICA_MISMATCH,
                               f"replica answer from node{source} unparseable: {exc}")
             return None
         if vector_digest(vector).hex != ix.vector_digest.hex:
             self.events.alarm(
-                self.tick, self.name, ev.REPLICA_MISMATCH,
+                self.name, ev.REPLICA_MISMATCH,
                 f"replica from node{source} hashes to {vector_digest(vector).hex}, "
                 f"ledger says {ix.vector_digest.hex}; discarded",
             )
@@ -324,13 +325,13 @@ class StorageNode:
         try:
             plaintext = self._open(env)
         except AuthError as exc:
-            self.events.alarm(self.tick, self.name, ev.REPLICA_REQUEST_REJECTED,
+            self.events.alarm(self.name, ev.REPLICA_REQUEST_REJECTED,
                               f"replica request from {env.sender_id} failed: {exc.detail}")
             return None
         try:
             wanted, captured_at = parse_vector_ref(plaintext)
         except ValueError:
-            self.events.alarm(self.tick, self.name, ev.REPLICA_REQUEST_REJECTED,
+            self.events.alarm(self.name, ev.REPLICA_REQUEST_REJECTED,
                               "authentic but malformed replica request")
             return None
         record = self._best_copy(wanted, fmt_minute(captured_at))
@@ -352,7 +353,7 @@ class StorageNode:
         """Full-chain audit of this node's holdings, with automated recovery."""
         bad = verify_chain(chain)
         if bad is not None:
-            self.events.alarm(self.tick, self.name, ev.CHAIN_INVALID,
+            self.events.alarm(self.name, ev.CHAIN_INVALID,
                               f"chain fails verification at block {bad.position} "
                               f"({bad.reason}); validation aborted")
             return []
@@ -363,7 +364,7 @@ class StorageNode:
                     continue
                 findings.append(self._check_index(ix))
         intact = sum(f.verdict == INTACT for f in findings)
-        self.events.info(self.tick, self.name, ev.CHECK_OK,
+        self.events.info(self.name, ev.CHECK_OK,
                          f"checked={len(findings)} intact={intact} "
                          f"chain_len={len(chain.blocks)}")
         return findings
@@ -375,7 +376,7 @@ class StorageNode:
         for record in records:
             if vector_digest(record).hex == expected:
                 return ValidationFinding(record.key, INTACT, expected, expected)
-        self.events.alarm(self.tick, self.name, ev.FDI_ALARM,
+        self.events.alarm(self.name, ev.FDI_ALARM,
                           f"no local record for {minute} matches ledger digest "
                           f"{expected}; data falsified or missing, recovering")
         outcome = self.recover(ix)
@@ -397,13 +398,13 @@ class StorageNode:
         """Pull the vector from the other listed holders in order; overwrite on match."""
         outcome = self._fetch_from_holders(ix)
         if outcome is None:
-            self.events.alarm(self.tick, self.name, ev.UNRECOVERABLE,
+            self.events.alarm(self.name, ev.UNRECOVERABLE,
                               f"no intact copy of {ix.vector_digest.hex} reachable; "
                               "operator intervention required")
             return None
         name, minute = outcome.vector.key
         previous = outcome.previous
         before = f"previous values {list(previous.values)}" if previous else "record was missing"
-        self.events.info(self.tick, self.name, ev.RECOVERED,
+        self.events.info(self.name, ev.RECOVERED,
                          f"{name}@{minute} restored from node{outcome.recovered_from}; {before}")
         return outcome

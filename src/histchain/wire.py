@@ -1,4 +1,4 @@
-"""Simulated wire: framed, ordered, per-link delivery with interceptor hooks.
+"""Simulated wire: framed delivery in send order, with per-link interceptor hooks.
 
 Frame layout (big-endian), bit-exact:
 
@@ -9,7 +9,7 @@ The payload of every frame is a packed envelope: ciphertext_len(4) followed by
 the ciphertext and then the signature bytes. Adversaries sit on links as
 interceptors: pure functions Frame -> Frame (mutate) or None (drop).
 
-A link carries bytes. The sender encodes with encode_frame, which refuses a
+The wire carries bytes. The sender encodes with encode_frame, which refuses a
 frame no honest endpoint sends; an interceptor's rewrite goes on the wire as
 pack_frame writes it, any header included; the receiver decodes with
 decode_frame, so a frame with an unknown version or type is handed to the
@@ -112,7 +112,6 @@ class EndpointRegistry:
     """Wire ids for named endpoints: storage nodes 1..N, PLCs, chain module."""
 
     def __init__(self, n_storage_nodes: int):
-        self.n_storage_nodes = n_storage_nodes
         self._by_name = {f"node{i}": i for i in range(1, n_storage_nodes + 1)}
         self._by_name["plc1"] = 101
         self._by_name["plc2"] = 102
@@ -126,6 +125,9 @@ class EndpointRegistry:
         return self._by_id[wire_id]
 
 
+# An interceptor returns the frame to put on the wire, or None to drop it. It
+# may rewrite any header field within its width; a field too wide for its slot
+# is a programming error, and pack_frame's EncodeError propagates to the sender.
 Interceptor = Callable[[Frame], Optional[Frame]]
 # (receiving endpoint name, msg_type, sender_id, why decode_frame rejected the frame)
 MalformedHandler = Callable[[str, int, int, str], None]
@@ -138,12 +140,9 @@ class InterceptorHandle:
 
 
 class Link:
-    """Directional FIFO of frame bytes between two endpoints; at most one interceptor."""
+    """One directed link between two endpoints; at most one interceptor."""
 
-    def __init__(self, src: str, dst: str):
-        self.src = src
-        self.dst = dst
-        self.queue: deque[bytes] = deque()
+    def __init__(self):
         self.interceptor: Interceptor | None = None
 
     def apply(self, frame: Frame) -> Frame | None:
@@ -153,24 +152,26 @@ class Link:
 
 
 class Network:
-    """Owns all links and delivery; endpoints never touch queues directly.
+    """Owns all links and delivery; endpoints never touch the queue directly.
 
-    A frame that decode_frame rejects at the receiver is not delivered; its
-    header and the reason go to on_malformed with the receiving endpoint's name.
+    One queue holds every frame in flight as (receiving endpoint, bytes) in
+    send order, whatever its link, so `pump` delivers in send order. A frame
+    that decode_frame rejects at the receiver is not delivered; its header and
+    the reason go to on_malformed with the receiving endpoint's name.
     """
 
     def __init__(self, registry: EndpointRegistry, on_malformed: MalformedHandler,
                  trace: bool = False):
         self.registry = registry
         self.links: dict[tuple[str, str], Link] = {}
-        self._ready: deque[tuple[str, str]] = deque()
+        self._queue: deque[tuple[str, bytes]] = deque()
         self.trace: list[str] | None = [] if trace else None
         self.on_malformed = on_malformed
 
     def add_link(self, src: str, dst: str) -> Link:
         link = self.links.get((src, dst))
         if link is None:
-            link = Link(src, dst)
+            link = Link()
             self.links[(src, dst)] = link
         return link
 
@@ -213,18 +214,16 @@ class Network:
         dst = self.registry.name(frame.recipient_id)
         link = self.links[(src, dst)]
         data = self._transmit(link, frame)
-        if data is None:
-            return
-        link.queue.append(data)
-        self._ready.append((src, dst))
+        if data is not None:
+            self._queue.append((dst, data))
 
     def pump(self, handlers: dict[str, Callable[[Frame], None]]):
         """Deliver queued frames in send order until quiet; handlers may send more."""
-        while self._ready:
-            key = self._ready.popleft()
-            frame = self._receive(key[1], self.links[key].queue.popleft())
+        while self._queue:
+            receiver, data = self._queue.popleft()
+            frame = self._receive(receiver, data)
             if frame is not None:
-                handlers[key[1]](frame)
+                handlers[receiver](frame)
 
     def round_trip(self, frame: Frame,
                    responders: dict[str, Callable[[Frame], Frame | None]]) -> Frame | None:

@@ -1,4 +1,5 @@
-"""Historian minute index: at_time must agree with a linear scan, order included."""
+"""Historian against a plain model: every accessor must agree with a dict of
+key -> record and the documented grouping rule, order included."""
 
 import dataclasses
 from datetime import datetime
@@ -28,29 +29,56 @@ OPS = st.lists(st.one_of(
 ), max_size=40)
 
 
-def linear_scan(historian: Historian, minute: str) -> list[MeasurementVector]:
-    return [r for r in historian.records() if r.key[1] == minute]
+class Model:
+    """Independent oracle: a dict of key -> record in arrival order (an
+    overwrite keeps the key's place), and the minutes in the order each first
+    got a record, a minute being forgotten once `delete` empties it."""
+
+    def __init__(self):
+        self.by_key: dict[tuple[str, str], MeasurementVector] = {}
+        self.minutes: list[str] = []
+
+    def store(self, record: MeasurementVector):
+        self.by_key[record.key] = record
+        if record.key[1] not in self.minutes:
+            self.minutes.append(record.key[1])
+
+    def delete(self, key: tuple[str, str]):
+        self.by_key.pop(key, None)
+        if key[1] in self.minutes and not self.at_time(key[1]):
+            self.minutes.remove(key[1])
+
+    def at_time(self, minute: str) -> list[MeasurementVector]:
+        return [r for r in self.by_key.values() if r.key[1] == minute]
+
+    def records(self) -> list[MeasurementVector]:
+        return [r for minute in self.minutes for r in self.at_time(minute)]
 
 
-def apply(historian: Historian, op) -> Historian:
+def apply(historian: Historian, model: Model, op) -> Historian:
     kind, *args = op
     if kind == "reload":
         return Historian.load(historian.node_id, historian.dump())
     name, time = args[0], args[1]
     key = (name, fmt_minute(time))
-    present = historian.get(key) is not None
+    record = MeasurementVector(name, time, args[2]) if len(args) > 2 else None
+    present = key in model.by_key
     if kind == "put_new":
         if present:
             with pytest.raises(DuplicateRecordError):
-                historian.put_new(MeasurementVector(name, time, args[2]))
+                historian.put_new(record)
         else:
-            historian.put_new(MeasurementVector(name, time, args[2]))
+            historian.put_new(record)
+            model.store(record)
     elif kind == "overwrite":
-        historian.overwrite(MeasurementVector(name, time, args[2]))
+        historian.overwrite(record)
+        model.store(record)
     elif kind == "delete":
         historian.delete(key)
+        model.delete(key)
     elif present:
-        historian.tamper(key, args[2])
+        assert historian.tamper(key, args[2]) == model.by_key[key]
+        model.store(record)
     else:
         with pytest.raises(KeyError):
             historian.tamper(key, args[2])
@@ -60,11 +88,16 @@ def apply(historian: Historian, op) -> Historian:
 @settings(deadline=None, max_examples=200)
 @given(OPS)
 def test_at_time_matches_linear_scan_after_every_step(ops):
-    historian = Historian(1)
+    historian, model = Historian(1), Model()
     for op in ops:
-        historian = apply(historian, op)
+        historian = apply(historian, model, op)
+        assert len(historian) == len(model.by_key)
+        assert historian.records() == model.records()
+        assert historian.dump() == "".join(r.canonical.decode() + "\n" for r in model.records())
         for minute in MINUTES:
-            assert historian.at_time(minute) == linear_scan(historian, minute)
+            assert historian.at_time(minute) == model.at_time(minute)
+            for name in NAMES:
+                assert historian.get((name, minute)) == model.by_key.get((name, minute))
 
 
 def test_record_is_frozen():

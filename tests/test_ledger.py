@@ -175,6 +175,11 @@ class TestWalkBack:
         with pytest.raises(UnknownBlockError):
             chain.lookup("ab" * 32)
 
+    def test_every_block_found_not_only_the_tip(self):
+        chain = build_chain(4)
+        for block in chain.blocks:
+            assert chain.lookup(block.block_hash.hex) is block
+
 
 class TestChainDump:
     def test_round_trip_bit_exact(self):

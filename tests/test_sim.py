@@ -9,6 +9,7 @@ from histchain.config import ConfigError, SimConfig, parse_config_file
 from histchain.envelope import vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
+from histchain.wire import EncodeError
 
 
 class TestClosedLoopRun:
@@ -126,6 +127,13 @@ class TestMalformedFrames:
             rewritten = [line for line in sim.network.trace
                          if bytes.fromhex(line)[offset] == value]
             assert len(rewritten) == 1
+
+    def test_too_wide_header_field_is_an_interceptor_error(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.install_interceptor("plc1", "node1",
+                                lambda f: dataclasses.replace(f, msg_type=256))
+        with pytest.raises(EncodeError):
+            sim.run(1)
 
 
 class TestDeterminism:

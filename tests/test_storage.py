@@ -136,6 +136,25 @@ class TestHistorian:
         loaded = Historian.load(1, text)
         assert [r.key for r in loaded.records()] == [r.key for r in historian.records()]
 
+    def test_dump_groups_records_by_minute(self):
+        m1, m2 = datetime(2020, 12, 23, 17, 26), datetime(2020, 12, 23, 17, 27)
+        historian = Historian(1)
+        historian.put_new(MeasurementVector("Sensor 1", m1, (1,)))
+        historian.put_new(MeasurementVector("Sensor 2", m1, (2,)))
+        historian.put_new(MeasurementVector("Sensor 1", m2, (3,)))
+        historian.delete(("Sensor 1", "2020-12-23T17:26"))
+        historian.put_new(MeasurementVector("Sensor 1", m1, (1,)))
+        assert historian.dump() == ("Sensor 2|2020-12-23T17:26|2\n"
+                                    "Sensor 1|2020-12-23T17:26|1\n"
+                                    "Sensor 1|2020-12-23T17:27|3\n")
+        # A minute emptied by delete is forgotten: restored, it comes last.
+        historian.delete(("Sensor 1", "2020-12-23T17:26"))
+        historian.delete(("Sensor 2", "2020-12-23T17:26"))
+        historian.put_new(MeasurementVector("Sensor 1", m1, (1,)))
+        assert historian.dump() == ("Sensor 1|2020-12-23T17:27|3\n"
+                                    "Sensor 1|2020-12-23T17:26|1\n")
+        assert len(historian) == 2
+
     def test_at_time_filters(self):
         historian = Historian(1)
         historian.put_new(MeasurementVector("Sensor 1", TS, (1,)))
@@ -192,6 +211,19 @@ class TestReplication:
                                  sim.chain_module.chain)
         assert pulled == []
         assert len(sim.events.alarms()) == alarms_before + 1
+
+    def test_log_naming_unknown_block_alarms_and_pulls_nothing(self):
+        sim = scripted_sim()
+        node = sim.nodes[3]
+        env = seal(b"ab" * 32, sim.keystore["chain"], "node3",
+                   sim.keystore["node3"].enc_pub)
+        dump = node.historian.dump()
+        records_before = len(sim.events)
+        assert node.handle_log(env, sim.chain_module.chain) == []
+        new = sim.events.records[records_before:]
+        assert [(r.actor, r.severity, r.code) for r in new] == [
+            ("node3", ev.ALARM, ev.UNKNOWN_BLOCK)]
+        assert node.historian.dump() == dump
 
     def test_corrupted_replica_response_not_stored(self):
         # Corrupt every replica answer leaving node1; pullers must reject the

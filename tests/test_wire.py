@@ -145,6 +145,24 @@ class TestNetwork:
         network.pump({"node1": lambda f: seen.append(f.payload[0])})
         assert seen == list(range(20))
 
+    def test_interleaved_links_and_handler_sends_deliver_in_send_order(self):
+        registry, network = small_network()
+        got = []
+
+        def handler(name):
+            def handle(frame):
+                got.append((name, frame.payload))
+                if frame.payload == b"p0":
+                    network.send(frame_to(registry, "node1", "node2", payload=b"h0"))
+            return handle
+
+        for src, dst, payload in (("plc1", "node1", b"p0"), ("node2", "node1", b"q0"),
+                                  ("plc1", "node1", b"p1"), ("node1", "node2", b"r0")):
+            network.send(frame_to(registry, src, dst, payload=payload))
+        network.pump({"node1": handler("node1"), "node2": handler("node2")})
+        assert got == [("node1", b"p0"), ("node1", b"q0"), ("node1", b"p1"),
+                       ("node2", b"r0"), ("node2", b"h0")]
+
     def test_no_interceptor_bit_identical(self):
         registry, network = small_network()
         sent = frame_to(registry, "plc1", "node1", payload=b"exact-bytes")
