@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Scaling record: wall time, peak RSS and event count of one seeded run as
-simulated minutes grow.
+"""Scaling record: wall time, peak RSS and event count of one seeded run, and
+the time to audit its artifacts, as simulated minutes grow.
 
     python3 scripts/scaling.py                        # m = 10, 160, 640, 1440
     python3 scripts/scaling.py --minutes 10 160 --out /tmp/scaling.json
 
 Each size runs `Simulation(SimConfig(seed=42)).run(m)` in a fresh Python
-process, so one run's heap never inflates the next one's peak RSS. Wall time
-covers `run` alone: no import, no set-up, no artifact writing. The table goes
-to BENCH_scaling.json at the repo root unless --out says otherwise.
+process, so one run's heap never inflates the next one's peak RSS. `wall_s`
+covers `run` alone: no import, no set-up, no artifact writing. The process
+then writes the artifacts to a temporary directory, and `audit_s` is the time
+`audit_directory` takes on them. The table goes to BENCH_scaling.json at the
+repo root unless --out says otherwise.
 """
 
 import argparse
@@ -26,8 +28,9 @@ DEFAULT_MINUTES = (10, 160, 640, 1440)
 SEED = 42
 
 CHILD_CODE = """\
-import json, resource, sys
+import json, resource, sys, tempfile
 from time import perf_counter
+from histchain.audit import audit_directory
 from histchain.config import SimConfig
 from histchain.sim import Simulation
 sim = Simulation(SimConfig(seed={seed}))
@@ -35,7 +38,12 @@ start = perf_counter()
 sim.run({minutes})
 wall = perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-json.dump({{"minutes": {minutes}, "wall_s": round(wall, 3),
+with tempfile.TemporaryDirectory() as outdir:
+    sim.write_artifacts(outdir)
+    start = perf_counter()
+    audit_directory(outdir)
+    audit = perf_counter() - start
+json.dump({{"minutes": {minutes}, "wall_s": round(wall, 3), "audit_s": round(audit, 4),
            "peak_rss_mb": round(peak_kb / 1024, 1), "events": len(sim.events)}},
           sys.stdout)
 """
@@ -62,10 +70,11 @@ def main(argv=None) -> int:
     for minutes in args.minutes:
         row = measure(minutes)
         print(f"m={minutes}: {row['wall_s']} s, {row['peak_rss_mb']} MB peak RSS, "
-              f"{row['events']} events", flush=True)
+              f"{row['events']} events, audit {row['audit_s']} s", flush=True)
         runs.append(row)
     record = {
-        "run": f"Simulation(SimConfig(seed={SEED})).run(m), one fresh process per m",
+        "run": f"Simulation(SimConfig(seed={SEED})).run(m), one fresh process per m; "
+               "audit_s: audit_directory on that run's artifacts",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "runs": runs,

@@ -6,6 +6,12 @@ oracle for the in-simulation validator: on the same state, both must flag the
 same records. A Historian line that is not a canonical record, or repeats the
 key of an earlier line, is reported as malformed, and a ledger index that only
 such a line held as missing.
+
+The holders of a record store the same line, so the dumps are loaded with one
+shared map from line text to parsed record, and each identical line is parsed
+once; a line that fails to parse is not kept, so it is parsed and reported at
+every node that holds it. Every node's duties come from one walk of the
+ledger. Each duty still re-hashes its record: no digest is cached.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .envelope import vector_digest
-from .ledger import FirstBadBlock, parse_chain_dump, verify_chain
+from .envelope import MeasurementVector, vector_digest
+from .ledger import FirstBadBlock, LedgerIndex, parse_chain_dump, verify_chain
 from .storage import Historian
 
 INTACT = "intact"
@@ -77,16 +83,22 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
     if report.chain_issue is not None:
         return report
 
+    # Every node's duties, in ledger order, from one walk of the chain.
+    duties_of: dict[int, list[LedgerIndex]] = {node_id: [] for node_id in historian_texts}
+    for block in chain.blocks[1:]:
+        for ix in block.indexes:
+            for holder in ix.replica_ids:
+                duties = duties_of.get(holder)
+                if duties is not None:
+                    duties.append(ix)
+
+    # A record's r holders store the same line: parse it once for all of them.
+    parsed: dict[str, MeasurementVector] = {}
     for node_id in sorted(historian_texts):
         bad_lines: list[int] = []
-        store = Historian.load(node_id, historian_texts[node_id], bad_lines)
+        store = Historian.load(node_id, historian_texts[node_id], bad_lines, parsed)
         report.malformed.extend((node_id, lineno) for lineno in bad_lines)
-        duties = [
-            ix
-            for block in chain.blocks[1:]
-            for ix in block.indexes
-            if node_id in ix.replica_ids
-        ]
+        duties = duties_of[node_id]
         used: set = set()
         verdicts: dict[int, AuditFinding] = {}
         # Exact digest matches first, so a tampered record can never steal the

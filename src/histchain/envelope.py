@@ -9,9 +9,12 @@ Every inter-node message travels as a SignedEnvelope built from two pieces:
       | body_nonce (16) | body (len(payload))
 
   The symmetric body key is wrapped with ChaCha20-Poly1305 under an
-  HKDF-derived key from an ephemeral X25519 exchange; the body itself is a
-  plain ChaCha20 stream so in-transit bit flips surface as a digest mismatch
-  at the receiver rather than a decryption failure.
+  HKDF-derived key from an ephemeral X25519 exchange, with `eph_x25519_pub |
+  body_nonce` as associated data, so the tag covers every header byte: an
+  edited nonce cannot re-key the body stream, and a flipped bit X25519 masks
+  in the public key still fails. The body itself is a plain ChaCha20 stream
+  so in-transit bit flips surface as a digest mismatch at the receiver rather
+  than a decryption failure.
 
 * signature: the payload digest in hex, followed by an Ed25519 signature over
   those digest bytes by the sender. Carrying the digest alongside its
@@ -43,7 +46,6 @@ from datetime import datetime
 from itertools import repeat
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -247,12 +249,10 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     shared = eph_priv.exchange(recipient_enc_pub)
     wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
     wrap_nonce = _rand_bytes(rng, WRAP_NONCE_LEN)
-    wrapped = ChaCha20Poly1305(wrap_key).encrypt(wrap_nonce, sym_key, None)
     body_nonce = _rand_bytes(rng, BODY_NONCE_LEN)
+    eph_pub = eph_priv.public_key().public_bytes_raw()
+    wrapped = ChaCha20Poly1305(wrap_key).encrypt(wrap_nonce, sym_key, eph_pub + body_nonce)
     body = Cipher(ChaCha20(sym_key, body_nonce), mode=None).encryptor().update(plaintext)
-    eph_pub = eph_priv.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
 
     claimed = digest(plaintext).hex.encode("ascii")
@@ -274,7 +274,7 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
     try:
         shared = recipient.enc_priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
-        sym_key = ChaCha20Poly1305(wrap_key).decrypt(wrap_nonce, wrapped, None)
+        sym_key = ChaCha20Poly1305(wrap_key).decrypt(wrap_nonce, wrapped, eph_pub + body_nonce)
     except (InvalidTag, ValueError) as exc:
         raise AuthError(AuthError.DECRYPT_FAILED, f"key unwrap failed: {exc}") from None
     plaintext = Cipher(ChaCha20(sym_key, body_nonce), mode=None).decryptor().update(body)

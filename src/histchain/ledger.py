@@ -216,6 +216,14 @@ def parse_chain_dump(text: str) -> Chain:
     blank ones included, is a `block|` or `index|` line ended by `\n` alone."""
     blocks: list[Block] = []
     current: dict | None = None
+    # A block line and its index lines share a minute: parse each spelling once.
+    minutes: dict[str, datetime] = {}
+
+    def minute(text: str) -> datetime:
+        value = minutes.get(text)
+        if value is None:
+            value = minutes[text] = parse_minute(text)
+        return value
 
     def finish():
         if current is not None:
@@ -237,7 +245,7 @@ def parse_chain_dump(text: str) -> Chain:
                 if parts[1] != str(len(blocks)):
                     raise ValueError(f"position {parts[1]!r} out of order")
                 current = {
-                    "minted_at": parse_minute(parts[2]),
+                    "minted_at": minute(parts[2]),
                     "hash": Digest(parts[3]),
                     "prev": Digest(parts[4]),
                     "indexes": [],
@@ -249,7 +257,7 @@ def parse_chain_dump(text: str) -> Chain:
                 if ",".join(map(str, ids)) != parts[3]:
                     raise ValueError(f"replica ids {parts[3]!r} not in plain decimal")
                 current["indexes"].append(LedgerIndex(
-                    Digest(parts[1]), parse_minute(parts[2]), ids))
+                    Digest(parts[1]), minute(parts[2]), ids))
             else:
                 raise ValueError(f"unknown record type {parts[0]!r}")
         except (ValueError, KeyError) as exc:

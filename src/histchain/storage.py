@@ -111,18 +111,33 @@ class Historian:
         return b"".join(r.canonical + b"\n" for r in self.records()).decode("utf-8")
 
     @classmethod
-    def load(cls, node_id: int, text: str, malformed: list[int] | None = None) -> "Historian":
+    def load(cls, node_id: int, text: str, malformed: list[int] | None = None,
+             parsed: dict[str, MeasurementVector] | None = None) -> "Historian":
         """Inverse of dump. Lines end in `\n` alone, and the text ends with one.
-        A line that is not a canonical record (a blank line, or a last line
-        with no `\n`, included) raises SerializationError, and one whose key
-        an earlier line already holds raises DuplicateRecordError; when a
-        `malformed` list is given, either kind of line is skipped and its
-        1-based number appended instead."""
+        A line that is not a canonical record (a blank line, a line with a
+        lone surrogate, or a last line with no `\n`, included) raises
+        SerializationError, and one whose key an earlier line already holds
+        raises DuplicateRecordError; when a `malformed` list is given, either
+        kind of line is skipped and its 1-based number appended instead.
+
+        `parsed` maps a line's exact text to the frozen record parse_canonical
+        returned for it, so loads that share one dict (the replica holders of
+        one audit) parse each identical line once. Only successful parses go
+        in, so a bad line is parsed, and reported, at every load that holds it.
+        """
         historian = cls(node_id)
+        if parsed is None:
+            parsed = {}
         *lines, unterminated = text.split("\n")
         for lineno, raw in enumerate(lines, 1):
             try:
-                historian.put_new(parse_canonical(raw.encode("utf-8")))
+                record = parsed.get(raw)
+                if record is None:
+                    # surrogatepass turns a lone surrogate into bytes that are
+                    # not UTF-8, which parse_canonical rejects.
+                    record = parse_canonical(raw.encode("utf-8", "surrogatepass"))
+                    parsed[raw] = record
+                historian.put_new(record)
             except (SerializationError, DuplicateRecordError):
                 if malformed is None:
                     raise

@@ -1,7 +1,10 @@
 """Offline audit tests: the standalone oracle over run artifacts."""
 
+import hashlib
+
 import pytest
 
+from histchain import storage
 from histchain.attacks import run_scenario_a, run_scenario_c
 from histchain.audit import MISMATCH, MISSING, audit_artifacts, audit_directory
 from histchain.cli import main
@@ -11,6 +14,7 @@ from histchain.ledger import DumpFormatError, dump_chain
 from histchain.sim import Simulation
 from histchain.storage import DuplicateRecordError, Historian
 from .helpers import flip_hex_char
+from .test_golden import RUN_10_MINUTES_SEED_42
 
 
 def clean_artifacts(minutes=3, seed=42):
@@ -187,3 +191,85 @@ class TestAuditDirectory:
         # Post-recovery store is clean even though .tampered.txt snapshots sit
         # alongside the standard dumps.
         assert report.all_intact
+
+
+@pytest.fixture(scope="module")
+def pinned_artifacts():
+    """Chain and historian dumps of the pinned seed-42 10-minute run."""
+    _, chain_text, historians = clean_artifacts(minutes=10)
+    texts = {"chain.txt": chain_text,
+             **{f"historian{i}.txt": text for i, text in historians.items()}}
+    for name, text in texts.items():
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RUN_10_MINUTES_SEED_42[name]
+    return chain_text, historians
+
+
+def first_line_of_node1(historians):
+    return historians[1].splitlines()[0]
+
+
+def replace_line(text, old, new):
+    return "".join(new + "\n" if line == old else line + "\n" for line in text.splitlines())
+
+
+def bump_first_value(line):
+    name, minute, values = line.split("|")
+    first, *rest = values.split(",")
+    return "|".join([name, minute, ",".join([str(int(first) + 1), *rest])])
+
+
+def edited_at_one_holder(historians):
+    line = first_line_of_node1(historians)
+    historians[1] = replace_line(historians[1], line, bump_first_value(line))
+
+
+def edited_at_every_holder(historians):
+    line = first_line_of_node1(historians)
+    for node_id, text in historians.items():
+        historians[node_id] = replace_line(text, line, bump_first_value(line))
+
+
+def non_canonical_at_one_holder(historians):
+    line = first_line_of_node1(historians)
+    name, minute, values = line.split("|")
+    historians[1] = replace_line(historians[1], line, f"{name}|{minute}|0{values}")
+
+
+def repeated_in_one_dump(historians):
+    line = first_line_of_node1(historians)
+    historians[1] = replace_line(historians[1], line, f"{line}\n{line}")
+
+
+class TestSharedParse:
+    """Holders of one record store the same line, and the audit parses it once."""
+
+    def test_parse_canonical_runs_once_per_distinct_line(self, pinned_artifacts, monkeypatch):
+        chain_text, historians = pinned_artifacts
+        calls = []
+
+        def counting_parse(data):
+            calls.append(data)
+            return parse_canonical(data)
+
+        monkeypatch.setattr(storage, "parse_canonical", counting_parse)
+        report = audit_artifacts(chain_text, historians)
+        assert report.all_intact
+        lines = [line for text in historians.values() for line in text.splitlines()]
+        assert len(lines) == 3 * len(set(lines))
+        assert sorted(calls) == sorted(line.encode("utf-8") for line in set(lines))
+
+    # SHA-256 of AuditReport.to_text() for each edit, as the audit gave it
+    # before holders shared parsed lines.
+    @pytest.mark.parametrize("edit, expected", [
+        (edited_at_one_holder, "cbc162f8ed37d4652cea8478c0a6a80e2c3e56fd926ea0f028b9b87b8c1192b2"),
+        (edited_at_every_holder, "6935a55e4920ccf7dd6b0c26f4388cc7f0681eb708a5c4b1021260d38a6521ed"),
+        (non_canonical_at_one_holder, "dd8e744d56ebd33480b6b5e72239cbfc51d95eb7f16e872fc4a6c015ed100faa"),
+        (repeated_in_one_dump, "382e324074c2c44b926f7c580f96d91a760dafb0de96fa77b15ff689af187cdc"),
+    ], ids=["edited_at_one_holder", "edited_at_every_holder", "non_canonical_at_one_holder",
+            "repeated_in_one_dump"])
+    def test_report_unchanged_by_shared_parse(self, pinned_artifacts, edit, expected):
+        chain_text, historians = pinned_artifacts
+        historians = dict(historians)
+        edit(historians)
+        text = audit_artifacts(chain_text, historians).to_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected

@@ -189,7 +189,8 @@ class TestHistorianDump:
         ("Sensor 1|2020-12-23T17:26|1\nSensor 2|2020-12-23T17:26|2", [2]),
         ("Sensor 1|2020-12-23T17:26|1\r\n\n  \nSensor 2|2020-12-23T17:26|2\x0b",
          [1, 2, 3, 4]),
-    ], ids=["crlf", "blank", "whitespace", "vt", "no_final_newline", "all"])
+        ("\ud800|2020-12-23T17:27|1\nSensor 2|2020-12-23T17:26|2\n", [1]),
+    ], ids=["crlf", "blank", "whitespace", "vt", "no_final_newline", "all", "lone_surrogate"])
     def test_second_spellings_rejected(self, text, bad_lines):
         with pytest.raises(SerializationError):
             Historian.load(1, text)

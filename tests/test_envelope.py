@@ -233,6 +233,22 @@ class TestSealOpen:
         with pytest.raises(AuthError):
             open_envelope(mutated, recipient, sender.sig_pub)
 
+    @pytest.mark.parametrize("pos, edit", [
+        (102, lambda byte: (byte + 168) % 256),  # body nonce: re-keys the stream
+        (31, lambda byte: byte ^ 0x80),  # top bit of the public key, which X25519 masks
+    ], ids=["body_nonce", "masked_pub_key_bit"])
+    def test_header_edit_that_still_decrypts_is_rejected(self, pos, edit):
+        """Both edits open to the original one-byte payload unless the key
+        wrap authenticates the header."""
+        sender, recipient = fresh_keys()
+        env = seal(b"\x00", sender, "node1", recipient.enc_pub, random.Random(2))
+        ct = bytearray(env.ciphertext)
+        ct[pos] = edit(ct[pos])
+        mutated = type(env)(env.sender_id, env.recipient_id, bytes(ct), env.signature)
+        with pytest.raises(AuthError) as exc:
+            open_envelope(mutated, recipient, sender.sig_pub)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+
 
 class TestKeystore:
     def test_directory_lookup(self):

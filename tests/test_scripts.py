@@ -33,4 +33,5 @@ def test_scaling_records_one_row_per_size(tmp_path, capsys):
     assert [row["minutes"] for row in runs] == [1, 2]
     # One clean seed-42 interval logs 17 events, CHECK_OK summaries included.
     assert [row["events"] for row in runs] == [17, 34]
-    assert all(row["wall_s"] > 0 and row["peak_rss_mb"] > 0 for row in runs)
+    assert all(row["wall_s"] > 0 and row["audit_s"] > 0 and row["peak_rss_mb"] > 0
+               for row in runs)
