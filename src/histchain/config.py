@@ -19,6 +19,10 @@ from datetime import datetime, timedelta
 
 MINUTE_FMT = "%Y-%m-%dT%H:%M"
 
+# The one storage node each PLC ships its vectors to; that node accepts a
+# MEASUREMENT from no other sender.
+PLC_TARGET_NODE = {"plc1": "node1", "plc2": "node2"}
+
 
 class ConfigError(ValueError):
     """Invalid simulation configuration or config file."""

@@ -25,6 +25,20 @@ open_envelope() decrypts, recomputes the payload digest, authenticates the
 claimed digest, and compares the two; any disagreement raises AuthError and
 the message must be discarded.
 
+Ed25519 is deterministic (RFC 8032): a signature is a pure function of the key
+and the message, and so is whether a (public key, message, signature) triple
+verifies. Many envelopes share one: the minter's six LOG announcements sign
+the same block hash, and both replica holders of a vector get the origin's
+signature over the same record. So the Ed25519 sign and verify calls go
+through two small LRU caches of fixed size, _sign and _check_signature. Only
+triples that verified are remembered, because lru_cache does not keep a call
+that raised, so a forged, flipped or wrong-key signature is checked, and
+rejected, on every open. Everything else still runs for every envelope: the
+X25519 exchange, HKDF, the key wrap, the body stream, the payload digest and
+its comparison with the signed one. Per clean interval that makes 11 real
+signs and 11 real verifications for 18 envelopes. Each Simulation starts
+with both caches empty.
+
 A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
 in plain decimal. A MeasurementVector builds these bytes once, on
 construction, and keeps them as `canonical`: they are what a Historian dump
@@ -43,6 +57,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import lru_cache
 from itertools import repeat
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -70,6 +85,9 @@ CIPHER_HEADER_LEN = EPH_PUB_LEN + WRAP_NONCE_LEN + WRAPPED_KEY_LEN + BODY_NONCE_
 SIG_LEN = 64  # Ed25519 signature size
 
 _HKDF_INFO = b"histchain envelope key wrap"
+# An interval's repeated signatures fall within a few dozen envelopes of each
+# other, so a small fixed bound keeps every repeat and little else.
+_SIGNATURE_CACHE_SIZE = 64
 
 
 class SerializationError(ValueError):
@@ -240,6 +258,27 @@ class SignedEnvelope:
     signature: bytes
 
 
+@lru_cache(maxsize=_SIGNATURE_CACHE_SIZE)
+def _sign(sig_priv: Ed25519PrivateKey, claimed: bytes) -> bytes:
+    """Ed25519 signature of `claimed`; private keys hash by identity."""
+    return sig_priv.sign(claimed)
+
+
+@lru_cache(maxsize=_SIGNATURE_CACHE_SIZE)
+def _check_signature(pub_raw: bytes, claimed: bytes, sig: bytes) -> None:
+    """Raises InvalidSignature unless `sig` signs `claimed` under the raw
+    public key; only a triple that verified is cached."""
+    Ed25519PublicKey.from_public_bytes(pub_raw).verify(sig, claimed)
+
+
+def clear_signature_caches():
+    """Empty both caches; a Simulation calls this when it starts. A finished
+    run's entries cannot hit again (its private keys live on only in the
+    cache), and kept, they hold the allocator's memory and raise peak RSS."""
+    _sign.cache_clear()
+    _check_signature.cache_clear()
+
+
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
          recipient_enc_pub: X25519PublicKey,
          rng: random.Random | None = None) -> SignedEnvelope:
@@ -256,7 +295,7 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
 
     claimed = digest(plaintext).hex.encode("ascii")
-    signature = claimed + sender.sig_priv.sign(claimed)
+    signature = claimed + _sign(sender.sig_priv, claimed)
     return SignedEnvelope(sender.node_id, recipient_id, ciphertext, signature)
 
 
@@ -284,7 +323,7 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
     sig = env.signature[-SIG_LEN:]
     claimed = claimed_bytes.decode("ascii", errors="replace")
     try:
-        sender_sig_pub.verify(sig, claimed_bytes)
+        _check_signature(sender_sig_pub.public_bytes_raw(), claimed_bytes, sig)
     except InvalidSignature:
         raise AuthError(
             AuthError.DIGEST_MISMATCH,

@@ -33,6 +33,7 @@ COVERAGE_GAP = "COVERAGE_GAP"
 REPLICA_MISMATCH = "REPLICA_MISMATCH"
 REPLICA_NO_RESPONSE = "REPLICA_NO_RESPONSE"
 REPLICA_REQUEST_REJECTED = "REPLICA_REQUEST_REJECTED"
+ROLE_VIOLATION = "ROLE_VIOLATION"
 
 
 @dataclass(frozen=True)

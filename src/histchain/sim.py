@@ -13,11 +13,12 @@ import random
 from pathlib import Path
 
 from . import events as ev
-from .config import SimConfig, rng_stream
+from .config import PLC_TARGET_NODE, SimConfig, rng_stream
 from .envelope import (
     KeyDirectory,
     MeasurementVector,
     NodeKeys,
+    clear_signature_caches,
     generate_node_keys,
     seal,
 )
@@ -45,7 +46,6 @@ from .wire import (
 )
 
 PLC_SENSOR_NAMES = {"plc1": "Sensor 1", "plc2": "Sensor 2"}
-PLC_TARGET_NODE = {"plc1": "node1", "plc2": "node2"}
 
 
 class NodeTransport:
@@ -99,6 +99,7 @@ class PlcEndpoint:
 class Simulation:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
+        clear_signature_caches()
         self.cfg = cfg
         self.events = ev.EventLog()
         self.registry = EndpointRegistry(cfg.n_storage_nodes)
@@ -143,8 +144,8 @@ class Simulation:
 
     def _build_links(self, node_names):
         add = self.network.add_link
-        add("plc1", "node1")
-        add("plc2", "node2")
+        for plc, node in PLC_TARGET_NODE.items():
+            add(plc, node)
         for name in node_names:
             add(name, "chain")
             add("chain", name)

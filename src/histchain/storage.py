@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from . import events as ev
-from .config import fmt_minute
+from .config import PLC_TARGET_NODE, fmt_minute
 from .envelope import (
     AuthError,
     Digest,
@@ -209,15 +209,21 @@ class StorageNode:
             self.handle_log(env, chain)
 
     def register(self, env):
-        """Verify, store, and index a vector from a PLC.
+        """Verify, store, and index a vector from the PLC assigned to this node.
 
         Returns the submitted fingerprint Digest when stored, None when
-        rejected (the alarm carries the reason).
+        rejected (the alarm carries the reason). An authentic vector from any
+        other sender raises ROLE_VIOLATION.
         """
         try:
             plaintext = self._open(env)
         except AuthError as exc:
             self._auth_alarm(exc, f"measurement from {env.sender_id} rejected, not stored")
+            return None
+        if PLC_TARGET_NODE.get(env.sender_id) != self.name:
+            self.events.alarm(self.name, ev.ROLE_VIOLATION,
+                              f"authentic measurement from {env.sender_id}, which is "
+                              f"not the PLC assigned to {self.name}; not stored")
             return None
         try:
             vector = parse_canonical(plaintext)

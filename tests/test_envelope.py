@@ -8,14 +8,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from histchain import envelope
 from histchain.envelope import (
     AuthError,
     CIPHER_HEADER_LEN,
     Digest,
     KeyDirectory,
     MeasurementVector,
+    SIG_LEN,
     SerializationError,
     canonical_serialize,
+    clear_signature_caches,
     digest,
     generate_node_keys,
     open_envelope,
@@ -248,6 +251,79 @@ class TestSealOpen:
         with pytest.raises(AuthError) as exc:
             open_envelope(mutated, recipient, sender.sig_pub)
         assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+
+def with_signature(env, signature):
+    return type(env)(env.sender_id, env.recipient_id, env.ciphertext, signature)
+
+
+class TestSignatureMemo:
+    """A signature is computed, and a triple verified, once while cached; a
+    check that failed is never remembered, so it fails on every open."""
+
+    def opened_genuine(self, payload=b"payload"):
+        sender, recipient = fresh_keys()
+        clear_signature_caches()
+        env = seal(payload, sender, "node1", recipient.enc_pub, random.Random(3))
+        assert open_envelope(env, recipient, sender.sig_pub) == payload
+        assert open_envelope(env, recipient, sender.sig_pub) == payload
+        info = envelope._check_signature.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        return sender, recipient, env
+
+    def assert_rejected_and_not_cached(self, env, recipient, sig_pub):
+        for _ in range(2):
+            with pytest.raises(AuthError) as exc:
+                open_envelope(env, recipient, sig_pub)
+            assert exc.value.kind == AuthError.DIGEST_MISMATCH
+        assert envelope._check_signature.cache_info().currsize == 1
+
+    @settings(deadline=None, max_examples=60)
+    # The signature field is the 64-byte hex digest, then the Ed25519 signature.
+    @given(st.integers(min_value=0, max_value=64 + SIG_LEN - 1),
+           st.integers(min_value=0, max_value=7))
+    def test_flipped_signature_byte_rejected_after_genuine_open(self, pos, bit):
+        sender, recipient, env = self.opened_genuine()
+        flipped = bytearray(env.signature)
+        flipped[pos] ^= 1 << bit
+        self.assert_rejected_and_not_cached(
+            with_signature(env, bytes(flipped)), recipient, sender.sig_pub)
+
+    def test_swapped_claimed_digest_rejected_after_genuine_open(self):
+        sender, recipient, env = self.opened_genuine()
+        other = digest(b"another payload").hex.encode("ascii")
+        swapped = with_signature(env, other + env.signature[-SIG_LEN:])
+        self.assert_rejected_and_not_cached(swapped, recipient, sender.sig_pub)
+
+    def test_cached_signature_of_another_payload_still_fails_the_digest(self):
+        """Both triples verify and are cached; the rebuilt digest still decides."""
+        sender, recipient, env = self.opened_genuine()
+        other = seal(b"another payload", sender, "node1", recipient.enc_pub)
+        open_envelope(other, recipient, sender.sig_pub)
+        for _ in range(2):
+            with pytest.raises(AuthError) as exc:
+                open_envelope(with_signature(env, other.signature), recipient, sender.sig_pub)
+            assert exc.value.kind == AuthError.DIGEST_MISMATCH
+            assert exc.value.claimed == digest(b"another payload").hex
+            assert exc.value.rebuilt == digest(b"payload").hex
+
+    def test_other_endpoints_key_rejected_after_genuine_open(self):
+        _, recipient, env = self.opened_genuine()
+        other = generate_node_keys("plc2", random.Random(9))
+        self.assert_rejected_and_not_cached(env, recipient, other.sig_pub)
+
+    def test_memoised_seal_matches_a_recomputed_signature(self):
+        sender, recipient = fresh_keys()
+        clear_signature_caches()
+        first = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))
+        again = seal(b"payload", sender, "node2", recipient.enc_pub, random.Random(6))
+        assert envelope._sign.cache_info().hits == 1
+        claimed = digest(b"payload").hex.encode("ascii")
+        assert first.signature == again.signature == claimed + sender.sig_priv.sign(claimed)
+
+    def test_caches_have_a_fixed_bound(self):
+        for cached in (envelope._sign, envelope._check_signature):
+            assert cached.cache_info().maxsize == envelope._SIGNATURE_CACHE_SIZE
 
 
 class TestKeystore:

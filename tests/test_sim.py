@@ -4,12 +4,13 @@ import dataclasses
 
 import pytest
 
+from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
 from histchain.config import ConfigError, SimConfig, parse_config_file
-from histchain.envelope import vector_digest
+from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
-from histchain.wire import EncodeError
+from histchain.wire import MEASUREMENT, EncodeError
 
 
 class TestClosedLoopRun:
@@ -57,6 +58,49 @@ class TestClosedLoopRun:
             for record in sim.historian(node).records():
                 if record.sensor_name == f"Sensor {node}":  # origin copies
                     assert index_digests.count(vector_digest(record).hex) == 1
+
+
+def count_calls(monkeypatch, fn, *modules):
+    """Wrap `fn` where each module imported it; returns the live call counter."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestEnvelopeTraffic:
+    def test_clean_interval_signs_and_verifies_11_of_18_envelopes(self, monkeypatch):
+        """Per interval: 2 MEASUREMENT, 2 INDEX, 6 LOG, 4 REPLICA_REQ and 4
+        REPLICA_RESP envelopes. The six LOGs share one signature, and so do
+        the two answers for one vector, so 11 are signed and verified. A
+        Simulation starts with both signature caches empty."""
+        seals = count_calls(monkeypatch, envelope.seal, sim_module, storage, minter)
+        opens = count_calls(monkeypatch, envelope.open_envelope, storage, minter)
+        digests = count_calls(monkeypatch, envelope.vector_digest, storage)
+        # A cache entry left by earlier work, which a new run must not count on.
+        envelope.seal(b"x", generate_node_keys("x"), "y", generate_node_keys("y").enc_pub)
+        per_interval = []
+
+        def after(sim_, k):
+            per_interval.append((seals[0], opens[0],
+                                 envelope._sign.cache_info().misses,
+                                 envelope._check_signature.cache_info().misses))
+
+        sim = Simulation(SimConfig(seed=42))
+        assert envelope._sign.cache_info().currsize == 0
+        sim.run(10, after_boundary=after)
+        assert sim.events.alarms() == []
+        assert per_interval == [(18 * k, 18 * k, 11 * k, 11 * k) for k in range(1, 11)]
+        checked = sum(int(r.detail.split()[0].removeprefix("checked="))
+                      for r in sim.events.by_code(ev.CHECK_OK))
+        # Interval k re-checks k blocks of 2 indexes with 3 holders each.
+        assert checked == sum(2 * 3 * k for k in range(1, 11))
+        assert digests[0] >= checked
 
 
 def cut_payload(frame):
@@ -127,6 +171,26 @@ class TestMalformedFrames:
             rewritten = [line for line in sim.network.trace
                          if bytes.fromhex(line)[offset] == value]
             assert len(rewritten) == 1
+
+    def test_measurement_from_another_node_is_a_role_violation(self):
+        """node3 may seal to node1, but only plc1 may send it a measurement."""
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        forged = MeasurementVector("Sensor 3", sim.interval_ts(1), (1, 2, 3))
+
+        def before(sim_, k):
+            if k == 1:
+                sim_.nodes[3].transport.send("node1", MEASUREMENT, seal(
+                    forged.canonical, sim_.keystore["node3"], "node1",
+                    sim_.directory.enc_pub("node1"), sim_.crypto_rng))
+
+        sim.run(3, before)
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
+        assert alarms[0].tick // cfg.interval_ticks == 1
+        assert "node3" in alarms[0].detail
+        assert sim.historian(1).get(forged.key) is None
+        assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [2, 2, 2]
 
     def test_too_wide_header_field_is_an_interceptor_error(self):
         sim = Simulation(SimConfig(seed=42))

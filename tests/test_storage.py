@@ -115,6 +115,23 @@ class TestRegister:
                                     bytes(ct), env.signature))
             assert len(node.historian) == size
 
+    @pytest.mark.parametrize("node_id, sender", [
+        (1, "plc2"), (1, "node3"), (1, "chain"), (2, "plc1"),
+    ])
+    def test_authentic_measurement_from_unassigned_sender_is_role_violation(
+            self, node_id, sender):
+        node, keys, transport = standalone_node(node_id)
+        if sender not in keys:
+            keys[sender] = generate_node_keys(sender, random.Random(sender))
+            node.directory.register(keys[sender])
+        env = sealed_measurement(keys, sender=sender, recipient=node.name)
+        assert node.register(env) is None
+        assert len(node.historian) == 0
+        assert transport.sent == []
+        alarms = node.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [(node.name, ev.ROLE_VIOLATION)]
+        assert sender in alarms[0].detail
+
     @pytest.mark.parametrize("brk", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
                                      "\x85", "\u2028", "\u2029"], ids=repr)
     def test_line_break_in_name_is_malformed_payload(self, brk):
