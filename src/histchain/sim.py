@@ -55,20 +55,20 @@ class NodeTransport:
         self.sim = sim
         self.src = src
 
-    def _frame(self, dst: str, msg_type: int, env) -> Frame:
+    def frame(self, dst: str, msg_type: int, env) -> Frame:
         registry = self.sim.registry
         return Frame(1, msg_type, registry.wire_id(self.src),
                      registry.wire_id(dst), pack_envelope(env))
 
     def send(self, dst: str, msg_type: int, env):
-        self.sim.network.send(self._frame(dst, msg_type, env))
+        self.sim.network.send(self.frame(dst, msg_type, env))
 
     def round_trip(self, dst: str, msg_type: int, env):
-        response = self.sim.network.round_trip(
-            self._frame(dst, msg_type, env), self.sim.request_handlers)
+        response = self.sim.network.round_trip(self.frame(dst, msg_type, env),
+                                               self.sim._answer)
         if response is None:
             return None
-        return self.sim.unpack_frame(response, self.src)
+        return self.sim.unpack_frame(response, self.src, REPLICA_RESP)
 
 
 class PlcEndpoint:
@@ -104,14 +104,17 @@ class Simulation:
         self.events = ev.EventLog()
         self.registry = EndpointRegistry(cfg.n_storage_nodes)
         self.network = Network(self.registry, self.drop_frame, trace=cfg.trace_wire)
-        self.crypto_rng = rng_stream(cfg.seed, "crypto")
         self.replica_rng = rng_stream(cfg.seed, "replica-choice")
 
         node_names = [f"node{i}" for i in range(1, cfg.n_storage_nodes + 1)]
         self.directory = KeyDirectory()
         self.keystore: dict[str, NodeKeys] = {}
-        for name in ["plc1", "plc2", *node_names, "chain"]:
-            keys = generate_node_keys(name, self.crypto_rng)
+        # One crypto stream per endpoint, for its keys and then its seals, so
+        # no endpoint's draws shift another's.
+        crypto = {name: rng_stream(cfg.seed, f"crypto:{name}")
+                  for name in ["plc1", "plc2", *node_names, "chain"]}
+        for name, rng in crypto.items():
+            keys = generate_node_keys(name, rng)
             self.keystore[name] = keys
             self.directory.register(keys)
 
@@ -121,23 +124,21 @@ class Simulation:
         self.plc_states = dict(zip(("plc1", "plc2"), default_plcs(cfg)))
         self.plcs = {
             name: PlcEndpoint(name, self.keystore[name], self.directory,
-                              NodeTransport(self, name), self.crypto_rng)
+                              NodeTransport(self, name), crypto[name])
             for name in ("plc1", "plc2")
         }
         self.nodes = {
             i: StorageNode(i, self.keystore[f"node{i}"], self.directory,
                            NodeTransport(self, f"node{i}"), self.events,
-                           self.crypto_rng)
+                           crypto[f"node{i}"])
             for i in range(1, cfg.n_storage_nodes + 1)
         }
         self.chain_module = ChainModule(
             self.keystore["chain"], self.directory, self.events,
             self.replica_rng, cfg.n_storage_nodes, cfg.replication_factor,
-            self.crypto_rng,
+            crypto["chain"],
         )
         self.chain_transport = NodeTransport(self, "chain")
-        self.handlers = self._build_handlers()
-        self.request_handlers = self._build_request_handlers()
         self.intervals_run = 0
 
     # -- wiring -------------------------------------------------------------
@@ -154,62 +155,51 @@ class Simulation:
                 if a != b:
                     add(a, b)
 
-    def _build_handlers(self):
-        handlers = {}
-
-        def node_handler(node):
-            def handle(frame: Frame):
-                env = self.unpack_frame(frame, node.name)
-                if env is not None:
-                    node.handle_frame(env, frame.msg_type, self.chain_module.chain)
-            return handle
-
-        for i, node in self.nodes.items():
-            handlers[f"node{i}"] = node_handler(node)
-
-        def chain_handler(frame: Frame):
-            env = self.unpack_frame(frame, "chain")
-            if env is not None and frame.msg_type == INDEX:
+    def _deliver(self, receiver: str, frame: Frame):
+        """Hand one queued frame to its receiver: the chain takes INDEX, a
+        node MEASUREMENT or LOG."""
+        if receiver == "chain":
+            env = self.unpack_frame(frame, receiver, INDEX)
+            if env is not None:
                 self.chain_module.collect(env)
+            return
+        env = self.unpack_frame(frame, receiver, MEASUREMENT, LOG)
+        if env is None:
+            return
+        node = self.nodes[int(receiver.removeprefix("node"))]
+        if frame.msg_type == MEASUREMENT:
+            node.register(env)
+        else:
+            node.handle_log(env, self.chain_module.chain)
 
-        handlers["chain"] = chain_handler
-        return handlers
+    def _answer(self, receiver: str, frame: Frame) -> Frame | None:
+        """A node's REPLICA_RESP to a REPLICA_REQ, or None for no answer."""
+        env = self.unpack_frame(frame, receiver, REPLICA_REQ)
+        node = self.nodes[int(receiver.removeprefix("node"))]
+        reply = None if env is None else node.serve_replica(env)
+        if reply is None:
+            return None
+        return node.transport.frame(env.sender_id, REPLICA_RESP, reply)
 
-    def _build_request_handlers(self):
-        handlers = {}
-
-        def responder(node):
-            def handle(frame: Frame):
-                if frame.msg_type != REPLICA_REQ:
-                    return None
-                env = self.unpack_frame(frame, node.name)
-                reply = None if env is None else node.serve_replica(env)
-                if reply is None:
-                    return None
-                return Frame(1, REPLICA_RESP,
-                             self.registry.wire_id(node.name),
-                             frame.sender_id, pack_envelope(reply))
-            return handle
-
-        for i, node in self.nodes.items():
-            handlers[f"node{i}"] = responder(node)
-        return handlers
-
-    def unpack_frame(self, frame: Frame, receiver: str):
+    def unpack_frame(self, frame: Frame, receiver: str, *accepted: int):
         """The envelope a frame carries, addressed by endpoint name; the one
-        place an endpoint decodes a payload.
+        gate on a frame's type and the one place an endpoint decodes a payload.
 
-        A frame whose payload does not decode, or that names an unknown
-        endpoint, is dropped: `receiver`, the endpoint whose handler got it,
-        raises MALFORMED_PAYLOAD and None is returned.
+        A frame whose type is not among `accepted`, the types `receiver` takes
+        at this point, whose payload does not decode, or that names an unknown
+        endpoint is dropped: `receiver` raises MALFORMED_PAYLOAD and None is
+        returned, so the frame reaches no handler.
         """
-        try:
-            return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
-                                   self.registry.name(frame.recipient_id))
-        except KeyError as exc:
-            reason = f"unknown endpoint id {exc}"
-        except DecodeError as exc:
-            reason = str(exc)
+        if frame.msg_type not in accepted:
+            reason = f"{receiver} does not take this type here"
+        else:
+            try:
+                return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
+                                       self.registry.name(frame.recipient_id))
+            except KeyError as exc:
+                reason = f"unknown endpoint id {exc}"
+            except DecodeError as exc:
+                reason = str(exc)
         self.drop_frame(receiver, frame.msg_type, frame.sender_id, reason)
         return None
 
@@ -267,12 +257,12 @@ class Simulation:
             before_boundary(self, interval_index)
         for plc in self.plcs.values():
             plc.flush(ts)
-        self.network.pump(self.handlers)
+        self.network.pump(self._deliver)
         block = self.chain_module.close_interval(ts)
         if block is not None:
             for name, env in self.chain_module.broadcast_log(block.block_hash):
                 self.chain_transport.send(name, LOG, env)
-            self.network.pump(self.handlers)
+            self.network.pump(self._deliver)
         for node in self.nodes.values():
             node.validate_cycle(self.chain_module.chain)
         if after_boundary:

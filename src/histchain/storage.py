@@ -42,7 +42,7 @@ from .envelope import (
     vector_digest,
 )
 from .ledger import Chain, LedgerIndex, format_vector_ref, parse_vector_ref, verify_chain
-from .wire import INDEX, LOG, MEASUREMENT, REPLICA_REQ
+from .wire import INDEX, REPLICA_REQ
 
 INTACT = "intact"
 TAMPERED_RECOVERED = "tampered_recovered"
@@ -202,12 +202,6 @@ class StorageNode:
 
     # -- register ----------------------------------------------------------
 
-    def handle_frame(self, env, msg_type: int, chain: Chain):
-        if msg_type == MEASUREMENT:
-            self.register(env)
-        elif msg_type == LOG:
-            self.handle_log(env, chain)
-
     def register(self, env):
         """Verify, store, and index a vector from the PLC assigned to this node.
 
@@ -253,11 +247,17 @@ class StorageNode:
     # -- replication handler ------------------------------------------------
 
     def handle_log(self, env, chain: Chain) -> list[int]:
-        """Process a minted-block announcement; returns origins pulled from."""
+        """Process a minted-block announcement; returns origins pulled from.
+        An authentic LOG from any sender but the minter raises ROLE_VIOLATION."""
         try:
             plaintext = self._open(env)
         except AuthError as exc:
             self._auth_alarm(exc, "block announcement rejected")
+            return []
+        if env.sender_id != "chain":
+            self.events.alarm(self.name, ev.ROLE_VIOLATION,
+                              f"authentic block announcement from {env.sender_id}, "
+                              "which is not the minter; ignored")
             return []
         block_hash = plaintext.decode("ascii", errors="replace")
         try:

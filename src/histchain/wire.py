@@ -13,7 +13,11 @@ The wire carries bytes. The sender encodes with encode_frame, which refuses a
 frame no honest endpoint sends; an interceptor's rewrite goes on the wire as
 pack_frame writes it, any header included; the receiver decodes with
 decode_frame, so a frame with an unknown version or type is handed to the
-network's on_malformed callback instead of a handler.
+network's on_malformed callback instead of being delivered. A frame that
+decodes goes to one `(receiver, frame)` callable, where Simulation.unpack_frame
+is the one gate on type: the chain takes INDEX, a node MEASUREMENT or LOG from
+the queue, REPLICA_REQ as responder and REPLICA_RESP as requester, and any
+other type is dropped with MALFORMED_PAYLOAD from the receiver.
 """
 
 from __future__ import annotations
@@ -217,24 +221,25 @@ class Network:
         if data is not None:
             self._queue.append((dst, data))
 
-    def pump(self, handlers: dict[str, Callable[[Frame], None]]):
-        """Deliver queued frames in send order until quiet; handlers may send more."""
+    def pump(self, deliver: Callable[[str, Frame], None]):
+        """Deliver queued frames in send order until quiet; `deliver` may send more."""
         while self._queue:
             receiver, data = self._queue.popleft()
             frame = self._receive(receiver, data)
             if frame is not None:
-                handlers[receiver](frame)
+                deliver(receiver, frame)
 
     def round_trip(self, frame: Frame,
-                   responders: dict[str, Callable[[Frame], Frame | None]]) -> Frame | None:
-        """Synchronous request/response over a link pair, interceptors included."""
+                   answer: Callable[[str, Frame], Frame | None]) -> Frame | None:
+        """Synchronous request/response over a link pair, interceptors included;
+        `answer(receiver, request)` returns the response frame or None."""
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
         data = self._transmit(self.links[(src, dst)], frame)
         request = None if data is None else self._receive(dst, data)
         if request is None:
             return None
-        response = responders[dst](request)
+        response = answer(dst, request)
         if response is None:
             return None
         data = self._transmit(self.links[(dst, src)], response)

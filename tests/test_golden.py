@@ -26,7 +26,7 @@ RUN_10_MINUTES_SEED_42 = {
     "historian4.txt": "14b3305bfad0d9fcf2ca3e7f4fab4294f7be27aaa008f75401daebde0ef2b777",
     "historian5.txt": "6aeaef352e477c4f57f337a0f72cf9e86ab37ac177bc99db8df26eb09397ad2c",
     "historian6.txt": "c4a696f6ed99f99f8018714200fa7d7b1e477f1fb7452d3eccb6a850c58b82cd",
-    "wire_trace.txt": "0f2de15bf9e85ac70b5eaafae8ab1da9fdc307e7f9332735873ee8202ab158e3",
+    "wire_trace.txt": "354cffb0f80e63e90841b3195b73341172bd4f756382d5686630b9955b6eae9f",
 }
 
 # SHA-256 of audit_directory(...).to_text() over the run above.

@@ -6,11 +6,11 @@ import pytest
 
 from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
-from histchain.config import ConfigError, SimConfig, parse_config_file
+from histchain.config import ConfigError, SimConfig, fmt_minute, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
-from histchain.wire import MEASUREMENT, EncodeError
+from histchain.wire import LOG, MEASUREMENT, MSG_TYPES, EncodeError
 
 
 class TestClosedLoopRun:
@@ -103,6 +103,21 @@ class TestEnvelopeTraffic:
         assert digests[0] >= checked
 
 
+def run_intercepted(sim, src, dst, fn):
+    """Run three intervals with `fn` on the src->dst link during interval 1 only."""
+    handles = []
+
+    def before(sim_, k):
+        if k == 1:
+            handles.append(sim_.install_interceptor(src, dst, fn))
+
+    def after(sim_, k):
+        while handles:
+            sim_.remove_interceptor(handles.pop())
+
+    sim.run(3, before, after)
+
+
 def cut_payload(frame):
     return dataclasses.replace(frame, payload=frame.payload[:3])
 
@@ -120,17 +135,7 @@ class TestMalformedFrames:
     def test_receiver_alarms_drops_and_next_interval_is_normal(self, src, dst, interceptor):
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
-        handles = []
-
-        def before(sim_, k):
-            if k == 1:
-                handles.append(sim_.install_interceptor(src, dst, interceptor))
-
-        def after(sim_, k):
-            while handles:
-                sim_.remove_interceptor(handles.pop())
-
-        sim.run(3, before, after)
+        run_intercepted(sim, src, dst, interceptor)
         malformed = sim.events.by_code(ev.MALFORMED_PAYLOAD)
         assert [r.actor for r in malformed] == [dst]
         assert all(r.tick // cfg.interval_ticks == 1 for r in sim.events.alarms())
@@ -148,18 +153,8 @@ class TestMalformedFrames:
     def test_rewritten_header_alarms_once_and_drops(self, trace, field, value, offset):
         cfg = SimConfig(seed=42, trace_wire=trace)
         sim = Simulation(cfg)
-        handles = []
-
-        def before(sim_, k):
-            if k == 1:
-                handles.append(sim_.install_interceptor(
-                    "plc1", "node1", lambda f: dataclasses.replace(f, **{field: value})))
-
-        def after(sim_, k):
-            while handles:
-                sim_.remove_interceptor(handles.pop())
-
-        sim.run(3, before, after)
+        run_intercepted(sim, "plc1", "node1",
+                        lambda f: dataclasses.replace(f, **{field: value}))
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms] == [("node1", ev.MALFORMED_PAYLOAD)]
         assert alarms[0].tick // cfg.interval_ticks == 1
@@ -182,7 +177,7 @@ class TestMalformedFrames:
             if k == 1:
                 sim_.nodes[3].transport.send("node1", MEASUREMENT, seal(
                     forged.canonical, sim_.keystore["node3"], "node1",
-                    sim_.directory.enc_pub("node1"), sim_.crypto_rng))
+                    sim_.directory.enc_pub("node1"), sim_.nodes[3].rng))
 
         sim.run(3, before)
         alarms = sim.events.alarms()
@@ -192,12 +187,100 @@ class TestMalformedFrames:
         assert sim.historian(1).get(forged.key) is None
         assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [2, 2, 2]
 
+    def test_log_from_another_node_is_a_role_violation(self):
+        """Only the minter announces blocks: node1 does not pull for an
+        authentic LOG naming the tip that node3 sealed to it."""
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        tip_minute = fmt_minute(sim.interval_ts(1))
+
+        def before(sim_, k):
+            if k == 2:
+                tip = sim_.chain_module.chain.tip.block_hash.hex.encode("ascii")
+                sim_.nodes[3].transport.send("node1", LOG, seal(
+                    tip, sim_.keystore["node3"], "node1",
+                    sim_.directory.enc_pub("node1"), sim_.nodes[3].rng))
+
+        sim.run(3, before)
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
+        assert alarms[0].tick // cfg.interval_ticks == 2
+        assert "node3" in alarms[0].detail
+        pulled_again = [r for r in sim.events.by_code(ev.REPLICA_STORED, "node1")
+                        if r.tick // cfg.interval_ticks == 2 and f"@{tip_minute} " in r.detail]
+        assert pulled_again == []
+
+    @pytest.mark.parametrize("src, dst, claimed, code", [
+        ("plc1", "node1", "node3", ev.DIGEST_MISMATCH),
+        ("plc1", "node1", "plc2", ev.DIGEST_MISMATCH),
+        ("plc1", "node1", "chain", ev.DIGEST_MISMATCH),
+        ("chain", "node3", "node1", ev.DIGEST_MISMATCH),
+        ("node1", "chain", "node2", ev.INDEX_REJECTED),
+    ])
+    def test_header_sender_not_matching_the_link_fails_authentication(
+            self, src, dst, claimed, code):
+        """The receiver checks the envelope against the key of the sender the
+        header names, so a rewritten sender is rejected, never trusted."""
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        wire_id = sim.registry.wire_id(claimed)
+        run_intercepted(sim, src, dst, lambda f: dataclasses.replace(f, sender_id=wire_id))
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms if r.actor == dst] == [(dst, code)]
+        assert all(r.tick // cfg.interval_ticks == 1 for r in alarms)
+
     def test_too_wide_header_field_is_an_interceptor_error(self):
         sim = Simulation(SimConfig(seed=42))
         sim.install_interceptor("plc1", "node1",
                                 lambda f: dataclasses.replace(f, msg_type=256))
         with pytest.raises(EncodeError):
             sim.run(1)
+
+
+# A retyped frame whose new type its receiver takes at that point reaches the
+# handler, which refuses the sender's role; any other is dropped at the type gate.
+ROLE_REFUSED = {("plc1", "node1", LOG), ("chain", "node3", MEASUREMENT)}
+
+
+class TestRetypeSweep:
+    @pytest.mark.parametrize("msg_type", MSG_TYPES)
+    @pytest.mark.parametrize("src, dst", [
+        ("plc1", "node1"), ("node1", "chain"), ("chain", "node3"),
+        ("node1", "node2"), ("node2", "node1"),
+    ])
+    def test_every_retyped_frame_alarms_at_its_receiver(self, monkeypatch, src, dst,
+                                                        msg_type):
+        """Each frame whose msg_type a one-interval interceptor changes gets
+        one alarm from its receiver in that interval, and a dropped one
+        reaches no handler: every handler opens its envelope first."""
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        counts = {"sent": 0, "changed": 0}
+        opened = []
+
+        def recorded(env, *args):
+            opened.append((env.sender_id, env.recipient_id,
+                           sim.events.tick // cfg.interval_ticks))
+            return envelope.open_envelope(env, *args)
+
+        monkeypatch.setattr(storage, "open_envelope", recorded)
+        monkeypatch.setattr(minter, "open_envelope", recorded)
+
+        def retype(frame):
+            counts["sent"] += 1
+            counts["changed"] += frame.msg_type != msg_type
+            return dataclasses.replace(frame, msg_type=msg_type)
+
+        run_intercepted(sim, src, dst, retype)
+        assert sim.intervals_run == 3 and counts["sent"] > 0
+        code = ev.ROLE_VIOLATION if (src, dst, msg_type) in ROLE_REFUSED \
+            else ev.MALFORMED_PAYLOAD
+        alarms = [r.code for r in sim.events.alarms()
+                  if r.actor == dst and r.tick // cfg.interval_ticks == 1
+                  and r.code in (ev.ROLE_VIOLATION, ev.MALFORMED_PAYLOAD)]
+        assert alarms == [code] * counts["changed"]
+        dropped = counts["changed"] if code == ev.MALFORMED_PAYLOAD else 0
+        assert opened.count((src, dst, 1)) == counts["sent"] - dropped
 
 
 class TestDeterminism:

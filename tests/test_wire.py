@@ -142,24 +142,22 @@ class TestNetwork:
         seen = []
         for i in range(20):
             network.send(frame_to(registry, "plc1", "node1", payload=bytes([i])))
-        network.pump({"node1": lambda f: seen.append(f.payload[0])})
+        network.pump(lambda receiver, f: seen.append(f.payload[0]))
         assert seen == list(range(20))
 
     def test_interleaved_links_and_handler_sends_deliver_in_send_order(self):
         registry, network = small_network()
         got = []
 
-        def handler(name):
-            def handle(frame):
-                got.append((name, frame.payload))
-                if frame.payload == b"p0":
-                    network.send(frame_to(registry, "node1", "node2", payload=b"h0"))
-            return handle
+        def deliver(receiver, frame):
+            got.append((receiver, frame.payload))
+            if frame.payload == b"p0":
+                network.send(frame_to(registry, "node1", "node2", payload=b"h0"))
 
         for src, dst, payload in (("plc1", "node1", b"p0"), ("node2", "node1", b"q0"),
                                   ("plc1", "node1", b"p1"), ("node1", "node2", b"r0")):
             network.send(frame_to(registry, src, dst, payload=payload))
-        network.pump({"node1": handler("node1"), "node2": handler("node2")})
+        network.pump(deliver)
         assert got == [("node1", b"p0"), ("node1", b"q0"), ("node1", b"p1"),
                        ("node2", b"r0"), ("node2", b"h0")]
 
@@ -168,7 +166,7 @@ class TestNetwork:
         sent = frame_to(registry, "plc1", "node1", payload=b"exact-bytes")
         got = []
         network.send(sent)
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert got == [sent]
 
     def test_identity_interceptor_same_as_none(self):
@@ -177,7 +175,7 @@ class TestNetwork:
         sent = frame_to(registry, "plc1", "node1", payload=b"exact-bytes")
         got = []
         network.send(sent)
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert got == [sent]
 
     def test_mutating_interceptor_leaves_header_intact(self):
@@ -191,7 +189,7 @@ class TestNetwork:
         sent = frame_to(registry, "plc1", "node1", payload=b"\x00\x01")
         got = []
         network.send(sent)
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert got[0].payload == b"\xff\xfe"
         assert (got[0].msg_type, got[0].sender_id, got[0].recipient_id) == \
                (sent.msg_type, sent.sender_id, sent.recipient_id)
@@ -201,7 +199,7 @@ class TestNetwork:
         network.install_interceptor("plc1", "node1", lambda f: None)
         network.send(frame_to(registry, "plc1", "node1"))
         got = []
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert got == []
 
     def test_install_then_remove_restores_traffic(self):
@@ -211,7 +209,7 @@ class TestNetwork:
         network.remove_interceptor(handle)
         got = []
         network.send(frame_to(registry, "plc1", "node1"))
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert len(got) == 1
 
     def test_double_install_last_wins(self):
@@ -221,7 +219,7 @@ class TestNetwork:
         assert replaced is True
         got = []
         network.send(frame_to(registry, "plc1", "node1"))
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert len(got) == 1
 
     def test_passive_tap_transcript_equals_traffic(self):
@@ -238,7 +236,7 @@ class TestNetwork:
         got = []
         for f in frames:
             network.send(f)
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert captured == frames == got
 
     def test_round_trip_passes_both_interceptors(self):
@@ -247,13 +245,13 @@ class TestNetwork:
         network.install_interceptor("node1", "node2", lambda f: hops.append("out") or f)
         network.install_interceptor("node2", "node1", lambda f: hops.append("back") or f)
 
-        def responder(frame):
+        def responder(receiver, frame):
             return frame_to(registry, "node2", "node1", payload=b"reply",
                             msg_type=REPLICA_REQ)
 
         response = network.round_trip(
             frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
-            {"node2": responder})
+            responder)
         assert response is not None and response.payload == b"reply"
         assert hops == ["out", "back"]
 
@@ -262,14 +260,14 @@ class TestNetwork:
         network.install_interceptor("node1", "node2", lambda f: None)
         response = network.round_trip(
             frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
-            {"node2": lambda f: f})
+            lambda receiver, f: f)
         assert response is None
 
     def test_trace_records_delivered_hex(self):
         registry, network = small_network(trace=True)
         sent = frame_to(registry, "plc1", "node1", payload=b"zz")
         network.send(sent)
-        network.pump({"node1": lambda f: None})
+        network.pump(lambda receiver, f: None)
         assert network.trace == [encode_frame(sent).hex()]
 
 
@@ -286,7 +284,7 @@ class TestMalformedHeaders:
         sent = frame_to(registry, "plc1", "node1", payload=b"zz")
         network.send(sent)
         got = []
-        network.pump({"node1": got.append})
+        network.pump(lambda receiver, f: got.append(f))
         assert got == []
         assert [args[:3] for args in rejected] == [("node1", 99, sent.sender_id)]
         assert rejected[0][3].startswith(UNKNOWN_TYPE)
@@ -303,13 +301,13 @@ class TestMalformedHeaders:
         network.install_interceptor(*link, retype)
         answered = []
 
-        def responder(frame):
+        def responder(receiver, frame):
             answered.append(frame)
             return frame_to(registry, "node2", "node1", msg_type=REPLICA_REQ)
 
         response = network.round_trip(
             frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
-            {"node2": responder})
+            responder)
         assert response is None
         assert rejected == [receiver]
         assert len(answered) == (receiver == "node1")
