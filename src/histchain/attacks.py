@@ -14,7 +14,9 @@ Three scenarios:
 
 Interceptors touch only the encrypted body region of the payload, never the
 frame header, mirroring an attacker who rewrites just the sensor-reading
-bytes. A passive variant records traffic without modifying it.
+bytes. A passive variant records traffic without modifying it. Scenarios B
+and C put their interceptors on a link for one interval with
+`run_with_interceptors`, the one attack window.
 """
 
 from __future__ import annotations
@@ -60,11 +62,9 @@ class Assertion:
 @dataclass
 class ScenarioReport:
     scenario_id: str
-    seed: int
+    sim: Simulation
     assertions: list[Assertion] = field(default_factory=list)
     notes: list[tuple[str, str]] = field(default_factory=list)
-    event_lines: list[str] = field(default_factory=list)
-    sim: Simulation | None = None
     # Scenario A only: every Historian dump right after the at-rest edit, and
     # the target node's validator findings.
     attacked_dumps: dict[int, str] = field(default_factory=dict)
@@ -81,24 +81,26 @@ class ScenarioReport:
         return all(a.passed for a in self.assertions)
 
     def to_text(self) -> str:
-        lines = [f"scenario|{self.scenario_id}", f"seed|{self.seed}",
+        lines = [f"scenario|{self.scenario_id}", f"seed|{self.sim.cfg.seed}",
                  f"result|{'PASS' if self.passed else 'FAIL'}"]
         for a in self.assertions:
             lines.append(f"assert|{a.name}|{'PASS' if a.passed else 'FAIL'}|{a.detail}")
         for key, value in self.notes:
             lines.append(f"note|{key}|{value}")
-        for line in self.event_lines:
-            lines.append(f"event|{line}")
+        for record in self.sim.events.records:
+            lines.append(f"event|{record.line()}")
         return "".join(line + "\n" for line in lines)
 
-    def finalize(self, sim: Simulation):
-        self.sim = sim
-        self.event_lines = [r.line() for r in sim.events.records]
-
-    def write(self, outdir):
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "scenario_report.txt").write_text(self.to_text(), encoding="utf-8")
+    def finish(self, outdir) -> ScenarioReport:
+        """Write the run's artifacts, any attacked dumps and
+        scenario_report.txt to `outdir`; None writes nothing."""
+        if outdir is not None:
+            outdir = Path(outdir)
+            self.sim.write_artifacts(outdir)
+            for i, text in self.attacked_dumps.items():
+                (outdir / f"historian{i}.tampered.txt").write_text(text, encoding="utf-8")
+            (outdir / "scenario_report.txt").write_text(self.to_text(), encoding="utf-8")
+        return self
 
 
 # -- interceptors -------------------------------------------------------------
@@ -118,6 +120,29 @@ def flip_body_bytes(msg_type: int):
         return Frame(frame.version, frame.msg_type, frame.sender_id,
                      frame.recipient_id, bytes(payload))
     return interceptor
+
+
+def run_with_interceptors(sim: Simulation, minutes: int, windows,
+                          after_boundary=None):
+    """Run `minutes` plant intervals with each (src, dst, fn) of windows[k] on
+    its link from before interval k's boundary until after it.
+
+    `windows` maps an interval index to a list of (src, dst, fn);
+    `after_boundary(sim, k)` runs once interval k's interceptors are off.
+    """
+    handles = []
+
+    def install(sim_, k):
+        handles.extend(sim_.install_interceptor(src, dst, fn)
+                       for src, dst, fn in windows.get(k, ()))
+
+    def remove(sim_, k):
+        while handles:
+            sim_.remove_interceptor(handles.pop())
+        if after_boundary:
+            after_boundary(sim_, k)
+
+    sim.run(minutes, install, remove)
 
 
 class PassiveTap:
@@ -143,7 +168,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
                    outdir=None) -> ScenarioReport:
     cfg = cfg or SimConfig(seed=SCENARIO_A_SEED)
     sim = Simulation(cfg)
-    report = ScenarioReport("A_historian_tamper", cfg.seed)
+    report = ScenarioReport("A_historian_tamper", sim)
     sim.run_scripted([
         {"plc1": list(TABLE1_ROWS[0][2]), "plc2": None},
         {"plc1": list(TABLE1_ROWS[1][2]), "plc2": None},
@@ -212,15 +237,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
         report.check("other_records_intact",
                      all(f.verdict == "intact" for f in findings if f.key != key))
     report.note("detection_latency_cycles", 1)
-    report.finalize(sim)
-
-    if outdir is not None:
-        outdir = Path(outdir)
-        sim.write_artifacts(outdir)
-        for i, text in report.attacked_dumps.items():
-            (outdir / f"historian{i}.tampered.txt").write_text(text, encoding="utf-8")
-        report.write(outdir)
-    return report
+    return report.finish(outdir)
 
 
 # -- scenario B: MITM between PLC1 and storage node1 --------------------------
@@ -232,24 +249,20 @@ def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
     cfg = cfg or SimConfig(seed=SCENARIO_B_SEED)
     sim = Simulation(cfg)
     report = ScenarioReport(
-        "B_mitm_plc_storage" + ("_passive" if passive else ""), cfg.seed)
+        "B_mitm_plc_storage" + ("_passive" if passive else ""), sim)
     tap = PassiveTap()
-    state: dict = {"rows_start": {}, "rows_end": {}}
+    fn = tap if passive else flip_body_bytes(MEASUREMENT)
+    # Rows are stored only at a boundary, so interval k starts with the rows
+    # interval k-1 ended with, and a fresh run with none.
+    rows_end: dict[int, int] = {}
 
-    def before(sim_, k):
-        state["rows_start"][k] = len(sim_.historian(1))
-        if k == attack_interval:
-            fn = tap if passive else flip_body_bytes(MEASUREMENT)
-            state["handle"] = sim_.install_interceptor("plc1", "node1", fn)
+    def count_rows(sim_, k):
+        rows_end[k] = len(sim_.historian(1))
 
-    def after(sim_, k):
-        state["rows_end"][k] = len(sim_.historian(1))
-        if k == attack_interval and "handle" in state:
-            sim_.remove_interceptor(state.pop("handle"))
+    run_with_interceptors(sim, minutes, {attack_interval: [("plc1", "node1", fn)]},
+                          count_rows)
 
-    sim.run(minutes, before, after)
-
-    grew = {k: state["rows_end"][k] - state["rows_start"][k] for k in state["rows_end"]}
+    grew = {k: n - rows_end.get(k - 1, 0) for k, n in rows_end.items()}
     mismatch_alarms = sim.events.by_code(ev.DIGEST_MISMATCH, "node1")
     if passive:
         report.check("no_alarms", len(sim.events.alarms()) == 0,
@@ -273,11 +286,7 @@ def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
                          for r in sim.events.alarms()),
                      "all alarms fall in the attacked interval")
         report.note("clean_intervals", ",".join(str(k) for k in clean))
-    report.finalize(sim)
-    if outdir is not None:
-        sim.write_artifacts(outdir)
-        report.write(outdir)
-    return report
+    return report.finish(outdir)
 
 
 # -- scenario C: MITM between storage node1 and the minting module ------------
@@ -288,23 +297,10 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
                    outdir=None) -> ScenarioReport:
     cfg = cfg or SimConfig(seed=SCENARIO_C_SEED)
     sim = Simulation(cfg)
-    report = ScenarioReport("C_mitm_storage_chain", cfg.seed)
-    handles: list = []
-
-    def before(sim_, k):
-        if k == attack_interval:
-            handles.append(sim_.install_interceptor("node1", "chain",
-                                                    flip_body_bytes(INDEX)))
-            if attack_node2_too:
-                handles.append(sim_.install_interceptor("node2", "chain",
-                                                        flip_body_bytes(INDEX)))
-
-    def after(sim_, k):
-        if k == attack_interval:
-            while handles:
-                sim_.remove_interceptor(handles.pop())
-
-    sim.run(minutes, before, after)
+    report = ScenarioReport("C_mitm_storage_chain", sim)
+    senders = ("node1", "node2") if attack_node2_too else ("node1",)
+    run_with_interceptors(sim, minutes, {
+        attack_interval: [(src, "chain", flip_body_bytes(INDEX)) for src in senders]})
 
     ts = sim.interval_ts(attack_interval)
     minute = fmt_minute(ts)
@@ -345,8 +341,4 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
     report.check("next_interval_indexed_normally",
                  next_rec is not None and vector_digest(next_rec).hex in chain_text,
                  "vector captured after the attack reaches the ledger")
-    report.finalize(sim)
-    if outdir is not None:
-        sim.write_artifacts(outdir)
-        report.write(outdir)
-    return report
+    return report.finish(outdir)

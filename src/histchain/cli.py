@@ -101,19 +101,9 @@ def _cmd_audit(args) -> int:
     return 0 if report.all_intact else 1
 
 
-def _cmd_dump_chain(args) -> int:
-    path = args.artifacts / "chain.txt"
+def _print_artifact(path: Path) -> int:
     if not path.is_file():
-        print(f"no chain dump at {path}", file=sys.stderr)
-        return USAGE_ERROR
-    sys.stdout.write(path.read_text(encoding="utf-8"))
-    return 0
-
-
-def _cmd_dump_historian(args) -> int:
-    path = args.artifacts / f"historian{args.node}.txt"
-    if not path.is_file():
-        print(f"no historian dump at {path}", file=sys.stderr)
+        print(f"no dump at {path}", file=sys.stderr)
         return USAGE_ERROR
     sys.stdout.write(path.read_text(encoding="utf-8"))
     return 0
@@ -128,16 +118,14 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args)
         if args.command == "dump-chain":
-            return _cmd_dump_chain(args)
-        if args.command == "dump-historian":
-            return _cmd_dump_historian(args)
+            return _print_artifact(args.artifacts / "chain.txt")
+        return _print_artifact(args.artifacts / f"historian{args.node}.txt")
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (OSError, DumpFormatError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

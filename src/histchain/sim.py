@@ -32,6 +32,7 @@ from .plant import (
 )
 from .storage import StorageNode
 from .wire import (
+    ANSWER_DROPPED,
     INDEX,
     LOG,
     MEASUREMENT,
@@ -64,11 +65,14 @@ class NodeTransport:
         self.sim.network.send(self.frame(dst, msg_type, env))
 
     def round_trip(self, dst: str, msg_type: int, env):
+        """The envelope `dst` answered with; None if no answer arrived, or
+        wire.ANSWER_DROPPED if this endpoint dropped the answer it got."""
         response = self.sim.network.round_trip(self.frame(dst, msg_type, env),
                                                self.sim._answer)
-        if response is None:
-            return None
-        return self.sim.unpack_frame(response, self.src, REPLICA_RESP)
+        if response is None or response is ANSWER_DROPPED:
+            return response
+        env = self.sim.unpack_frame(response, self.src, REPLICA_RESP)
+        return ANSWER_DROPPED if env is None else env
 
 
 class PlcEndpoint:

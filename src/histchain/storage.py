@@ -42,7 +42,7 @@ from .envelope import (
     vector_digest,
 )
 from .ledger import Chain, LedgerIndex, format_vector_ref, parse_vector_ref, verify_chain
-from .wire import INDEX, REPLICA_REQ
+from .wire import ANSWER_DROPPED, INDEX, REPLICA_REQ
 
 INTACT = "intact"
 TAMPERED_RECOVERED = "tampered_recovered"
@@ -314,6 +314,8 @@ class StorageNode:
         if response is None:
             self.events.alarm(self.name, ev.REPLICA_NO_RESPONSE,
                               f"node{source} did not answer for {ix.vector_digest.hex}")
+            return None
+        if response is ANSWER_DROPPED:  # already alarmed as MALFORMED_PAYLOAD
             return None
         try:
             plaintext = open_envelope(response, self.keys,

@@ -45,6 +45,10 @@ TRUNCATED = "truncated"
 BAD_LENGTH = "bad_length"
 UNKNOWN_TYPE = "unknown_type"
 
+# A round trip's result when an answer arrived but its requester dropped it,
+# raising the alarm itself; None means no answer arrived.
+ANSWER_DROPPED = object()
+
 
 class EncodeError(ValueError):
     """Frame fields out of range at the sender."""
@@ -230,9 +234,11 @@ class Network:
                 deliver(receiver, frame)
 
     def round_trip(self, frame: Frame,
-                   answer: Callable[[str, Frame], Frame | None]) -> Frame | None:
+                   answer: Callable[[str, Frame], Frame | None]) -> Frame | object | None:
         """Synchronous request/response over a link pair, interceptors included;
-        `answer(receiver, request)` returns the response frame or None."""
+        `answer(receiver, request)` returns the response frame or None. Returns
+        the response; None if none came back, or ANSWER_DROPPED if it came back
+        but does not decode."""
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
         data = self._transmit(self.links[(src, dst)], frame)
@@ -243,4 +249,7 @@ class Network:
         if response is None:
             return None
         data = self._transmit(self.links[(dst, src)], response)
-        return None if data is None else self._receive(src, data)
+        if data is None:
+            return None
+        frame = self._receive(src, data)
+        return ANSWER_DROPPED if frame is None else frame

@@ -9,7 +9,32 @@ from histchain.attacks import (
     run_scenario_a,
     run_scenario_b,
     run_scenario_c,
+    run_with_interceptors,
 )
+from histchain.config import SimConfig
+from histchain.sim import Simulation
+
+
+def test_attack_window_covers_only_its_intervals():
+    cfg = SimConfig(seed=42)
+    sim = Simulation(cfg)
+    seen = []
+
+    def count(frame):
+        seen.append(sim.events.tick // cfg.interval_ticks)
+        return frame
+
+    hooked = []
+
+    def look_at_link(sim_, k):
+        hooked.append((k, sim_.network.links[("plc1", "node1")].interceptor))
+
+    run_with_interceptors(sim, 4, {1: [("plc1", "node1", count)],
+                                   3: [("plc1", "node1", count)]}, look_at_link)
+    assert seen == [1, 3]
+    assert hooked == [(k, None) for k in range(4)]
+    assert all(link.interceptor is None for link in sim.network.links.values())
+
 
 class TestScenarioA:
     def test_default_detects_recovers_restores(self):

@@ -1,6 +1,14 @@
-"""CLI surface tests: run, audit, dump commands, exit codes."""
+"""CLI surface tests: run, audit, dump commands, exit codes, README commands."""
 
-from histchain.cli import main
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from histchain.cli import _build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRun:
@@ -19,12 +27,18 @@ class TestRun:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
-    def test_scenario_run_exit_zero(self, tmp_path, capsys):
-        code = main(["run", "--scenario", "A", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("scenario, scenario_id", [
+        ("A", "A_historian_tamper"),
+        ("B", "B_mitm_plc_storage"),
+        ("C", "C_mitm_storage_chain"),
+    ], ids=["A", "B", "C"])
+    def test_scenario_run_exit_zero(self, tmp_path, capsys, scenario, scenario_id):
+        code = main(["run", "--scenario", scenario, "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "scenario_report.txt").exists()
         out = capsys.readouterr().out
-        assert "scenario A_historian_tamper: PASS" in out
+        assert f"scenario {scenario_id}: PASS" in out
+        assert "FAIL" not in out
 
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -90,3 +104,24 @@ class TestDumps:
         main(["run", "--minutes", "1", "--out", str(tmp_path)])
         code = main(["dump-historian", "9", str(tmp_path)])
         assert code == 2
+
+
+def readme_lines():
+    return (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+
+
+class TestReadme:
+    """The commands README.md shows are ones that exist."""
+
+    def test_histchain_lines_parse(self):
+        commands = [shlex.split(line, comments=True) for line in readme_lines()
+                    if line.startswith("histchain ")]
+        assert commands
+        parser = _build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+
+    def test_named_scripts_exist(self):
+        for line in readme_lines():
+            for script in re.findall(r"python3 (scripts/\S+\.py)", line):
+                assert (ROOT / script).is_file(), line

@@ -6,6 +6,7 @@ import pytest
 
 from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
+from histchain.attacks import run_with_interceptors
 from histchain.config import ConfigError, SimConfig, fmt_minute, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
@@ -86,14 +87,14 @@ class TestEnvelopeTraffic:
         envelope.seal(b"x", generate_node_keys("x"), "y", generate_node_keys("y").enc_pub)
         per_interval = []
 
-        def after(sim_, k):
+        def count_signatures(sim_, k):
             per_interval.append((seals[0], opens[0],
                                  envelope._sign.cache_info().misses,
                                  envelope._check_signature.cache_info().misses))
 
         sim = Simulation(SimConfig(seed=42))
         assert envelope._sign.cache_info().currsize == 0
-        sim.run(10, after_boundary=after)
+        sim.run(10, after_boundary=count_signatures)
         assert sim.events.alarms() == []
         assert per_interval == [(18 * k, 18 * k, 11 * k, 11 * k) for k in range(1, 11)]
         checked = sum(int(r.detail.split()[0].removeprefix("checked="))
@@ -101,21 +102,6 @@ class TestEnvelopeTraffic:
         # Interval k re-checks k blocks of 2 indexes with 3 holders each.
         assert checked == sum(2 * 3 * k for k in range(1, 11))
         assert digests[0] >= checked
-
-
-def run_intercepted(sim, src, dst, fn):
-    """Run three intervals with `fn` on the src->dst link during interval 1 only."""
-    handles = []
-
-    def before(sim_, k):
-        if k == 1:
-            handles.append(sim_.install_interceptor(src, dst, fn))
-
-    def after(sim_, k):
-        while handles:
-            sim_.remove_interceptor(handles.pop())
-
-    sim.run(3, before, after)
 
 
 def cut_payload(frame):
@@ -135,7 +121,7 @@ class TestMalformedFrames:
     def test_receiver_alarms_drops_and_next_interval_is_normal(self, src, dst, interceptor):
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
-        run_intercepted(sim, src, dst, interceptor)
+        run_with_interceptors(sim, 3, {1: [(src, dst, interceptor)]})
         malformed = sim.events.by_code(ev.MALFORMED_PAYLOAD)
         assert [r.actor for r in malformed] == [dst]
         assert all(r.tick // cfg.interval_ticks == 1 for r in sim.events.alarms())
@@ -153,8 +139,8 @@ class TestMalformedFrames:
     def test_rewritten_header_alarms_once_and_drops(self, trace, field, value, offset):
         cfg = SimConfig(seed=42, trace_wire=trace)
         sim = Simulation(cfg)
-        run_intercepted(sim, "plc1", "node1",
-                        lambda f: dataclasses.replace(f, **{field: value}))
+        run_with_interceptors(sim, 3, {1: [
+            ("plc1", "node1", lambda f: dataclasses.replace(f, **{field: value}))]})
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms] == [("node1", ev.MALFORMED_PAYLOAD)]
         assert alarms[0].tick // cfg.interval_ticks == 1
@@ -173,13 +159,13 @@ class TestMalformedFrames:
         sim = Simulation(cfg)
         forged = MeasurementVector("Sensor 3", sim.interval_ts(1), (1, 2, 3))
 
-        def before(sim_, k):
+        def send_forged(sim_, k):
             if k == 1:
                 sim_.nodes[3].transport.send("node1", MEASUREMENT, seal(
                     forged.canonical, sim_.keystore["node3"], "node1",
                     sim_.directory.enc_pub("node1"), sim_.nodes[3].rng))
 
-        sim.run(3, before)
+        sim.run(3, send_forged)
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
         assert alarms[0].tick // cfg.interval_ticks == 1
@@ -194,14 +180,14 @@ class TestMalformedFrames:
         sim = Simulation(cfg)
         tip_minute = fmt_minute(sim.interval_ts(1))
 
-        def before(sim_, k):
+        def send_forged(sim_, k):
             if k == 2:
                 tip = sim_.chain_module.chain.tip.block_hash.hex.encode("ascii")
                 sim_.nodes[3].transport.send("node1", LOG, seal(
                     tip, sim_.keystore["node3"], "node1",
                     sim_.directory.enc_pub("node1"), sim_.nodes[3].rng))
 
-        sim.run(3, before)
+        sim.run(3, send_forged)
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
         assert alarms[0].tick // cfg.interval_ticks == 2
@@ -224,7 +210,8 @@ class TestMalformedFrames:
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
         wire_id = sim.registry.wire_id(claimed)
-        run_intercepted(sim, src, dst, lambda f: dataclasses.replace(f, sender_id=wire_id))
+        run_with_interceptors(sim, 3, {1: [
+            (src, dst, lambda f: dataclasses.replace(f, sender_id=wire_id))]})
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms if r.actor == dst] == [(dst, code)]
         assert all(r.tick // cfg.interval_ticks == 1 for r in alarms)
@@ -252,7 +239,8 @@ class TestRetypeSweep:
                                                         msg_type):
         """Each frame whose msg_type a one-interval interceptor changes gets
         one alarm from its receiver in that interval, and a dropped one
-        reaches no handler: every handler opens its envelope first."""
+        reaches no handler: every handler opens its envelope first. A replica
+        answer dropped by its requester is not also reported as unanswered."""
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
         counts = {"sent": 0, "changed": 0}
@@ -271,7 +259,7 @@ class TestRetypeSweep:
             counts["changed"] += frame.msg_type != msg_type
             return dataclasses.replace(frame, msg_type=msg_type)
 
-        run_intercepted(sim, src, dst, retype)
+        run_with_interceptors(sim, 3, {1: [(src, dst, retype)]})
         assert sim.intervals_run == 3 and counts["sent"] > 0
         code = ev.ROLE_VIOLATION if (src, dst, msg_type) in ROLE_REFUSED \
             else ev.MALFORMED_PAYLOAD
@@ -281,6 +269,18 @@ class TestRetypeSweep:
         assert alarms == [code] * counts["changed"]
         dropped = counts["changed"] if code == ev.MALFORMED_PAYLOAD else 0
         assert opened.count((src, dst, 1)) == counts["sent"] - dropped
+        assert not [r for r in sim.events.by_code(ev.REPLICA_NO_RESPONSE, dst)
+                    if r.detail.startswith(f"{src} did not answer")]
+
+    @pytest.mark.parametrize("src, dst", [("node1", "node2"), ("node2", "node1")])
+    def test_request_or_answer_dropped_on_the_wire_is_unanswered(self, src, dst):
+        """The src->dst link carries src's requests to dst and src's answers
+        to dst's requests; with both dropped, each end reports the other."""
+        sim = Simulation(SimConfig(seed=42))
+        run_with_interceptors(sim, 3, {1: [(src, dst, lambda f: None)]})
+        unanswered = {(r.actor, r.detail.split()[0])
+                      for r in sim.events.by_code(ev.REPLICA_NO_RESPONSE)}
+        assert unanswered == {(src, dst), (dst, src)}
 
 
 class TestDeterminism:
