@@ -7,17 +7,22 @@ same records. A Historian line that is not a canonical record, or repeats the
 key of an earlier line, is reported as malformed, and a ledger index that only
 such a line held as missing.
 
-The holders of a record store the same line, so the dumps are loaded with one
+The chain dump is parsed once, one full-line pattern match per line. The
+holders of a record store the same line, so the dumps are loaded with one
 shared map from line text to parsed record, and each identical line is parsed
 once; a line that fails to parse is not kept, so it is parsed and reported at
 every node that holds it. Every node's duties come from one walk of the
-ledger. Each duty still re-hashes its record: no digest is cached.
+ledger. Each node's duties are checked in one exact-match pass; only the
+duties it missed are visited again, for a stray record or a missing one, and
+the node's records are walked for uncovered ones only when some stored key
+went unused. Each duty still re-hashes its record: no digest is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .envelope import MeasurementVector, vector_digest
 from .ledger import FirstBadBlock, LedgerIndex, parse_chain_dump, verify_chain
@@ -28,8 +33,7 @@ MISMATCH = "mismatch"
 MISSING = "missing"
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     node_id: int
     key: tuple[str | None, str]
     expected_digest: str
@@ -100,34 +104,34 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
         report.malformed.extend((node_id, lineno) for lineno in bad_lines)
         duties = duties_of[node_id]
         used: set = set()
-        verdicts: dict[int, AuditFinding] = {}
+        findings: list[AuditFinding | None] = []
+        missed: list[int] = []
         # Exact digest matches first, so a tampered record can never steal the
         # verdict of an intact one sharing the same minute.
-        for pos, ix in enumerate(duties):
-            minute = ix.minute
+        for ix in duties:
             expected = ix.vector_digest.hex
-            hit = next((r for r in store.at_time(minute)
-                        if r.key not in used and vector_digest(r).hex == expected), None)
-            if hit is not None:
-                used.add(hit.key)
-                verdicts[pos] = AuditFinding(node_id, hit.key, expected, expected, INTACT)
-        for pos, ix in enumerate(duties):
-            if pos in verdicts:
-                continue
-            minute = ix.minute
+            for record in store.at_time(ix.minute):
+                if record.key not in used and vector_digest(record).hex == expected:
+                    used.add(record.key)
+                    findings.append(AuditFinding(node_id, record.key, expected, expected, INTACT))
+                    break
+            else:
+                missed.append(len(findings))
+                findings.append(None)
+        for pos in missed:
+            ix = duties[pos]
             expected = ix.vector_digest.hex
-            stray = next((r for r in store.at_time(minute) if r.key not in used), None)
+            stray = next((r for r in store.at_time(ix.minute) if r.key not in used), None)
             if stray is not None:
                 used.add(stray.key)
-                verdicts[pos] = AuditFinding(node_id, stray.key, expected,
+                findings[pos] = AuditFinding(node_id, stray.key, expected,
                                              vector_digest(stray).hex, MISMATCH)
             else:
-                verdicts[pos] = AuditFinding(node_id, (None, minute), expected,
-                                             None, MISSING)
-        report.findings.extend(verdicts[pos] for pos in range(len(duties)))
-        for record in store.records():
-            if record.key not in used:
-                report.uncovered.append((node_id, record.key))
+                findings[pos] = AuditFinding(node_id, (None, ix.minute), expected, None, MISSING)
+        report.findings.extend(findings)
+        if len(used) < len(store):
+            report.uncovered.extend((node_id, record.key) for record in store.records()
+                                    if record.key not in used)
     return report
 
 
@@ -140,7 +144,9 @@ def audit_directory(artifact_dir) -> AuditReport:
     historians = {}
     for path in sorted(artifact_dir.glob("historian*.txt")):
         stem = path.stem.removeprefix("historian")
-        if not stem.isdigit():
+        # Only the spelling write_artifacts gives a node id, so `historian01`
+        # can neither stand in for nor replace `historian1`.
+        if not (stem.isascii() and stem.isdigit() and str(int(stem)) == stem):
             continue
         historians[int(stem)] = _read_verbatim(path)
     if not historians:

@@ -25,8 +25,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the simulation and write artifacts")
     run.add_argument("--seed", type=int, default=None, help="run seed (default 42)")
-    run.add_argument("--minutes", type=int, default=10,
-                     help="simulated minutes / intervals (default 10)")
+    run.add_argument("--minutes", type=int, default=None,
+                     help="simulated minutes / intervals of a clean run (default 10); "
+                          "a scenario runs its own fixed length")
     run.add_argument("--nodes", type=int, default=None,
                      help="number of storage nodes (default 6)")
     run.add_argument("--replication-factor", type=int, default=None,
@@ -67,14 +68,18 @@ def _flag_overrides(args) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.scenario is not None and args.minutes is not None:
+        raise ConfigError("--minutes does not apply to --scenario, "
+                          "which runs its own fixed length")
     overrides = _flag_overrides(args)
     cfg = load_config(args.config, **overrides)
     if args.scenario is None:
+        minutes = 10 if args.minutes is None else args.minutes
         sim = Simulation(cfg)
-        sim.run(args.minutes)
-        paths = sim.write_artifacts(args.out)
+        sim.run(minutes)
+        sim.write_artifacts(args.out)
         alarms = len(sim.events.alarms())
-        print(f"ran {args.minutes} intervals, chain length {len(sim.chain_module.chain)}, "
+        print(f"ran {minutes} intervals, chain length {len(sim.chain_module.chain)}, "
               f"{alarms} alarms; artifacts in {args.out}")
         return 0
     runner = {"A": run_scenario_a, "B": run_scenario_b, "C": run_scenario_c}[args.scenario]

@@ -129,10 +129,20 @@ class Digest:
     def __str__(self) -> str:
         return self.hex
 
+    @classmethod
+    def of_checked_hex(cls, hex_text: str) -> "Digest":
+        """A Digest of text the caller already knows is lowercase SHA-256
+        hex (hashlib output, or a field a full-line pattern matched), without
+        running the check again."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "hex", hex_text)
+        return result
+
 
 def digest(data: bytes) -> Digest:
     """SHA-256 of data. hashlib's hexdigest is lowercase hex by construction,
-    so this Digest skips the check the constructor gives outside input."""
+    so the check is skipped as in Digest.of_checked_hex, written out here
+    because every record check makes one."""
     result = object.__new__(Digest)
     object.__setattr__(result, "hex", hashlib.sha256(data).hexdigest())
     return result

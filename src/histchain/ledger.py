@@ -15,10 +15,19 @@ Every field of a chain dump and of a `digest|minute` body is read strictly: a
 minute, a position or a replica id parses only in the spelling the writer
 gives it (config.parse_minute, plain decimal), and lines end in `\n` alone,
 so one chain has one dump.
+
+Each index builds its `digest|minute|ids` line once, on construction; the
+block preimage and the dump read it. parse_chain_dump matches each line once
+against one full-line pattern for its kind, which checks the digests and the
+numbers, so a parsed index takes its minute and its line from the dump text
+without formatting either again. verify_chain still re-hashes the preimage of
+every block of a parsed chain.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -49,31 +58,52 @@ class DumpFormatError(ValueError):
     """Chain dump file is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerIndex:
     """One stored vector: its digest, capture time, and the ordered holder list.
 
     replica_ids[0] is the origin node; the rest are the randomly assigned
-    replica holders, all distinct. minute is the ISO capture minute, computed
-    once on construction.
+    replica holders, all distinct. minute is the ISO capture minute and line
+    the index's `digest|minute|ids` text in the chain dump and the block
+    preimage; both are built once, on construction.
     """
 
     vector_digest: Digest
     captured_at: datetime
     replica_ids: tuple[int, ...]
     minute: str = field(init=False, repr=False, compare=False)
+    line: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "replica_ids", tuple(self.replica_ids))
-        if not self.replica_ids:
-            raise ValueError("replica list is empty")
-        if len(set(self.replica_ids)) != len(self.replica_ids):
-            raise ValueError(f"replica ids not distinct: {self.replica_ids}")
-        object.__setattr__(self, "minute", fmt_minute(self.captured_at))
+        ids = _checked_holders(tuple(self.replica_ids))
+        minute = fmt_minute(self.captured_at)
+        object.__setattr__(self, "replica_ids", ids)
+        object.__setattr__(self, "minute", minute)
+        object.__setattr__(self, "line",
+                           f"{self.vector_digest.hex}|{minute}|{','.join(map(str, ids))}")
 
-    def line(self) -> str:
-        ids = ",".join(map(str, self.replica_ids))
-        return f"{self.vector_digest.hex}|{self.minute}|{ids}"
+    @classmethod
+    def _parsed(cls, vector_digest: Digest, captured_at: datetime, ids: tuple[int, ...],
+                minute: str, line: str) -> "LedgerIndex":
+        """An index read from a dump line whose fields are already checked,
+        holders included: minute and line are that line's own text, so
+        neither is formatted again."""
+        ix = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(ix, "vector_digest", vector_digest)
+        setattr_(ix, "captured_at", captured_at)
+        setattr_(ix, "replica_ids", ids)
+        setattr_(ix, "minute", minute)
+        setattr_(ix, "line", line)
+        return ix
+
+
+def _checked_holders(ids: tuple[int, ...]) -> tuple[int, ...]:
+    if not ids:
+        raise ValueError("replica list is empty")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"replica ids not distinct: {ids}")
+    return ids
 
 
 def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
@@ -89,7 +119,7 @@ def parse_vector_ref(body: bytes) -> tuple[Digest, datetime]:
 
 
 def serialize_indexes(indexes) -> str:
-    return "\n".join(ix.line() for ix in indexes)
+    return "\n".join([ix.line for ix in indexes])
 
 
 def block_preimage(prev_hash_hex: str, indexes, minted_at: datetime) -> bytes:
@@ -207,62 +237,69 @@ def dump_chain(chain: Chain) -> str:
             f"|{block.block_hash.hex}|{block.prev_block_hash.hex}"
         )
         for ix in block.indexes:
-            lines.append(f"index|{ix.line()}")
+            lines.append(f"index|{ix.line}")
     return "".join(line + "\n" for line in lines)
+
+
+@functools.cache
+def _dump_line_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """Full-line patterns of a block line and an index line in the one
+    spelling dump_chain writes: lowercase SHA-256 hex, and positions and
+    replica ids in plain ASCII decimal (config.parse_minute checks minutes).
+    Compiled on the first parse, so a run that reads no dump never pays."""
+    decimal = "(?:0|[1-9][0-9]*)"
+    hex64 = "[0-9a-f]{64}"
+    return (re.compile(rf"block\|({decimal})\|([^|]*)\|({hex64})\|({hex64})"),
+            re.compile(rf"index\|({hex64})\|([^|]*)\|({decimal}(?:,{decimal})*)"))
+
+
+def _parse_holders(text: str) -> tuple[int, ...]:
+    return _checked_holders(tuple(map(int, text.split(","))))
 
 
 def parse_chain_dump(text: str) -> Chain:
     """Inverse of dump_chain; raises DumpFormatError unless every line,
-    blank ones included, is a `block|` or `index|` line ended by `\n` alone."""
-    blocks: list[Block] = []
-    current: dict | None = None
-    # A block line and its index lines share a minute: parse each spelling once.
-    minutes: dict[str, datetime] = {}
+    blank ones included, is a `block|` or `index|` line ended by `\n` alone.
 
-    def minute(text: str) -> datetime:
-        value = minutes.get(text)
-        if value is None:
-            value = minutes[text] = parse_minute(text)
-        return value
-
-    def finish():
-        if current is not None:
-            blocks.append(Block(
-                tuple(current["indexes"]), current["hash"],
-                current["prev"], current["minted_at"],
-            ))
+    Each line is matched once against the full pattern of its kind, which
+    checks every digest and number; each distinct minute is parsed once.
+    """
+    # (minted_at, block hash, prev hash, indexes) of each block line so far.
+    headers: list[tuple[datetime, Digest, Digest, list[LedgerIndex]]] = []
+    indexes: list[LedgerIndex] | None = None
+    # Minutes and holder lists repeat from line to line: parse each spelling once.
+    minute = functools.cache(parse_minute)
+    holders = functools.cache(_parse_holders)
+    checked_digest = Digest.of_checked_hex
+    block_line, index_line = _dump_line_patterns()
 
     *lines, unterminated = text.split("\n")
     if unterminated:
         raise DumpFormatError(f"line {len(lines) + 1}: no trailing newline")
     for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split("|")
         try:
-            if parts[0] == "block":
-                if len(parts) != 5:
-                    raise ValueError("block line needs 5 fields")
-                finish()
-                if parts[1] != str(len(blocks)):
-                    raise ValueError(f"position {parts[1]!r} out of order")
-                current = {
-                    "minted_at": minute(parts[2]),
-                    "hash": Digest(parts[3]),
-                    "prev": Digest(parts[4]),
-                    "indexes": [],
-                }
-            elif parts[0] == "index":
-                if current is None or len(parts) != 4:
-                    raise ValueError("index line outside a block or malformed")
-                ids = tuple(map(int, parts[3].split(",")))
-                if ",".join(map(str, ids)) != parts[3]:
-                    raise ValueError(f"replica ids {parts[3]!r} not in plain decimal")
-                current["indexes"].append(LedgerIndex(
-                    Digest(parts[1]), minute(parts[2]), ids))
-            else:
-                raise ValueError(f"unknown record type {parts[0]!r}")
-        except (ValueError, KeyError) as exc:
+            match = index_line.fullmatch(raw)
+            if match is not None:
+                if indexes is None:
+                    raise ValueError("index line before the first block line")
+                digest_hex, minute_text, ids = match.groups()
+                # raw[6:] is the text after `index|`: the index's own line.
+                indexes.append(LedgerIndex._parsed(
+                    checked_digest(digest_hex), minute(minute_text), holders(ids),
+                    minute_text, raw[6:]))
+                continue
+            match = block_line.fullmatch(raw)
+            if match is None:
+                raise ValueError(f"not a block or index line in dump form: {raw!r}")
+            position, minute_text, block_hash, prev_hash = match.groups()
+            if position != str(len(headers)):
+                raise ValueError(f"position {position!r} out of order")
+            indexes = []
+            headers.append((minute(minute_text), checked_digest(block_hash),
+                            checked_digest(prev_hash), indexes))
+        except ValueError as exc:
             raise DumpFormatError(f"line {lineno}: {exc}") from None
-    finish()
-    if not blocks:
+    if not headers:
         raise DumpFormatError("empty chain dump")
-    return Chain.from_blocks(blocks)
+    return Chain.from_blocks(Block(tuple(ixs), block_hash, prev_hash, minted_at)
+                             for minted_at, block_hash, prev_hash, ixs in headers)

@@ -83,9 +83,11 @@ class Historian:
         return list(self._by_minute.get(iso_minute, {}).values())
 
     def put_new(self, record: MeasurementVector):
-        if self.get(record.key) is not None:
-            raise DuplicateRecordError(f"{record.key} already stored")
-        self.overwrite(record)
+        key = record.key
+        group = self._by_minute.setdefault(key[1], {})
+        if key in group:
+            raise DuplicateRecordError(f"{key} already stored")
+        group[key] = record
 
     def overwrite(self, record: MeasurementVector):
         self._by_minute.setdefault(record.key[1], {})[record.key] = record

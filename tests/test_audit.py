@@ -6,7 +6,7 @@ import pytest
 
 from histchain import storage
 from histchain.attacks import run_scenario_a, run_scenario_c
-from histchain.audit import MISMATCH, MISSING, audit_artifacts, audit_directory
+from histchain.audit import INTACT, MISMATCH, MISSING, audit_artifacts, audit_directory
 from histchain.cli import main
 from histchain.config import SimConfig
 from histchain.envelope import parse_canonical, vector_digest
@@ -185,6 +185,23 @@ class TestAuditDirectory:
         with pytest.raises(DumpFormatError):
             audit_directory(tmp_path)
 
+    @pytest.mark.parametrize("stem", ["01", "001", "\u0661", "\u00b9"])
+    def test_reads_only_names_the_run_writes(self, tmp_path, stem):
+        """`historian<N>.txt` counts only with N in plain ASCII decimal, so a
+        second spelling of a node id can neither replace nor stand in for
+        that node's dump."""
+        sim, _, _ = clean_artifacts(minutes=2)
+        sim.write_artifacts(tmp_path)
+        dump = tmp_path / "historian1.txt"
+        forged = tmp_path / f"historian{stem}.txt"
+        forged.write_text(bump_first_value(dump.read_text().splitlines()[0]) + "\n")
+        assert audit_directory(tmp_path).all_intact
+
+        dump.unlink()
+        report = audit_directory(tmp_path)
+        assert {f.node_id for f in report.findings} == {2, 3, 4, 5, 6}
+        assert report.all_intact
+
     def test_ignores_tampered_snapshot_files(self, tmp_path):
         run_scenario_a(outdir=tmp_path)
         report = audit_directory(tmp_path)
@@ -273,3 +290,35 @@ class TestSharedParse:
         edit(historians)
         text = audit_artifacts(chain_text, historians).to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+def damaged_set():
+    """Dumps of a seed-7 4-minute run with one damage of each kind the audit
+    reports, each at a different node."""
+    _, chain_text, historians = clean_artifacts(minutes=4, seed=7)
+    lines = {i: text.splitlines() for i, text in historians.items()}
+    # Two records at one minute on one node: forge the first of them, so the
+    # intact second one must keep its own verdict.
+    node, pos = next((i, p) for i in sorted(lines) for p in range(len(lines[i]) - 1)
+                     if lines[i][p].split("|")[1] == lines[i][p + 1].split("|")[1])
+    lines[node][pos] = bump_first_value(lines[node][pos])
+    others = [i for i in sorted(lines) if i != node]
+    del lines[others[0]][-1]                                # missing
+    lines[others[1]][0] = "garbage"                         # malformed
+    lines[others[2]].insert(0, bump_first_value(lines[others[2]][0]))  # duplicate key
+    lines[others[3]].append("Sensor 1|2020-12-23T18:00|1,2,3")         # uncovered
+    return chain_text, {i: "".join(line + "\n" for line in ls) for i, ls in lines.items()}
+
+
+# SHA-256 of the damaged set's AuditReport.to_text(), as the audit gave it
+# before the per-line rewrite of the parser, the loader and the duty loop.
+DAMAGED_SET_REPORT = "51972fbec8e06c745c77751b635c89d16d0672230be26f84517a617d75dacbc8"
+
+
+def test_damaged_set_report_pinned():
+    report = audit_artifacts(*damaged_set())
+    verdicts = {f.verdict for f in report.findings}
+    assert verdicts == {INTACT, MISMATCH, MISSING}
+    assert len(report.malformed) == 2 and report.uncovered
+    text = report.to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DAMAGED_SET_REPORT, text

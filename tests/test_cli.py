@@ -40,6 +40,13 @@ class TestRun:
         assert f"scenario {scenario_id}: PASS" in out
         assert "FAIL" not in out
 
+    def test_scenario_with_minutes_usage_error(self, tmp_path, capsys):
+        """A scenario runs its own fixed length, so --minutes cannot apply."""
+        code = main(["run", "--scenario", "B", "--minutes", "7", "--out", str(tmp_path)])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_report.txt").exists()
+
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("seed=5\ncapacity=12\n")

@@ -1,16 +1,18 @@
 """Hash-chained ledger structure, verification, and traversal tests."""
 
 import hashlib
+import re
 from datetime import datetime
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from histchain.config import fmt_minute
-from histchain.envelope import digest
+from histchain.envelope import Digest, digest
 from histchain.ledger import (
     BAD_GENESIS,
+    Block,
     EMPTY_INDEXES,
     EmptyBlockError,
     HASH_MISMATCH,
@@ -48,7 +50,7 @@ class TestLedgerIndex:
 
     def test_line_format(self):
         ix = one_index()
-        assert ix.line() == f"{digest(b'vector-bytes').hex}|2020-12-23T03:24|1,6,3"
+        assert ix.line == f"{digest(b'vector-bytes').hex}|2020-12-23T03:24|1,6,3"
 
 
 class TestVectorRef:
@@ -237,3 +239,49 @@ class TestChainDump:
         lines[pos] = f"{head}|{respell.format(first)},{rest}"
         with pytest.raises(DumpFormatError):
             parse_chain_dump("\n".join(lines) + "\n")
+
+
+# Characters the dump is made of, plus look-alikes a loose parser might accept.
+DUMP_CHARS = st.sampled_from("0123456789abcdefABCDEF|,:-T \n\r\t+_٣１") | st.characters()
+THREE_BLOCKS = dump_chain(build_chain(3))
+
+
+@st.composite
+def one_char_edit(draw, text):
+    """text with one drawn character substituted, inserted or deleted. The
+    place is drawn field by field (a field, a `|` or a line end first), so a
+    one-digit position is hit as often as a 64-character digest."""
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"[^|\n]+|[|\n]", text)]))
+    kind = draw(st.sampled_from(["substitute", "insert", "delete"]))
+    if kind == "insert":
+        pos = draw(st.integers(start, end))
+        return text[:pos] + draw(DUMP_CHARS) + text[pos:]
+    pos = draw(st.integers(start, end - 1))
+    new = draw(DUMP_CHARS) if kind == "substitute" else ""
+    return text[:pos] + new + text[pos + 1:]
+
+
+class TestDumpStrictness:
+    @given(one_char_edit(THREE_BLOCKS))
+    @example(THREE_BLOCKS.replace("|1,", "|01,", 1))
+    @example(THREE_BLOCKS.replace("block|1|", "block|+1|", 1))
+    @example(THREE_BLOCKS.replace("T17:27|", "T17:2\u0667|", 1))
+    @example(THREE_BLOCKS.replace("index|b", "index|B", 1))
+    @example(THREE_BLOCKS.replace("|2,1,3", "|\u0662,1,3", 1))
+    @settings(deadline=None, max_examples=400)
+    def test_edited_dump_is_rejected_or_round_trips(self, edited):
+        """A parsed dump has one spelling: an edit either fails to parse or
+        is the dump of the chain it parses to. The chain is rebuilt from its
+        values through the checking constructors first, since a parsed index
+        keeps its line's text."""
+        try:
+            chain = parse_chain_dump(edited)
+        except DumpFormatError:
+            return
+        rebuilt = Chain.from_blocks(
+            Block(tuple(LedgerIndex(Digest(ix.vector_digest.hex), ix.captured_at, ix.replica_ids)
+                        for ix in block.indexes),
+                  Digest(block.block_hash.hex), Digest(block.prev_block_hash.hex),
+                  block.minted_at)
+            for block in chain.blocks)
+        assert dump_chain(rebuilt) == edited
