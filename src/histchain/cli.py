@@ -26,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the simulation and write artifacts")
     run.add_argument("--seed", type=int, default=None, help="run seed (default 42)")
     run.add_argument("--minutes", type=int, default=None,
-                     help="simulated minutes / intervals of a clean run (default 10); "
-                          "a scenario runs its own fixed length")
+                     help="simulated minutes / intervals of a clean run (default 10, "
+                          "at least 1); a scenario runs its own fixed length")
     run.add_argument("--nodes", type=int, default=None,
                      help="number of storage nodes (default 6)")
     run.add_argument("--replication-factor", type=int, default=None,
@@ -71,6 +71,8 @@ def _cmd_run(args) -> int:
     if args.scenario is not None and args.minutes is not None:
         raise ConfigError("--minutes does not apply to --scenario, "
                           "which runs its own fixed length")
+    if args.minutes is not None and args.minutes < 1:
+        raise ConfigError(f"--minutes must be at least 1, got {args.minutes}")
     overrides = _flag_overrides(args)
     cfg = load_config(args.config, **overrides)
     if args.scenario is None:
@@ -110,7 +112,9 @@ def _print_artifact(path: Path) -> int:
     if not path.is_file():
         print(f"no dump at {path}", file=sys.stderr)
         return USAGE_ERROR
-    sys.stdout.write(path.read_text(encoding="utf-8"))
+    # The file's own bytes: no decoding to fail and no line ends translated.
+    sys.stdout.flush()
+    sys.stdout.buffer.write(path.read_bytes())
     return 0
 
 

@@ -45,8 +45,10 @@ construction, and keeps them as `canonical`: they are what a Historian dump
 writes and what vector_digest hashes, so the validator hashes exactly the
 bytes at rest. vector_digest recomputes SHA-256 on every call; nothing caches
 a digest. parse_canonical is strict: it accepts exactly the bytes a vector's
-`canonical` holds, so one record has one spelling and one digest. A sensor
-name holds no `|` and no line boundary, so a record is always one dump line.
+`canonical` holds, so one record has one spelling and one digest. It reads a
+record with one full-line match that admits only that spelling, and the
+vector it returns keeps the input bytes as `canonical`. A sensor name holds
+no `|` and no line boundary, so a record is always one dump line.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -190,28 +192,51 @@ def canonical_serialize(vector: MeasurementVector) -> bytes:
     return vector.canonical
 
 
+@cache
+def _canonical_record_pattern() -> re.Pattern:
+    """Full-line pattern of a record in the one spelling a vector's
+    `canonical` holds: a name with no `|` and nothing str.splitlines breaks
+    on, a minute in ASCII digits with its hour in 00-23 (so no Python version
+    can read `T24:00` as the next midnight; fromisoformat checks the date),
+    and values in plain ASCII decimal. Compiled on the first parse, not at
+    import, like the chain-dump patterns."""
+    name = r"[^|\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+"
+    minute = "[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}"
+    decimal = "(?:0|[1-9][0-9]*)"
+    return re.compile(rf"({name})\|({minute})\|({decimal}(?:,{decimal})*)")
+
+
 def parse_canonical(data: bytes) -> MeasurementVector:
-    """Inverse of canonical_serialize; raises SerializationError unless the
-    result's canonical bytes are `data`."""
+    """Inverse of canonical_serialize; raises SerializationError unless
+    `data` is a vector's canonical bytes.
+
+    The text is read with one full-line match that accepts only the
+    canonical spelling, so the vector is built from the matched fields
+    without running its constructor's checks again: no minute is formatted,
+    no value written back, and `canonical` is `data` itself."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SerializationError(f"not utf-8: {exc}") from None
-    parts = text.split("|")
-    if len(parts) != 3:
-        raise SerializationError(f"expected 3 fields, got {len(parts)}")
-    name, stamp, values_text = parts
+    match = _canonical_record_pattern().fullmatch(text)
+    if match is None:
+        raise SerializationError(f"not in canonical form: {text!r}")
+    name, minute, values_text = match.groups()
     try:
-        captured_at = datetime.fromisoformat(stamp)
+        captured_at = datetime.fromisoformat(minute)
     except ValueError as exc:
-        raise SerializationError(f"bad timestamp {stamp!r}: {exc}") from None
+        raise SerializationError(f"bad timestamp {minute!r}: {exc}") from None
     try:
         values = tuple(map(int, values_text.split(",")))
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() reads
         raise SerializationError(f"bad values {values_text!r}: {exc}") from None
-    vector = MeasurementVector(name, captured_at, values)
-    if vector.canonical != data:
-        raise SerializationError(f"not in canonical form: {text!r}")
+    vector = object.__new__(MeasurementVector)
+    setattr_ = object.__setattr__
+    setattr_(vector, "sensor_name", name)
+    setattr_(vector, "captured_at", captured_at)
+    setattr_(vector, "values", values)
+    setattr_(vector, "key", (name, minute))
+    setattr_(vector, "canonical", data)
     return vector
 
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from histchain import storage
+from histchain import audit, storage
 from histchain.attacks import run_scenario_a, run_scenario_c
 from histchain.audit import INTACT, MISMATCH, MISSING, audit_artifacts, audit_directory
 from histchain.cli import main
@@ -322,3 +322,18 @@ def test_damaged_set_report_pinned():
     assert len(report.malformed) == 2 and report.uncovered
     text = report.to_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DAMAGED_SET_REPORT, text
+
+
+def test_every_finding_hashes_its_record(monkeypatch):
+    """No digest is cached: auditing the damaged set calls vector_digest at
+    least once per finding. Holders share parsed records, so a digest kept
+    per record would make about a third as many calls."""
+    calls = []
+
+    def counting_digest(vector):
+        calls.append(vector.key)
+        return vector_digest(vector)
+
+    monkeypatch.setattr(audit, "vector_digest", counting_digest)
+    report = audit_artifacts(*damaged_set())
+    assert len(calls) >= len(report.findings)

@@ -47,6 +47,13 @@ class TestRun:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "scenario_report.txt").exists()
 
+    @pytest.mark.parametrize("minutes", ["0", "-3"])
+    def test_minutes_below_one_usage_error(self, tmp_path, capsys, minutes):
+        code = main(["run", "--minutes", minutes, "--out", str(tmp_path)])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "chain.txt").exists()
+
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("seed=5\ncapacity=12\n")
@@ -106,6 +113,18 @@ class TestDumps:
         code = main(["dump-historian", "1", str(tmp_path)])
         assert code == 0
         assert "Sensor 1|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, name", [
+        (["dump-chain"], "chain.txt"),
+        (["dump-historian", "1"], "historian1.txt"),
+    ], ids=["chain", "historian"])
+    def test_dump_prints_file_bytes_unchanged(self, tmp_path, capsysbinary, argv, name):
+        """A byte that is not UTF-8 and a `\r\n` line end come back as stored."""
+        data = b"block|0|\xff\r\nSensor 1|2020-12-23T17:26|1\r\n"
+        (tmp_path / name).write_bytes(data)
+        code = main([*argv, str(tmp_path)])
+        assert code == 0
+        assert capsysbinary.readouterr().out == data
 
     def test_dump_missing_node_usage_error(self, tmp_path, capsys):
         main(["run", "--minutes", "1", "--out", str(tmp_path)])

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from histchain.config import MINUTE_FMT, ConfigError, fmt_minute, parse_minute
 from histchain.envelope import (
@@ -163,6 +163,112 @@ class TestRecord:
         aware = datetime(2020, 12, 23, 17, 26, tzinfo=timezone.utc)
         with pytest.raises(SerializationError):
             MeasurementVector("Sensor 1", aware, (1,))
+
+
+def reference_parse(data: bytes) -> MeasurementVector:
+    """The record parser as it was before the full-line match: split the
+    fields, read them leniently, build the vector through its checking
+    constructor and accept only if it writes back the very same bytes."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"not utf-8: {exc}") from None
+    parts = text.split("|")
+    if len(parts) != 3:
+        raise SerializationError(f"expected 3 fields, got {len(parts)}")
+    name, stamp, values_text = parts
+    try:
+        captured_at = datetime.fromisoformat(stamp)
+    except ValueError as exc:
+        raise SerializationError(f"bad timestamp {stamp!r}: {exc}") from None
+    try:
+        values = tuple(map(int, values_text.split(",")))
+    except ValueError as exc:
+        raise SerializationError(f"bad values {values_text!r}: {exc}") from None
+    vector = MeasurementVector(name, captured_at, values)
+    if vector.canonical != data:
+        raise SerializationError(f"not in canonical form: {text!r}")
+    return vector
+
+
+def parse_or_none(parse, data: bytes) -> MeasurementVector | None:
+    try:
+        return parse(data)
+    except SerializationError:
+        return None
+
+
+def assert_parses_like_reference(data: bytes):
+    """parse_canonical accepts exactly what reference_parse accepts, and
+    returns an equal record with the same key, bytes and exact int values."""
+    parsed, expected = parse_or_none(parse_canonical, data), parse_or_none(reference_parse, data)
+    assert (parsed is None) == (expected is None), data
+    if parsed is not None:
+        assert parsed == expected
+        assert parsed.key == expected.key
+        assert parsed.canonical == expected.canonical == data
+        assert all(type(value) is int for value in parsed.values)
+
+
+# What an edit of a canonical line puts in: a field separator, a character
+# int() or fromisoformat might read, or a line break, each a third of the time.
+EDIT_CHARS = st.one_of(
+    st.sampled_from([*"|,-:T", " "]),
+    st.sampled_from(["0", "1", "٢", "²", "+", "_"]),
+    st.sampled_from(LINE_BREAKS),
+)
+
+
+@st.composite
+def edited_records(draw) -> str:
+    """A canonical line with one character replaced, inserted or deleted in
+    one of its three fields."""
+    fields = draw(VECTORS).canonical.decode("utf-8").split("|")
+    i = draw(st.integers(min_value=0, max_value=2))
+    text = fields[i]
+    pos = draw(st.integers(min_value=0, max_value=len(text)))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "delete":
+        fields[i] = text[:pos] + text[pos + 1:]
+    else:
+        fields[i] = text[:pos] + draw(EDIT_CHARS) + text[pos + (edit == "replace"):]
+    return "|".join(fields)
+
+
+class TestAgainstReferenceParser:
+    """Differential test of parse_canonical against reference_parse."""
+
+    @settings(deadline=None, max_examples=1000)
+    @given(edited_records())
+    def test_edited_canonical_line(self, text):
+        assert_parses_like_reference(text.encode("utf-8"))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(RECORD_TEXTS, st.text()))
+    @example("Sensor 1|0999-12-23T17:26|3")
+    @example("Sensor 1|0000-12-23T17:26|3")
+    @example("Sensor 1|2020-12-23T24:00|3")
+    @example("Sensor 1|2021-02-29T17:26|3")
+    @example("Sensor 1|2020-02-29T17:26|3")
+    @example("Sensor 1|٢٠٢٠-12-23T17:26|3")
+    @example("Sensor 1|2020-12-23T17:٢٦|3")
+    @example("Sensor 1|2020-12-23T17:26|" + "1" * 4300)
+    @example("Sensor 1|2020-12-23T17:26|" + "1" * 4301)
+    @example("Sensor 1|2020-12-23T17:26|3,")
+    @example("|2020-12-23T17:26|3")
+    @example("Sensor\u20281|2020-12-23T17:26|3")
+    @example("Sensor\x1c1|2020-12-23T17:26|3")
+    @example("Sensor|1|2020-12-23T17:26|3")
+    def test_text(self, text):
+        assert_parses_like_reference(text.encode("utf-8", "surrogatepass"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.binary(max_size=60))
+    @example(b"\xed\xa0\x80|2020-12-23T17:26|3")
+    @example(b"Sensor 1|2020-12-23T17:26|3\n")
+    @example(b"Sensor \xc2\x85|2020-12-23T17:26|3")
+    def test_bytes(self, data):
+        assert_parses_like_reference(data)
 
 
 class TestHistorianDump:
