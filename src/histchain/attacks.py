@@ -30,7 +30,7 @@ from .config import SimConfig, fmt_minute, parse_minute
 from .envelope import CIPHER_HEADER_LEN, MeasurementVector, vector_digest
 from .ledger import dump_chain
 from .sim import Simulation
-from .storage import TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, ValidationFinding
+from .storage import INTACT, TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, ValidationFinding
 from .wire import INDEX, MEASUREMENT, Frame
 
 # Seeds giving replica layouts that match the documented narratives
@@ -40,6 +40,12 @@ from .wire import INDEX, MEASUREMENT, Frame
 SCENARIO_A_SEED = 17
 SCENARIO_B_SEED = 3
 SCENARIO_C_SEED = 42
+
+# Scenario A edits node1's Historian; B and C run MITM_MINUTES intervals with
+# the adversary on its link during interval MITM_INTERVAL only.
+TARGET_NODE = 1
+MITM_INTERVAL = 1
+MITM_MINUTES = 3
 
 TABLE1_ROWS = (
     ("Sensor 1", "2020-12-23T17:26", (2, 5)),
@@ -162,7 +168,6 @@ class PassiveTap:
 def run_scenario_a(cfg: SimConfig | None = None,
                    record_key: tuple[str, str] = ("Sensor 1", "2020-12-23T17:27"),
                    forged_values=(2, 1),
-                   target_node: int = 1,
                    extra_corrupt_nodes: tuple[int, ...] = (),
                    rogue_record=None,
                    outdir=None) -> ScenarioReport:
@@ -175,7 +180,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
         {"plc1": None, "plc2": list(TABLE1_ROWS[2][2])},
     ])
 
-    node = sim.nodes[target_node]
+    node = sim.nodes[TARGET_NODE]
     if rogue_record is not None:
         # Planted row that no ledger index covers, for the coverage-gap variant.
         name, minute, values = rogue_record
@@ -184,10 +189,10 @@ def run_scenario_a(cfg: SimConfig | None = None,
 
     key = tuple(record_key)
     if node.historian.get(key) is None:
-        raise ScenarioSetupError(f"record {key} not present in historian{target_node}")
+        raise ScenarioSetupError(f"record {key} not present in historian{TARGET_NODE}")
 
-    rows = [(r.sensor_name, r.key[1], r.values) for r in sim.historian(1).records()]
-    if target_node == 1 and rogue_record is None:
+    rows = [(r.sensor_name, r.key[1], r.values) for r in node.historian.records()]
+    if rogue_record is None:
         report.check("historian1_holds_expected_rows", rows == list(TABLE1_ROWS),
                      f"rows={rows}")
 
@@ -202,13 +207,13 @@ def run_scenario_a(cfg: SimConfig | None = None,
         for ix in block.indexes:
             if ix.vector_digest.hex == original_digest:
                 holders = set(ix.replica_ids)
-    covered = target_node in holders
+    covered = TARGET_NODE in holders
     report.note("ledger_coverage", "covered" if covered else "outside ledger coverage")
 
     report.attacked_dumps = {i: n.historian.dump() for i, n in sim.nodes.items()}
 
     findings = report.findings = node.validate_cycle(sim.chain_module.chain)
-    flagged = [f for f in findings if f.verdict != "intact"]
+    flagged = [f for f in findings if f.verdict != INTACT]
 
     if not covered:
         report.check("no_detection_outside_coverage",
@@ -218,7 +223,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
         report.check("detected_exactly_target",
                      [f.key for f in flagged] == [key],
                      f"flagged={[f.key for f in flagged]}")
-        all_corrupt = holders <= ({target_node} | set(extra_corrupt_nodes))
+        all_corrupt = holders <= ({TARGET_NODE} | set(extra_corrupt_nodes))
         if all_corrupt:
             report.check("unrecoverable_alarmed",
                          bool(flagged) and flagged[0].verdict == TAMPERED_UNRECOVERABLE
@@ -235,7 +240,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
             if finding and finding.recovered_from:
                 report.note("recovered_from", f"node{finding.recovered_from}")
         report.check("other_records_intact",
-                     all(f.verdict == "intact" for f in findings if f.key != key))
+                     all(f.verdict == INTACT for f in findings if f.key != key))
     report.note("detection_latency_cycles", 1)
     return report.finish(outdir)
 
@@ -243,8 +248,7 @@ def run_scenario_a(cfg: SimConfig | None = None,
 # -- scenario B: MITM between PLC1 and storage node1 --------------------------
 
 
-def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
-                   minutes: int = 3, passive: bool = False,
+def run_scenario_b(cfg: SimConfig | None = None, passive: bool = False,
                    outdir=None) -> ScenarioReport:
     cfg = cfg or SimConfig(seed=SCENARIO_B_SEED)
     sim = Simulation(cfg)
@@ -259,7 +263,7 @@ def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
     def count_rows(sim_, k):
         rows_end[k] = len(sim_.historian(1))
 
-    run_with_interceptors(sim, minutes, {attack_interval: [("plc1", "node1", fn)]},
+    run_with_interceptors(sim, MITM_MINUTES, {MITM_INTERVAL: [("plc1", "node1", fn)]},
                           count_rows)
 
     grew = {k: n - rows_end.get(k - 1, 0) for k, n in rows_end.items()}
@@ -275,14 +279,14 @@ def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
     else:
         report.check("exactly_one_rejection_alarm", len(mismatch_alarms) == 1,
                      f"count={len(mismatch_alarms)}")
-        report.check("nothing_stored_during_attack", grew[attack_interval] == 0,
-                     f"new rows={grew[attack_interval]}")
+        report.check("nothing_stored_during_attack", grew[MITM_INTERVAL] == 0,
+                     f"new rows={grew[MITM_INTERVAL]}")
         report.check("storage_resumes_next_interval",
-                     grew.get(attack_interval + 1, 0) >= 1,
-                     f"new rows={grew.get(attack_interval + 1)}")
-        clean = [k for k in grew if k != attack_interval]
+                     grew.get(MITM_INTERVAL + 1, 0) >= 1,
+                     f"new rows={grew.get(MITM_INTERVAL + 1)}")
+        clean = [k for k in grew if k != MITM_INTERVAL]
         report.check("no_alarms_outside_attack",
-                     all(r.tick // cfg.interval_ticks == attack_interval
+                     all(r.tick // cfg.interval_ticks == MITM_INTERVAL
                          for r in sim.events.alarms()),
                      "all alarms fall in the attacked interval")
         report.note("clean_intervals", ",".join(str(k) for k in clean))
@@ -292,17 +296,16 @@ def run_scenario_b(cfg: SimConfig | None = None, attack_interval: int = 1,
 # -- scenario C: MITM between storage node1 and the minting module ------------
 
 
-def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
-                   minutes: int = 3, attack_node2_too: bool = False,
+def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
                    outdir=None) -> ScenarioReport:
     cfg = cfg or SimConfig(seed=SCENARIO_C_SEED)
     sim = Simulation(cfg)
     report = ScenarioReport("C_mitm_storage_chain", sim)
     senders = ("node1", "node2") if attack_node2_too else ("node1",)
-    run_with_interceptors(sim, minutes, {
-        attack_interval: [(src, "chain", flip_body_bytes(INDEX)) for src in senders]})
+    run_with_interceptors(sim, MITM_MINUTES, {
+        MITM_INTERVAL: [(src, "chain", flip_body_bytes(INDEX)) for src in senders]})
 
-    ts = sim.interval_ts(attack_interval)
+    ts = sim.interval_ts(MITM_INTERVAL)
     minute = fmt_minute(ts)
     chain = sim.chain_module.chain
     chain_text = dump_chain(chain)
@@ -326,7 +329,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
                      == vector_digest(rec2).hex)
         report.check("rejection_alarmed",
                      len(sim.events.by_code(ev.INDEX_REJECTED, "chain")) == 1)
-        lo = attack_interval * cfg.interval_ticks
+        lo = MITM_INTERVAL * cfg.interval_ticks
         hi = lo + cfg.interval_ticks
         report.check("node2_index_accepted_that_interval",
                      any(lo <= r.tick < hi and "node2" in r.detail
@@ -336,7 +339,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_interval: int = 1,
     report.check("coverage_gap_warned",
                  any(suppressed_digest in r.detail
                      for r in sim.events.by_code(ev.COVERAGE_GAP, "node1")))
-    next_minute = fmt_minute(sim.interval_ts(attack_interval + 1))
+    next_minute = fmt_minute(sim.interval_ts(MITM_INTERVAL + 1))
     next_rec = sim.historian(1).get(("Sensor 1", next_minute))
     report.check("next_interval_indexed_normally",
                  next_rec is not None and vector_digest(next_rec).hex in chain_text,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -123,15 +124,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "dump-chain":
-            return _print_artifact(args.artifacts / "chain.txt")
-        return _print_artifact(args.artifacts / f"historian{args.node}.txt")
+            code = _cmd_run(args)
+        elif args.command == "audit":
+            code = _cmd_audit(args)
+        elif args.command == "dump-chain":
+            code = _print_artifact(args.artifacts / "chain.txt")
+        else:
+            code = _print_artifact(args.artifacts / f"historian{args.node}.txt")
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader went away; the artifact is fine. Point stdout at devnull
+        # so the interpreter's flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, DumpFormatError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -54,7 +54,6 @@ no `|` and no line boundary, so a record is always one dump line.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -256,15 +255,11 @@ class NodeKeys:
     sig_pub: Ed25519PublicKey
 
 
-def generate_node_keys(node_id: str, rng: random.Random | None = None) -> NodeKeys:
-    enc_priv = X25519PrivateKey.from_private_bytes(_rand_bytes(rng, 32))
-    sig_priv = Ed25519PrivateKey.from_private_bytes(_rand_bytes(rng, 32))
+def generate_node_keys(node_id: str, rng: random.Random) -> NodeKeys:
+    enc_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    sig_priv = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
     return NodeKeys(node_id, enc_priv, enc_priv.public_key(),
                     sig_priv, sig_priv.public_key())
-
-
-def _rand_bytes(rng: random.Random | None, n: int) -> bytes:
-    return os.urandom(n) if rng is None else rng.randbytes(n)
 
 
 class KeyDirectory:
@@ -316,14 +311,15 @@ def clear_signature_caches():
 
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
          recipient_enc_pub: X25519PublicKey,
-         rng: random.Random | None = None) -> SignedEnvelope:
-    """Encrypt plaintext to the recipient and sign its digest as the sender."""
-    sym_key = _rand_bytes(rng, 32)
-    eph_priv = X25519PrivateKey.from_private_bytes(_rand_bytes(rng, 32))
+         rng: random.Random) -> SignedEnvelope:
+    """Encrypt plaintext to the recipient and sign its digest as the sender;
+    every random byte comes from `rng`, so a seeded stream gives the same bytes."""
+    sym_key = rng.randbytes(32)
+    eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     shared = eph_priv.exchange(recipient_enc_pub)
     wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
-    wrap_nonce = _rand_bytes(rng, WRAP_NONCE_LEN)
-    body_nonce = _rand_bytes(rng, BODY_NONCE_LEN)
+    wrap_nonce = rng.randbytes(WRAP_NONCE_LEN)
+    body_nonce = rng.randbytes(BODY_NONCE_LEN)
     eph_pub = eph_priv.public_key().public_bytes_raw()
     wrapped = ChaCha20Poly1305(wrap_key).encrypt(wrap_nonce, sym_key, eph_pub + body_nonce)
     body = Cipher(ChaCha20(sym_key, body_nonce), mode=None).encryptor().update(plaintext)

@@ -38,10 +38,12 @@ from .wire import (
     MEASUREMENT,
     REPLICA_REQ,
     REPLICA_RESP,
+    HEADER,
     DecodeError,
     EndpointRegistry,
     Frame,
     Network,
+    decode_frame,
     pack_envelope,
     unpack_envelope,
 )
@@ -67,12 +69,12 @@ class NodeTransport:
     def round_trip(self, dst: str, msg_type: int, env):
         """The envelope `dst` answered with; None if no answer arrived, or
         wire.ANSWER_DROPPED if this endpoint dropped the answer it got."""
-        response = self.sim.network.round_trip(self.frame(dst, msg_type, env),
-                                               self.sim._answer)
-        if response is None or response is ANSWER_DROPPED:
-            return response
-        env = self.sim.unpack_frame(response, self.src, REPLICA_RESP)
-        return ANSWER_DROPPED if env is None else env
+        data = self.sim.network.round_trip(self.frame(dst, msg_type, env),
+                                           self.sim._answer)
+        if data is None:
+            return None
+        unpacked = self.sim.unpack_frame(data, self.src, REPLICA_RESP)
+        return ANSWER_DROPPED if unpacked is None else unpacked[1]
 
 
 class PlcEndpoint:
@@ -107,7 +109,7 @@ class Simulation:
         self.cfg = cfg
         self.events = ev.EventLog()
         self.registry = EndpointRegistry(cfg.n_storage_nodes)
-        self.network = Network(self.registry, self.drop_frame, trace=cfg.trace_wire)
+        self.network = Network(self.registry, trace=cfg.trace_wire)
         self.replica_rng = rng_stream(cfg.seed, "replica-choice")
 
         node_names = [f"node{i}" for i in range(1, cfg.n_storage_nodes + 1)]
@@ -159,60 +161,60 @@ class Simulation:
                 if a != b:
                     add(a, b)
 
-    def _deliver(self, receiver: str, frame: Frame):
+    def _deliver(self, receiver: str, data: bytes):
         """Hand one queued frame to its receiver: the chain takes INDEX, a
         node MEASUREMENT or LOG."""
         if receiver == "chain":
-            env = self.unpack_frame(frame, receiver, INDEX)
-            if env is not None:
-                self.chain_module.collect(env)
+            unpacked = self.unpack_frame(data, receiver, INDEX)
+            if unpacked is not None:
+                self.chain_module.collect(unpacked[1])
             return
-        env = self.unpack_frame(frame, receiver, MEASUREMENT, LOG)
-        if env is None:
+        unpacked = self.unpack_frame(data, receiver, MEASUREMENT, LOG)
+        if unpacked is None:
             return
+        msg_type, env = unpacked
         node = self.nodes[int(receiver.removeprefix("node"))]
-        if frame.msg_type == MEASUREMENT:
+        if msg_type == MEASUREMENT:
             node.register(env)
         else:
             node.handle_log(env, self.chain_module.chain)
 
-    def _answer(self, receiver: str, frame: Frame) -> Frame | None:
+    def _answer(self, receiver: str, data: bytes) -> Frame | None:
         """A node's REPLICA_RESP to a REPLICA_REQ, or None for no answer."""
-        env = self.unpack_frame(frame, receiver, REPLICA_REQ)
+        unpacked = self.unpack_frame(data, receiver, REPLICA_REQ)
         node = self.nodes[int(receiver.removeprefix("node"))]
-        reply = None if env is None else node.serve_replica(env)
+        reply = None if unpacked is None else node.serve_replica(unpacked[1])
         if reply is None:
             return None
-        return node.transport.frame(env.sender_id, REPLICA_RESP, reply)
+        return node.transport.frame(reply.recipient_id, REPLICA_RESP, reply)
 
-    def unpack_frame(self, frame: Frame, receiver: str, *accepted: int):
-        """The envelope a frame carries, addressed by endpoint name; the one
-        gate on a frame's type and the one place an endpoint decodes a payload.
+    def unpack_frame(self, data: bytes, receiver: str, *accepted: int):
+        """(msg_type, envelope) for a frame's bytes, addressed by endpoint
+        name; the one place anything off the wire is decoded, so the one gate
+        on a frame's header, type and payload.
 
-        A frame whose type is not among `accepted`, the types `receiver` takes
-        at this point, whose payload does not decode, or that names an unknown
-        endpoint is dropped: `receiver` raises MALFORMED_PAYLOAD and None is
-        returned, so the frame reaches no handler.
+        A frame whose header decode_frame rejects, whose type is not among
+        `accepted` (the types `receiver` takes at this point), that names an
+        unknown endpoint or whose payload does not unpack is dropped:
+        `receiver` raises MALFORMED_PAYLOAD and None is returned, so the frame
+        reaches no handler.
         """
-        if frame.msg_type not in accepted:
+        try:
+            frame = decode_frame(data)
+            if frame.msg_type in accepted:
+                return frame.msg_type, unpack_envelope(
+                    frame.payload, self.registry.name(frame.sender_id),
+                    self.registry.name(frame.recipient_id))
             reason = f"{receiver} does not take this type here"
-        else:
-            try:
-                return unpack_envelope(frame.payload, self.registry.name(frame.sender_id),
-                                       self.registry.name(frame.recipient_id))
-            except KeyError as exc:
-                reason = f"unknown endpoint id {exc}"
-            except DecodeError as exc:
-                reason = str(exc)
-        self.drop_frame(receiver, frame.msg_type, frame.sender_id, reason)
-        return None
-
-    def drop_frame(self, receiver: str, msg_type: int, sender_id: int, reason: str):
-        """MALFORMED_PAYLOAD by the receiver of a dropped frame; also the
-        network's on_malformed, for a header decode_frame rejects."""
+        except KeyError as exc:
+            reason = f"unknown endpoint id {exc}"
+        except DecodeError as exc:
+            reason = str(exc)
+        _, msg_type, sender_id, _, _ = HEADER.unpack_from(data)
         self.events.alarm(receiver, ev.MALFORMED_PAYLOAD,
                           f"frame type {msg_type} from wire id {sender_id} "
                           f"dropped: {reason}")
+        return None
 
     # -- clock --------------------------------------------------------------
 
@@ -241,7 +243,7 @@ class Simulation:
                 self.plant.step(1)
             self._run_boundary(k, before_boundary, after_boundary)
 
-    def run_scripted(self, script, before_boundary=None, after_boundary=None):
+    def run_scripted(self, script):
         """Drive intervals from explicit vectors instead of the plant.
 
         script: one dict per interval mapping plc name -> list of values, or
@@ -251,7 +253,7 @@ class Simulation:
             for name, values in entry.items():
                 if values is not None:
                     self.plcs[name].buffer = list(values)
-            self._run_boundary(self.intervals_run, before_boundary, after_boundary)
+            self._run_boundary(self.intervals_run, None, None)
 
     def _run_boundary(self, interval_index: int, before_boundary, after_boundary):
         """End-of-interval phases: flush, deliver, mint, announce, replicate, validate."""
@@ -279,17 +281,19 @@ class Simulation:
         return self.nodes[node_id].historian
 
     def install_interceptor(self, src: str, dst: str, fn):
-        """Put `fn` on the src->dst link (see wire.Interceptor). A frame it
+        """Put `fn` on the src->dst link (see wire.Interceptor); last install
+        wins. Returns the handle remove_interceptor takes. A frame `fn`
         returns with a header field too wide for its slot raises
         wire.EncodeError out of the run; that is the interceptor's fault."""
-        handle, replaced = self.network.install_interceptor(src, dst, fn)
-        if replaced:
+        link = self.network.links[(src, dst)]
+        if link.interceptor is not None:
             self.events.info("network", ev.INTERCEPTOR_REPLACED,
                              f"link {src}->{dst} interceptor replaced; last install wins")
-        return handle
+        link.interceptor = fn
+        return src, dst
 
-    def remove_interceptor(self, handle):
-        self.network.remove_interceptor(handle)
+    def remove_interceptor(self, handle: tuple[str, str]):
+        self.network.links[handle].interceptor = None
 
     # -- artifacts --------------------------------------------------------------
 

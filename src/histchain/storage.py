@@ -157,8 +157,6 @@ class ValidationFinding:
 
     key: tuple[str | None, str]
     verdict: str
-    expected_digest: str
-    found_digest: str | None
     recovered_from: int | None = None
 
 
@@ -400,7 +398,7 @@ class StorageNode:
         records = self.historian.at_time(minute)
         for record in records:
             if vector_digest(record).hex == expected:
-                return ValidationFinding(record.key, INTACT, expected, expected)
+                return ValidationFinding(record.key, INTACT)
         self.events.alarm(self.name, ev.FDI_ALARM,
                           f"no local record for {minute} matches ledger digest "
                           f"{expected}; data falsified or missing, recovering")
@@ -409,15 +407,10 @@ class StorageNode:
             # A failed recovery leaves the store untouched, so `records` is
             # still what this node holds for the minute.
             only = records[0] if len(records) == 1 else None
-            return ValidationFinding(
-                (only.sensor_name if only else None, minute), TAMPERED_UNRECOVERABLE,
-                expected, vector_digest(only).hex if only else None)
-        previous = outcome.previous
-        return ValidationFinding(
-            (outcome.vector.sensor_name, minute), TAMPERED_RECOVERED, expected,
-            vector_digest(previous).hex if previous else None,
-            recovered_from=outcome.recovered_from,
-        )
+            return ValidationFinding((only.sensor_name if only else None, minute),
+                                     TAMPERED_UNRECOVERABLE)
+        return ValidationFinding((outcome.vector.sensor_name, minute), TAMPERED_RECOVERED,
+                                 recovered_from=outcome.recovered_from)
 
     def recover(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Pull the vector from the other listed holders in order; overwrite on match."""

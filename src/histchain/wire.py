@@ -9,15 +9,14 @@ The payload of every frame is a packed envelope: ciphertext_len(4) followed by
 the ciphertext and then the signature bytes. Adversaries sit on links as
 interceptors: pure functions Frame -> Frame (mutate) or None (drop).
 
-The wire carries bytes. The sender encodes with encode_frame, which refuses a
-frame no honest endpoint sends; an interceptor's rewrite goes on the wire as
-pack_frame writes it, any header included; the receiver decodes with
-decode_frame, so a frame with an unknown version or type is handed to the
-network's on_malformed callback instead of being delivered. A frame that
-decodes goes to one `(receiver, frame)` callable, where Simulation.unpack_frame
-is the one gate on type: the chain takes INDEX, a node MEASUREMENT or LOG from
-the queue, REPLICA_REQ as responder and REPLICA_RESP as requester, and any
-other type is dropped with MALFORMED_PAYLOAD from the receiver.
+The wire carries bytes and decodes nothing. The sender encodes with
+encode_frame, which refuses a frame no honest endpoint sends; an interceptor's
+rewrite goes on the wire as pack_frame writes it, any header included. The
+network hands each delivered frame's bytes to one `(receiver, bytes)`
+callable, and the receiver decodes them in one place,
+Simulation.unpack_frame: a header decode_frame rejects, a type the receiver
+does not take at that point, an unknown endpoint or a payload that does not
+unpack is dropped there with MALFORMED_PAYLOAD from the receiver.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ TRUNCATED = "truncated"
 BAD_LENGTH = "bad_length"
 UNKNOWN_TYPE = "unknown_type"
 
-# A round trip's result when an answer arrived but its requester dropped it,
-# raising the alarm itself; None means no answer arrived.
+# NodeTransport.round_trip's result when an answer arrived but the requester
+# dropped it, raising the alarm itself; the network itself never returns it.
 ANSWER_DROPPED = object()
 
 
@@ -137,14 +136,6 @@ class EndpointRegistry:
 # may rewrite any header field within its width; a field too wide for its slot
 # is a programming error, and pack_frame's EncodeError propagates to the sender.
 Interceptor = Callable[[Frame], Optional[Frame]]
-# (receiving endpoint name, msg_type, sender_id, why decode_frame rejected the frame)
-MalformedHandler = Callable[[str, int, int, str], None]
-
-
-@dataclass
-class InterceptorHandle:
-    src: str
-    dst: str
 
 
 class Link:
@@ -163,36 +154,18 @@ class Network:
     """Owns all links and delivery; endpoints never touch the queue directly.
 
     One queue holds every frame in flight as (receiving endpoint, bytes) in
-    send order, whatever its link, so `pump` delivers in send order. A frame
-    that decode_frame rejects at the receiver is not delivered; its header and
-    the reason go to on_malformed with the receiving endpoint's name.
+    send order, whatever its link, so `pump` delivers in send order. The
+    network decodes nothing: a frame's fate past its link is its receiver's.
     """
 
-    def __init__(self, registry: EndpointRegistry, on_malformed: MalformedHandler,
-                 trace: bool = False):
+    def __init__(self, registry: EndpointRegistry, trace: bool = False):
         self.registry = registry
         self.links: dict[tuple[str, str], Link] = {}
         self._queue: deque[tuple[str, bytes]] = deque()
         self.trace: list[str] | None = [] if trace else None
-        self.on_malformed = on_malformed
 
-    def add_link(self, src: str, dst: str) -> Link:
-        link = self.links.get((src, dst))
-        if link is None:
-            link = Link()
-            self.links[(src, dst)] = link
-        return link
-
-    def install_interceptor(self, src: str, dst: str,
-                            fn: Interceptor) -> tuple[InterceptorHandle, bool]:
-        """Install on a link; returns (handle, replaced_existing). Last install wins."""
-        link = self.links[(src, dst)]
-        replaced = link.interceptor is not None
-        link.interceptor = fn
-        return InterceptorHandle(src, dst), replaced
-
-    def remove_interceptor(self, handle: InterceptorHandle):
-        self.links[(handle.src, handle.dst)].interceptor = None
+    def add_link(self, src: str, dst: str):
+        self.links[(src, dst)] = Link()
 
     def _transmit(self, link: Link, frame: Frame) -> bytes | None:
         """The bytes `link` delivers for a sent frame, or None if dropped.
@@ -209,47 +182,28 @@ class Network:
             self.trace.append(data.hex())
         return data
 
-    def _receive(self, receiver: str, data: bytes) -> Frame | None:
-        try:
-            return decode_frame(data)
-        except DecodeError as exc:
-            _, msg_type, sender_id, _, _ = HEADER.unpack_from(data)
-            self.on_malformed(receiver, msg_type, sender_id, str(exc))
-            return None
-
     def send(self, frame: Frame):
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
-        link = self.links[(src, dst)]
-        data = self._transmit(link, frame)
+        data = self._transmit(self.links[(src, dst)], frame)
         if data is not None:
             self._queue.append((dst, data))
 
-    def pump(self, deliver: Callable[[str, Frame], None]):
-        """Deliver queued frames in send order until quiet; `deliver` may send more."""
+    def pump(self, deliver: Callable[[str, bytes], None]):
+        """Hand queued frames' bytes to `deliver(receiver, data)` in send
+        order until quiet; `deliver` may send more."""
         while self._queue:
-            receiver, data = self._queue.popleft()
-            frame = self._receive(receiver, data)
-            if frame is not None:
-                deliver(receiver, frame)
+            deliver(*self._queue.popleft())
 
     def round_trip(self, frame: Frame,
-                   answer: Callable[[str, Frame], Frame | None]) -> Frame | object | None:
+                   answer: Callable[[str, bytes], Frame | None]) -> bytes | None:
         """Synchronous request/response over a link pair, interceptors included;
-        `answer(receiver, request)` returns the response frame or None. Returns
-        the response; None if none came back, or ANSWER_DROPPED if it came back
-        but does not decode."""
+        `answer(receiver, request_bytes)` returns the response frame or None.
+        Returns the response's bytes as delivered, or None if none came back."""
         src = self.registry.name(frame.sender_id)
         dst = self.registry.name(frame.recipient_id)
         data = self._transmit(self.links[(src, dst)], frame)
-        request = None if data is None else self._receive(dst, data)
-        if request is None:
-            return None
-        response = answer(dst, request)
+        response = None if data is None else answer(dst, data)
         if response is None:
             return None
-        data = self._transmit(self.links[(dst, src)], response)
-        if data is None:
-            return None
-        frame = self._receive(src, data)
-        return ANSWER_DROPPED if frame is None else frame
+        return self._transmit(self.links[(dst, src)], response)

@@ -1,7 +1,10 @@
 """CLI surface tests: run, audit, dump commands, exit codes, README commands."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,40 @@ class TestDumps:
         main(["run", "--minutes", "1", "--out", str(tmp_path)])
         code = main(["dump-historian", "9", str(tmp_path)])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    assert main(["run", "--minutes", "1", "--out", str(out)]) == 0
+    return out
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--minutes", "1", "--out"],
+        ["audit"],
+        ["dump-chain"],
+        ["dump-historian", "1"],
+    ], ids=["run", "audit", "dump-chain", "dump-historian"])
+    def test_reader_gone_exits_one_quietly(self, artifacts, tmp_path, argv, unbuffered):
+        """A reader that closes the pipe before the command writes is not an
+        artifact error: exit 1, nothing on stderr, not even from the flush at
+        exit, whether stdout is buffered or not."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        target = tmp_path if argv[0] == "run" else artifacts
+        proc = subprocess.Popen([sys.executable, "-m", "histchain.cli", *argv, str(target)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b"")
+        if argv[0] == "run":
+            assert (tmp_path / "chain.txt").read_bytes() == (artifacts / "chain.txt").read_bytes()
 
 
 def readme_lines():

@@ -146,20 +146,20 @@ class TestDigest:
 class TestSealOpen:
     def test_round_trip(self):
         sender, recipient = fresh_keys()
-        env = seal(b"payload bytes", sender, "node1", recipient.enc_pub)
+        env = seal(b"payload bytes", sender, "node1", recipient.enc_pub, random.Random(1))
         assert open_envelope(env, recipient, sender.sig_pub) == b"payload bytes"
 
     def test_wrong_signer_rejected(self):
         sender, recipient = fresh_keys()
         other = generate_node_keys("plc2", random.Random(9))
-        env = seal(b"payload", sender, "node1", recipient.enc_pub)
+        env = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(2))
         with pytest.raises(AuthError):
             open_envelope(env, recipient, other.sig_pub)
 
     def test_wrong_recipient_decrypt_failed(self):
         sender, recipient = fresh_keys()
         other = generate_node_keys("node2", random.Random(9))
-        env = seal(b"payload", sender, "node1", recipient.enc_pub)
+        env = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(3))
         with pytest.raises(AuthError) as exc:
             open_envelope(env, other, sender.sig_pub)
         assert exc.value.kind == AuthError.DECRYPT_FAILED
@@ -167,7 +167,7 @@ class TestSealOpen:
     def test_body_flip_reports_both_digests(self):
         sender, recipient = fresh_keys()
         plaintext = b"Sensor 1|2020-12-23T17:27|6,7,7,6,7,7,6,7,7,6"
-        env = seal(plaintext, sender, "node1", recipient.enc_pub)
+        env = seal(plaintext, sender, "node1", recipient.enc_pub, random.Random(4))
         ct = bytearray(env.ciphertext)
         ct[CIPHER_HEADER_LEN] ^= 0xFF
         tampered = type(env)(env.sender_id, env.recipient_id, bytes(ct), env.signature)
@@ -180,7 +180,7 @@ class TestSealOpen:
 
     def test_signature_flip_rejected(self):
         sender, recipient = fresh_keys()
-        env = seal(b"payload", sender, "node1", recipient.enc_pub)
+        env = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))
         sig = bytearray(env.signature)
         sig[-1] ^= 0x01
         tampered = type(env)(env.sender_id, env.recipient_id, env.ciphertext, bytes(sig))
@@ -191,7 +191,7 @@ class TestSealOpen:
         sender, recipient = fresh_keys()
         plaintext = canonical_serialize(
             MeasurementVector("Sensor 1", datetime(2020, 12, 23, 17, 27), (2, 5)))
-        env = seal(plaintext, sender, "node1", recipient.enc_pub)
+        env = seal(plaintext, sender, "node1", recipient.enc_pub, random.Random(6))
         assert plaintext not in env.ciphertext
         assert b"Sensor 1" not in env.ciphertext
 
@@ -206,7 +206,8 @@ class TestSealOpen:
         vector = MeasurementVector(
             "Sensor 1", datetime(2020, 12, 23, 17, 27),
             (6, 7, 7, 6, 7, 7, 6, 7, 7, 6))
-        env = seal(canonical_serialize(vector), sender, "node1", recipient.enc_pub)
+        env = seal(canonical_serialize(vector), sender, "node1", recipient.enc_pub,
+                   random.Random(7))
         plaintext = open_envelope(env, recipient, sender.sig_pub)
         oracle = hashlib.sha256(canonical_serialize(vector)).hexdigest()
         assert vector_digest(parse_canonical(plaintext)).hex == oracle
@@ -298,7 +299,7 @@ class TestSignatureMemo:
     def test_cached_signature_of_another_payload_still_fails_the_digest(self):
         """Both triples verify and are cached; the rebuilt digest still decides."""
         sender, recipient, env = self.opened_genuine()
-        other = seal(b"another payload", sender, "node1", recipient.enc_pub)
+        other = seal(b"another payload", sender, "node1", recipient.enc_pub, random.Random(8))
         open_envelope(other, recipient, sender.sig_pub)
         for _ in range(2):
             with pytest.raises(AuthError) as exc:

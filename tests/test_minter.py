@@ -39,7 +39,7 @@ def make_module(n_nodes=6, seed=0):
 def submission_env(keys, origin=2, payload=None, ts="2020-12-23T03:24"):
     vec = MeasurementVector(f"Sensor {origin}", TS, (7, 6, 6, 7))
     body = payload if payload is not None else f"{vector_digest(vec).hex}|{ts}".encode()
-    return seal(body, keys[f"node{origin}"], "chain", keys["chain"].enc_pub)
+    return seal(body, keys[f"node{origin}"], "chain", keys["chain"].enc_pub, random.Random(1))
 
 
 class TestCollect:

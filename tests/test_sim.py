@@ -1,6 +1,7 @@
 """End-to-end simulation behaviour: closed loop, determinism, artifacts."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -84,7 +85,9 @@ class TestEnvelopeTraffic:
         opens = count_calls(monkeypatch, envelope.open_envelope, storage, minter)
         digests = count_calls(monkeypatch, envelope.vector_digest, storage)
         # A cache entry left by earlier work, which a new run must not count on.
-        envelope.seal(b"x", generate_node_keys("x"), "y", generate_node_keys("y").enc_pub)
+        rng = random.Random(1)
+        envelope.seal(b"x", generate_node_keys("x", rng), "y",
+                      generate_node_keys("y", rng).enc_pub, rng)
         per_interval = []
 
         def count_signatures(sim_, k):
@@ -224,13 +227,41 @@ class TestMalformedFrames:
             sim.run(1)
 
 
+class TestInterceptors:
+    """The Simulation puts interceptors on links; last install wins."""
+
+    def stored_by_node1(self, sim):
+        return len(sim.events.by_code(ev.STORED, "node1"))
+
+    def test_install_then_remove_restores_traffic(self):
+        sim = Simulation(SimConfig(seed=42))
+        handle = sim.install_interceptor("plc1", "node1", lambda f: None)
+        sim.run(1)
+        assert self.stored_by_node1(sim) == 0
+        sim.remove_interceptor(handle)
+        sim.run(1)
+        assert self.stored_by_node1(sim) == 1
+        assert sim.events.by_code(ev.INTERCEPTOR_REPLACED) == []
+
+    def test_double_install_last_wins(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.install_interceptor("plc1", "node1", lambda f: None)
+        sim.install_interceptor("plc1", "node1", lambda f: f)
+        sim.run(1)
+        assert self.stored_by_node1(sim) == 1
+        (replaced,) = sim.events.by_code(ev.INTERCEPTOR_REPLACED)
+        assert (replaced.actor, replaced.detail) == (
+            "network", "link plc1->node1 interceptor replaced; last install wins")
+        assert sim.events.alarms() == []
+
+
 # A retyped frame whose new type its receiver takes at that point reaches the
 # handler, which refuses the sender's role; any other is dropped at the type gate.
 ROLE_REFUSED = {("plc1", "node1", LOG), ("chain", "node3", MEASUREMENT)}
 
 
 class TestRetypeSweep:
-    @pytest.mark.parametrize("msg_type", MSG_TYPES)
+    @pytest.mark.parametrize("msg_type", [*MSG_TYPES, 99])
     @pytest.mark.parametrize("src, dst", [
         ("plc1", "node1"), ("node1", "chain"), ("chain", "node3"),
         ("node1", "node2"), ("node2", "node1"),

@@ -60,7 +60,7 @@ def standalone_node(node_id=1):
 
 def sealed_measurement(keys, vector=VEC, sender="plc1", recipient="node1"):
     return seal(canonical_serialize(vector), keys[sender], recipient,
-                keys[recipient].enc_pub)
+                keys[recipient].enc_pub, random.Random(1))
 
 
 class TestRegister:
@@ -137,7 +137,8 @@ class TestRegister:
     def test_line_break_in_name_is_malformed_payload(self, brk):
         node, keys, transport = standalone_node()
         payload = f"Sensor{brk}1|2020-12-23T17:27|7,6".encode("utf-8")
-        assert node.register(seal(payload, keys["plc1"], "node1", keys["node1"].enc_pub)) is None
+        env = seal(payload, keys["plc1"], "node1", keys["node1"].enc_pub, random.Random(2))
+        assert node.register(env) is None
         assert len(node.historian) == 0
         assert transport.sent == []
         assert len(node.events.by_code(ev.MALFORMED_PAYLOAD, "node1")) == 1
@@ -217,9 +218,8 @@ class TestReplication:
         sim = scripted_sim()
         node = sim.nodes[3]
         tip = sim.chain_module.chain.tip.block_hash
-        from histchain.envelope import seal as seal_env
-        env = seal_env(tip.hex.encode(), sim.keystore["chain"], "node3",
-                       sim.keystore["node3"].enc_pub)
+        env = seal(tip.hex.encode(), sim.keystore["chain"], "node3",
+                   sim.keystore["node3"].enc_pub, random.Random(8))
         ct = bytearray(env.ciphertext)
         ct[-1] ^= 0x40
         alarms_before = len(sim.events.alarms())
@@ -233,7 +233,7 @@ class TestReplication:
         sim = scripted_sim()
         node = sim.nodes[3]
         env = seal(b"ab" * 32, sim.keystore["chain"], "node3",
-                   sim.keystore["node3"].enc_pub)
+                   sim.keystore["node3"].enc_pub, random.Random(3))
         dump = node.historian.dump()
         records_before = len(sim.events)
         assert node.handle_log(env, sim.chain_module.chain) == []
@@ -270,9 +270,11 @@ class TestReplication:
                      if vector_digest(r).hex == ix.vector_digest.hex]
         key = record.key
 
+        rng = random.Random(4)
+
         def announce():
             return seal(block.block_hash.hex.encode(), sim.keystore["chain"],
-                        holder.name, holder.keys.enc_pub)
+                        holder.name, holder.keys.enc_pub, rng)
 
         dump = holder.historian.dump()
         stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
@@ -293,7 +295,7 @@ class TestReplication:
         chain.append(make_block([LedgerIndex(vector_digest(VEC), TS, (2, 1, 3))],
                                 chain.tip.block_hash, TS))
         env = seal(chain.tip.block_hash.hex.encode(), keys["chain"], "node1",
-                   keys["node1"].enc_pub)
+                   keys["node1"].enc_pub, random.Random(5))
         assert node.handle_log(env, chain) == []
         assert len(node.historian) == 0
         assert len(node.events.by_code(ev.REPLICA_NO_RESPONSE, "node1")) == 2
@@ -322,7 +324,8 @@ class TestServeReplica:
     def test_mangled_request_no_data_leaves(self):
         node, keys, _ = standalone_node()
         node.register(sealed_measurement(keys))
-        env = seal(b"junk-request", keys["plc1"], "node1", keys["node1"].enc_pub)
+        env = seal(b"junk-request", keys["plc1"], "node1", keys["node1"].enc_pub,
+                   random.Random(6))
         ct = bytearray(env.ciphertext)
         ct[-1] ^= 0xAA
         reply = node.serve_replica(type(env)(env.sender_id, env.recipient_id,
@@ -337,7 +340,7 @@ class TestServeReplica:
         node, keys, _ = standalone_node()
         node.register(sealed_measurement(keys))
         request = f"{digest_hex}|2020-12-23T17:27".encode("ascii")
-        env = seal(request, keys["plc1"], "node1", keys["node1"].enc_pub)
+        env = seal(request, keys["plc1"], "node1", keys["node1"].enc_pub, random.Random(7))
         assert node.serve_replica(env) is None
         assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
 

@@ -9,7 +9,6 @@ from hypothesis import given
 
 from histchain.envelope import SignedEnvelope, generate_node_keys, seal
 from histchain.wire import (
-    ANSWER_DROPPED,
     BAD_LENGTH,
     HEADER_LEN,
     MEASUREMENT,
@@ -120,13 +119,9 @@ class TestEnvelopePacking:
             unpack_envelope(struct.pack(">I", 10) + b"abc", "a", "b")
 
 
-def unexpected_rejection(*report):
-    raise AssertionError(f"well-formed frame rejected: {report}")
-
-
-def small_network(trace=False, on_malformed=unexpected_rejection):
+def small_network(trace=False):
     registry = EndpointRegistry(2)
-    network = Network(registry, on_malformed, trace=trace)
+    network = Network(registry, trace=trace)
     network.add_link("plc1", "node1")
     network.add_link("node1", "node2")
     network.add_link("node2", "node1")
@@ -137,22 +132,29 @@ def frame_to(registry, src, dst, payload=b"x", msg_type=MEASUREMENT):
     return Frame(1, msg_type, registry.wire_id(src), registry.wire_id(dst), payload)
 
 
+def intercept(network, src, dst, fn):
+    network.links[(src, dst)].interceptor = fn
+
+
 class TestNetwork:
+    """The network carries bytes; each test's receiver decodes what it gets."""
+
     def test_fifo_order_preserved(self):
         registry, network = small_network()
         seen = []
         for i in range(20):
             network.send(frame_to(registry, "plc1", "node1", payload=bytes([i])))
-        network.pump(lambda receiver, f: seen.append(f.payload[0]))
+        network.pump(lambda receiver, data: seen.append(decode_frame(data).payload[0]))
         assert seen == list(range(20))
 
     def test_interleaved_links_and_handler_sends_deliver_in_send_order(self):
         registry, network = small_network()
         got = []
 
-        def deliver(receiver, frame):
-            got.append((receiver, frame.payload))
-            if frame.payload == b"p0":
+        def deliver(receiver, data):
+            payload = decode_frame(data).payload
+            got.append((receiver, payload))
+            if payload == b"p0":
                 network.send(frame_to(registry, "node1", "node2", payload=b"h0"))
 
         for src, dst, payload in (("plc1", "node1", b"p0"), ("node2", "node1", b"q0"),
@@ -167,17 +169,17 @@ class TestNetwork:
         sent = frame_to(registry, "plc1", "node1", payload=b"exact-bytes")
         got = []
         network.send(sent)
-        network.pump(lambda receiver, f: got.append(f))
-        assert got == [sent]
+        network.pump(lambda receiver, data: got.append(data))
+        assert got == [encode_frame(sent)]
 
     def test_identity_interceptor_same_as_none(self):
         registry, network = small_network()
-        network.install_interceptor("plc1", "node1", lambda f: f)
+        intercept(network, "plc1", "node1", lambda f: f)
         sent = frame_to(registry, "plc1", "node1", payload=b"exact-bytes")
         got = []
         network.send(sent)
-        network.pump(lambda receiver, f: got.append(f))
-        assert got == [sent]
+        network.pump(lambda receiver, data: got.append(data))
+        assert got == [encode_frame(sent)]
 
     def test_mutating_interceptor_leaves_header_intact(self):
         registry, network = small_network()
@@ -186,42 +188,39 @@ class TestNetwork:
             return Frame(frame.version, frame.msg_type, frame.sender_id,
                          frame.recipient_id, bytes(b ^ 0xFF for b in frame.payload))
 
-        network.install_interceptor("plc1", "node1", flip)
+        intercept(network, "plc1", "node1", flip)
         sent = frame_to(registry, "plc1", "node1", payload=b"\x00\x01")
         got = []
         network.send(sent)
-        network.pump(lambda receiver, f: got.append(f))
+        network.pump(lambda receiver, data: got.append(decode_frame(data)))
         assert got[0].payload == b"\xff\xfe"
         assert (got[0].msg_type, got[0].sender_id, got[0].recipient_id) == \
                (sent.msg_type, sent.sender_id, sent.recipient_id)
 
+    def test_rewritten_header_is_carried_as_written(self):
+        """The network decodes nothing, so a header no receiver takes still
+        reaches its receiver, which decides the frame's fate."""
+        registry, network = small_network(trace=True)
+        intercept(network, "plc1", "node1",
+                  lambda f: Frame(f.version, 99, f.sender_id, f.recipient_id, f.payload))
+        sent = frame_to(registry, "plc1", "node1", payload=b"zz")
+        got = []
+        network.send(sent)
+        network.pump(lambda receiver, data: got.append((receiver, data)))
+        rewritten = pack_frame(Frame(1, 99, sent.sender_id, sent.recipient_id, b"zz"))
+        assert got == [("node1", rewritten)]
+        assert network.trace == [rewritten.hex()]
+        with pytest.raises(DecodeError) as exc:
+            decode_frame(rewritten)
+        assert exc.value.reason == UNKNOWN_TYPE
+
     def test_drop_never_delivers(self):
         registry, network = small_network()
-        network.install_interceptor("plc1", "node1", lambda f: None)
+        intercept(network, "plc1", "node1", lambda f: None)
         network.send(frame_to(registry, "plc1", "node1"))
         got = []
-        network.pump(lambda receiver, f: got.append(f))
+        network.pump(lambda receiver, data: got.append(data))
         assert got == []
-
-    def test_install_then_remove_restores_traffic(self):
-        registry, network = small_network()
-        handle, replaced = network.install_interceptor("plc1", "node1", lambda f: None)
-        assert replaced is False
-        network.remove_interceptor(handle)
-        got = []
-        network.send(frame_to(registry, "plc1", "node1"))
-        network.pump(lambda receiver, f: got.append(f))
-        assert len(got) == 1
-
-    def test_double_install_last_wins(self):
-        registry, network = small_network()
-        network.install_interceptor("plc1", "node1", lambda f: None)
-        _, replaced = network.install_interceptor("plc1", "node1", lambda f: f)
-        assert replaced is True
-        got = []
-        network.send(frame_to(registry, "plc1", "node1"))
-        network.pump(lambda receiver, f: got.append(f))
-        assert len(got) == 1
 
     def test_passive_tap_transcript_equals_traffic(self):
         registry, network = small_network()
@@ -231,85 +230,53 @@ class TestNetwork:
             captured.append(frame)
             return frame
 
-        network.install_interceptor("plc1", "node1", tap)
+        intercept(network, "plc1", "node1", tap)
         frames = [frame_to(registry, "plc1", "node1", payload=bytes([i]))
                   for i in range(5)]
         got = []
         for f in frames:
             network.send(f)
-        network.pump(lambda receiver, f: got.append(f))
+        network.pump(lambda receiver, data: got.append(decode_frame(data)))
         assert captured == frames == got
 
     def test_round_trip_passes_both_interceptors(self):
         registry, network = small_network()
         hops = []
-        network.install_interceptor("node1", "node2", lambda f: hops.append("out") or f)
-        network.install_interceptor("node2", "node1", lambda f: hops.append("back") or f)
+        intercept(network, "node1", "node2", lambda f: hops.append("out") or f)
+        intercept(network, "node2", "node1", lambda f: hops.append("back") or f)
+        requests = []
 
-        def responder(receiver, frame):
+        def responder(receiver, data):
+            requests.append((receiver, decode_frame(data).msg_type))
             return frame_to(registry, "node2", "node1", payload=b"reply",
                             msg_type=REPLICA_REQ)
 
         response = network.round_trip(
             frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
             responder)
-        assert response is not None and response.payload == b"reply"
+        assert response is not None and decode_frame(response).payload == b"reply"
+        assert requests == [("node2", REPLICA_REQ)]
         assert hops == ["out", "back"]
 
     def test_round_trip_drop_returns_none(self):
-        registry, network = small_network()
-        network.install_interceptor("node1", "node2", lambda f: None)
-        response = network.round_trip(
-            frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
-            lambda receiver, f: f)
-        assert response is None
+        """None whichever leg is dropped; a dropped answer was still made."""
+        for link, made in ((("node1", "node2"), []), (("node2", "node1"), ["node2"])):
+            registry, network = small_network()
+            intercept(network, *link, lambda f: None)
+            answered = []
+
+            def responder(receiver, data):
+                answered.append(receiver)
+                return frame_to(registry, "node2", "node1", msg_type=REPLICA_REQ)
+
+            response = network.round_trip(
+                frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
+                responder)
+            assert (response, answered) == (None, made)
 
     def test_trace_records_delivered_hex(self):
         registry, network = small_network(trace=True)
         sent = frame_to(registry, "plc1", "node1", payload=b"zz")
         network.send(sent)
-        network.pump(lambda receiver, f: None)
+        network.pump(lambda receiver, data: None)
         assert network.trace == [encode_frame(sent).hex()]
-
-
-def retype(frame):
-    return Frame(frame.version, 99, frame.sender_id, frame.recipient_id, frame.payload)
-
-
-class TestMalformedHeaders:
-    def test_receiver_reports_and_nothing_is_delivered(self):
-        rejected = []
-        registry, network = small_network(
-            trace=True, on_malformed=lambda *args: rejected.append(args))
-        network.install_interceptor("plc1", "node1", retype)
-        sent = frame_to(registry, "plc1", "node1", payload=b"zz")
-        network.send(sent)
-        got = []
-        network.pump(lambda receiver, f: got.append(f))
-        assert got == []
-        assert [args[:3] for args in rejected] == [("node1", 99, sent.sender_id)]
-        assert rejected[0][3].startswith(UNKNOWN_TYPE)
-        assert network.trace == [pack_frame(retype(sent)).hex()]
-
-    @pytest.mark.parametrize("link, receiver", [
-        (("node1", "node2"), "node2"),
-        (("node2", "node1"), "node1"),
-    ])
-    def test_round_trip_leg_reported_by_its_receiver(self, link, receiver):
-        rejected = []
-        registry, network = small_network(
-            on_malformed=lambda name, *header_and_reason: rejected.append(name))
-        network.install_interceptor(*link, retype)
-        answered = []
-
-        def responder(receiver, frame):
-            answered.append(frame)
-            return frame_to(registry, "node2", "node1", msg_type=REPLICA_REQ)
-
-        response = network.round_trip(
-            frame_to(registry, "node1", "node2", msg_type=REPLICA_REQ),
-            responder)
-        # A dropped request got no answer; a dropped answer did arrive.
-        assert response is (ANSWER_DROPPED if receiver == "node1" else None)
-        assert rejected == [receiver]
-        assert len(answered) == (receiver == "node1")
