@@ -29,6 +29,20 @@ RUN_10_MINUTES_SEED_42 = {
     "wire_trace.txt": "354cffb0f80e63e90841b3195b73341172bd4f756382d5686630b9955b6eae9f",
 }
 
+# Sensor noise, non-unit flow rates and a capacity that is not a whole number,
+# which the seed-42 run above leaves unexercised.
+NOISY_RUN_CONFIG = SimConfig(seed=1, sensor_noise=True, flow_rate_a1=0.7,
+                             flow_rate_a2=1.3, flow_rate_a3=0.9, capacity=9.5)
+RUN_25_MINUTES_NOISY = {
+    "chain.txt": "d483997684a71fbce5d1cd1c8136c1ee4776bcc66f713703225841e9f4793908",
+    "historian1.txt": "d299f95fb6a19dbaad061858eea98edd64f578dab756fdb5161867f660858e84",
+    "historian2.txt": "0b689356496800256b766a33095a739ebd38adf64ee3aacfc76e1b2cc8c5cbe2",
+    "historian3.txt": "ec07b2e8fe539ecb4c3f889202d96ace04f50562c49cdf2597b11c4c813fcc91",
+    "historian4.txt": "091d9c932d3d9829e1b7be000f27b91884e4a6d130f22e1831386b102b540bea",
+    "historian5.txt": "612e21e67f81f62e8012c4f8795c82e23a1277fcff9f7d76224d73faefa53c9a",
+    "historian6.txt": "46a7eee7adaa1c4b58d74c7b90174a325560a1abd0e05006ad6e3a80d1801bd4",
+}
+
 # SHA-256 of audit_directory(...).to_text() over the run above.
 AUDIT_10_MINUTES_SEED_42 = "94faefe4f4bc4bcfaf8dc24d997959120c56c85047de8bcb05fdbabb59a5c159"
 
@@ -85,6 +99,15 @@ def test_clean_run_artifacts_pinned(tmp_path):
     sim.run(10)
     sim.write_artifacts(tmp_path)
     assert fingerprints(tmp_path) == RUN_10_MINUTES_SEED_42
+
+
+def test_noisy_run_with_uneven_flows_pinned(tmp_path):
+    sim = Simulation(NOISY_RUN_CONFIG)
+    sim.run(25)
+    sim.write_artifacts(tmp_path)
+    pinned = {name: digest for name, digest in fingerprints(tmp_path).items()
+              if name in RUN_25_MINUTES_NOISY}
+    assert pinned == RUN_25_MINUTES_NOISY
 
 
 def test_parsers_give_back_the_pinned_bytes(tmp_path):
