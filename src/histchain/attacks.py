@@ -345,3 +345,10 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
                  next_rec is not None and vector_digest(next_rec).hex in chain_text,
                  "vector captured after the attack reaches the ledger")
     return report.finish(outdir)
+
+
+# Each scenario's runner and the intervals it runs, by its letter: A runs one
+# interval per Table 1 row.
+SCENARIOS = {"A": (run_scenario_a, len(TABLE1_ROWS)),
+             "B": (run_scenario_b, MITM_MINUTES),
+             "C": (run_scenario_c, MITM_MINUTES)}

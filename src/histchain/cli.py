@@ -7,9 +7,9 @@ import os
 import sys
 from pathlib import Path
 
-from .attacks import run_scenario_a, run_scenario_b, run_scenario_c
+from .attacks import SCENARIOS
 from .audit import audit_directory
-from .config import ConfigError, load_config
+from .config import ConfigError, fmt_minute, load_config
 from .ledger import DumpFormatError
 from .sim import Simulation
 
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of storage nodes (default 6)")
     run.add_argument("--replication-factor", type=int, default=None,
                      help="copies per vector, origin included (default 3)")
-    run.add_argument("--scenario", choices=["A", "B", "C"], default=None,
+    run.add_argument("--scenario", choices=list(SCENARIOS), default=None,
                      help="attack scenario to run instead of a clean loop")
     run.add_argument("--trace-wire", action="store_true",
                      help="dump every delivered frame as hex")
@@ -76,8 +76,16 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--minutes must be at least 1, got {args.minutes}")
     overrides = _flag_overrides(args)
     cfg = load_config(args.config, **overrides)
-    if args.scenario is None:
+    if args.scenario is not None:
+        runner, minutes = SCENARIOS[args.scenario]
+    else:
         minutes = 10 if args.minutes is None else args.minutes
+    try:
+        cfg.interval_start(minutes - 1)
+    except OverflowError:
+        raise ConfigError(f"start_time {fmt_minute(cfg.start_time)} leaves no room for "
+                          f"a run of {minutes} intervals before year 10000") from None
+    if args.scenario is None:
         sim = Simulation(cfg)
         sim.run(minutes)
         sim.write_artifacts(args.out)
@@ -85,7 +93,6 @@ def _cmd_run(args) -> int:
         print(f"ran {minutes} intervals, chain length {len(sim.chain_module.chain)}, "
               f"{alarms} alarms; artifacts in {args.out}")
         return 0
-    runner = {"A": run_scenario_a, "B": run_scenario_b, "C": run_scenario_c}[args.scenario]
     if args.config is None and not overrides:
         report = runner(outdir=args.out)  # scenario default seed
     else:

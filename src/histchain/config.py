@@ -13,6 +13,7 @@ space, the basic format, a zone, unpadded fields, non-ASCII digits) parses.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -77,11 +78,10 @@ class SimConfig:
             raise ConfigError("interval_ticks must be >= 1")
         if not (1 <= self.sample_every <= self.interval_ticks):
             raise ConfigError("sample_every must be between 1 and interval_ticks")
-        if self.capacity <= 0:
-            raise ConfigError("capacity must be positive")
-        for name in ("flow_rate_a1", "flow_rate_a2", "flow_rate_a3"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("capacity", "flow_rate_a1", "flow_rate_a2", "flow_rate_a3"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for NaN as well
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not self.setpoint_low < self.setpoint_high:
             raise ConfigError("setpoint_low must be < setpoint_high")
         if not (0 <= self.setpoint_low and self.setpoint_high <= self.capacity):

@@ -127,9 +127,6 @@ class Digest:
         if not _SHA256_HEX.fullmatch(self.hex):
             raise ValueError(f"not a sha256 hex digest: {self.hex!r}")
 
-    def __str__(self) -> str:
-        return self.hex
-
     @classmethod
     def of_checked_hex(cls, hex_text: str) -> "Digest":
         """A Digest of text the caller already knows is lowercase SHA-256

@@ -1,153 +1,85 @@
 """Two-tank water process: three valves, two level sensors, two hysteresis PLCs.
 
 Tank1 fills through valve A1 and drains into tank2 through A2; tank2 drains
-through A3. Levels integrate valve flows one tick at a time and clamp to
-[0, capacity]. Sensors report floor-quantized levels, optionally with seeded
-unit noise.
+through A3. Each step() moves the levels by one tick of valve flow, clamped
+to [0, capacity]. Sensors report floor-quantized levels, optionally with
+seeded unit noise.
+
+A PLC commands its valves only when a reading leaves its band and commands
+nothing inside it, so each valve keeps its last commanded position: that
+position is the PLC's only memory, which holds because each valve has
+exactly one PLC commanding it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .config import ConfigError, SimConfig, noise_offset
+from .config import SimConfig, noise_offset
 
 SENSOR_TANK = {"S1": 1, "S2": 2}
 
 
-class SensorMismatchError(ValueError):
-    """Reading offered to a PLC that is not assigned its sensor."""
-
-
-@dataclass(frozen=True)
-class TankState:
-    tank_id: int
-    level: float
+@dataclass
+class Tanks:
     capacity: float
-
-    def __post_init__(self):
-        if not 0 <= self.level <= self.capacity:
-            raise ValueError(f"tank{self.tank_id} level {self.level} outside [0, {self.capacity}]")
-
-
-@dataclass
-class ValveState:
-    valve_id: str
-    open: bool
-    flow_rate: float
-
-    def __post_init__(self):
-        if self.flow_rate <= 0:
-            raise ValueError(f"valve {self.valve_id} flow_rate must be > 0")
-
-    @property
-    def flow(self) -> float:
-        return self.flow_rate if self.open else 0.0
+    levels: dict[int, float]  # tank number -> level in [0, capacity]
 
 
 @dataclass(frozen=True)
-class SensorReading:
+class Plc:
+    """Hysteresis controller: `below` is what it commands under setpoint_low,
+    `above` what it commands over setpoint_high."""
+
     sensor_id: str
-    tick: int
-    value: int
-
-
-@dataclass
-class PlcState:
-    """Hysteresis controller; valve_commands is the memory between thresholds."""
-
-    plc_id: str
-    sensor_id: str
-    controlled_valves: tuple[str, ...]
     setpoint_low: int
     setpoint_high: int
-    valve_commands: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.setpoint_low < self.setpoint_high:
-            raise ValueError("setpoint_low must be < setpoint_high")
-        for valve in self.controlled_valves:
-            self.valve_commands.setdefault(valve, False)
+    below: dict[str, bool]
+    above: dict[str, bool]
 
 
-def step_plant(tanks: dict[int, TankState], valves: dict[str, ValveState],
-               dt: int = 1) -> dict[int, TankState]:
-    """Advance levels by dt ticks of constant valve flows, clamped per tank."""
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    t1, t2 = tanks[1], tanks[2]
-    a1, a2, a3 = valves["A1"], valves["A2"], valves["A3"]
-    new1 = min(max(t1.level + (a1.flow - a2.flow) * dt, 0.0), t1.capacity)
-    new2 = min(max(t2.level + (a2.flow - a3.flow) * dt, 0.0), t2.capacity)
-    return {
-        1: TankState(1, new1, t1.capacity),
-        2: TankState(2, new2, t2.capacity),
-    }
-
-
-def read_sensor(tanks: dict[int, TankState], sensor_id: str, tick: int,
-                noise_seed: int | None = None) -> SensorReading:
+def read_sensor(tanks: Tanks, sensor_id: str, tick: int,
+                noise_seed: int | None = None) -> int:
     """Floor-quantized level; identical for repeated calls at the same tick."""
-    if sensor_id not in SENSOR_TANK:
-        raise ConfigError(f"unknown sensor {sensor_id!r}")
-    tank = tanks[SENSOR_TANK[sensor_id]]
-    value = math.floor(tank.level)
+    value = math.floor(tanks.levels[SENSOR_TANK[sensor_id]])
     if noise_seed is not None:
         value += noise_offset(noise_seed, sensor_id, tick)
-        value = min(max(value, 0), math.floor(tank.capacity))
-    return SensorReading(sensor_id, tick, value)
+        value = min(max(value, 0), math.floor(tanks.capacity))
+    return value
 
 
-def plc_control(plc: PlcState, reading: SensorReading) -> dict[str, bool]:
-    """Next valve commands from (controller state, reading); pure, no side effects.
-
-    PLC1 opens its fill valve below the low setpoint and closes it above the
-    high one. PLC2 runs the same law on its fill valve A2 and the mirrored law
-    on the drain valve A3.
-    """
-    if reading.sensor_id != plc.sensor_id:
-        raise SensorMismatchError(
-            f"{plc.plc_id} reads {plc.sensor_id}, got {reading.sensor_id}"
-        )
-    commands = dict(plc.valve_commands)
-    fill = plc.controlled_valves[0]
-    if reading.value < plc.setpoint_low:
-        commands[fill] = True
-    elif reading.value > plc.setpoint_high:
-        commands[fill] = False
-    if len(plc.controlled_valves) > 1:
-        drain = plc.controlled_valves[1]
-        if reading.value < plc.setpoint_low:
-            commands[drain] = False
-        elif reading.value > plc.setpoint_high:
-            commands[drain] = True
-    return commands
+def plc_control(plc: Plc, reading: int) -> dict[str, bool]:
+    """The PLC's commands for a reading, {} inside its band. The map returned
+    is the PLC's own; do not change it."""
+    if reading < plc.setpoint_low:
+        return plc.below
+    if reading > plc.setpoint_high:
+        return plc.above
+    return {}
 
 
-def default_plcs(cfg: SimConfig) -> tuple[PlcState, PlcState]:
-    plc1 = PlcState("PLC1", "S1", ("A1",), cfg.setpoint_low, cfg.setpoint_high)
-    plc2 = PlcState("PLC2", "S2", ("A2", "A3"), cfg.setpoint_low, cfg.setpoint_high)
-    return plc1, plc2
+def default_plcs(cfg: SimConfig) -> tuple[Plc, Plc]:
+    """PLC1 opens fill valve A1 under the band and closes it over the band.
+    PLC2 runs that law on its fill valve A2 and the mirrored law on drain A3."""
+    low, high = cfg.setpoint_low, cfg.setpoint_high
+    return (Plc("S1", low, high, {"A1": True}, {"A1": False}),
+            Plc("S2", low, high, {"A2": True, "A3": False},
+                {"A2": False, "A3": True}))
 
 
 class TwoTankPlant:
-    """Holds the tank and valve state and advances it tick by tick."""
+    """Tank levels and valve positions, advanced one tick per step()."""
 
     def __init__(self, cfg: SimConfig):
-        self.tanks = {
-            1: TankState(1, 0.0, cfg.capacity),
-            2: TankState(2, 0.0, cfg.capacity),
-        }
-        self.valves = {
-            "A1": ValveState("A1", False, cfg.flow_rate_a1),
-            "A2": ValveState("A2", False, cfg.flow_rate_a2),
-            "A3": ValveState("A3", False, cfg.flow_rate_a3),
-        }
+        self.tanks = Tanks(cfg.capacity, {1: 0.0, 2: 0.0})
+        self.valves = {"A1": False, "A2": False, "A3": False}
+        self.flow_rates = {"A1": cfg.flow_rate_a1, "A2": cfg.flow_rate_a2,
+                           "A3": cfg.flow_rate_a3}
 
-    def apply_commands(self, commands: dict[str, bool]):
-        for valve_id, wanted in commands.items():
-            self.valves[valve_id].open = wanted
-
-    def step(self, dt: int = 1):
-        self.tanks = step_plant(self.tanks, self.valves, dt)
+    def step(self):
+        a1, a2, a3 = (rate if self.valves[valve] else 0.0
+                      for valve, rate in self.flow_rates.items())
+        levels, capacity = self.tanks.levels, self.tanks.capacity
+        levels[1] = min(max(levels[1] + (a1 - a2), 0.0), capacity)
+        levels[2] = min(max(levels[2] + (a2 - a3), 0.0), capacity)

@@ -24,12 +24,7 @@ from .envelope import (
 )
 from .ledger import dump_chain
 from .minter import ChainModule
-from .plant import (
-    TwoTankPlant,
-    default_plcs,
-    plc_control,
-    read_sensor,
-)
+from .plant import TwoTankPlant, default_plcs, plc_control, read_sensor
 from .storage import StorageNode
 from .wire import (
     ANSWER_DROPPED,
@@ -82,7 +77,6 @@ class PlcEndpoint:
 
     def __init__(self, plc_id: str, keys: NodeKeys, directory: KeyDirectory,
                  transport: NodeTransport, rng: random.Random):
-        self.plc_id = plc_id
         self.sensor_name = PLC_SENSOR_NAMES[plc_id]
         self.target = PLC_TARGET_NODE[plc_id]
         self.keys = keys
@@ -127,7 +121,7 @@ class Simulation:
         self._build_links(node_names)
 
         self.plant = TwoTankPlant(cfg)
-        self.plc_states = dict(zip(("plc1", "plc2"), default_plcs(cfg)))
+        self.controllers = dict(zip(("plc1", "plc2"), default_plcs(cfg)))
         self.plcs = {
             name: PlcEndpoint(name, self.keystore[name], self.directory,
                               NodeTransport(self, name), crypto[name])
@@ -230,17 +224,13 @@ class Simulation:
             k = self.intervals_run
             base = k * self.cfg.interval_ticks
             for step in range(self.cfg.interval_ticks):
-                t = base + step
-                self.events.tick = t
-                for name, state in self.plc_states.items():
-                    reading = read_sensor(self.plant.tanks, state.sensor_id, t,
-                                          noise_seed)
-                    commands = plc_control(state, reading)
-                    state.valve_commands = commands
-                    self.plant.apply_commands(commands)
+                for name, plc in self.controllers.items():
+                    reading = read_sensor(self.plant.tanks, plc.sensor_id,
+                                          base + step, noise_seed)
+                    self.plant.valves.update(plc_control(plc, reading))
                     if step % self.cfg.sample_every == 0:
-                        self.plcs[name].buffer.append(reading.value)
-                self.plant.step(1)
+                        self.plcs[name].buffer.append(reading)
+                self.plant.step()
             self._run_boundary(k, before_boundary, after_boundary)
 
     def run_scripted(self, script):

@@ -70,6 +70,42 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["flow_rate.A1=nan\n",
+                                      "capacity=inf\nsensor_noise=true\n"])
+    def test_non_finite_config_usage_error(self, tmp_path, capsys, text):
+        config = tmp_path / "run.conf"
+        config.write_text(text)
+        code = main(["run", "--minutes", "1", "--config", str(config),
+                     "--out", str(tmp_path / "arts")])
+        assert code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "arts").exists()
+
+    @pytest.mark.parametrize("run_args, minutes", [
+        (["--minutes", "2"], 2),
+        (["--scenario", "A"], 3),
+        (["--scenario", "B"], 3),
+        (["--scenario", "C"], 3),
+    ], ids=["minutes", "A", "B", "C"])
+    def test_start_time_too_late_usage_error(self, tmp_path, capsys, run_args, minutes):
+        config = tmp_path / "run.conf"
+        config.write_text("start_time=9999-12-31T23:59\n")
+        code = main(["run", *run_args, "--config", str(config),
+                     "--out", str(tmp_path / "arts")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "start_time 9999-12-31T23:59" in err
+        assert f"{minutes} intervals" in err
+        assert not (tmp_path / "arts").exists()
+
+    def test_start_time_with_room_for_the_run(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("start_time=9999-12-31T23:58\n")
+        code = main(["run", "--minutes", "2", "--config", str(config),
+                     "--out", str(tmp_path / "arts")])
+        assert code == 0
+        assert "9999-12-31T23:59" in (tmp_path / "arts" / "chain.txt").read_text()
+
     def test_trace_wire_writes_transcript(self, tmp_path):
         code = main(["run", "--minutes", "1", "--trace-wire",
                      "--out", str(tmp_path)])

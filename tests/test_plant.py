@@ -6,66 +6,52 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from histchain.config import ConfigError, SimConfig
-from histchain.plant import (
-    PlcState,
-    SensorMismatchError,
-    TankState,
-    TwoTankPlant,
-    ValveState,
-    default_plcs,
-    plc_control,
-    read_sensor,
-    step_plant,
-)
+from histchain.config import SimConfig
+from histchain.plant import TwoTankPlant, default_plcs, plc_control, read_sensor
 
 
-def make_state(l1=0.0, l2=0.0, cap=10.0, a1=False, a2=False, a3=False, rate=1.0):
-    tanks = {1: TankState(1, l1, cap), 2: TankState(2, l2, cap)}
-    valves = {
-        "A1": ValveState("A1", a1, rate),
-        "A2": ValveState("A2", a2, rate),
-        "A3": ValveState("A3", a3, rate),
-    }
-    return tanks, valves
+def make_plant(l1=0.0, l2=0.0, cap=10.0, a1=False, a2=False, a3=False):
+    plant = TwoTankPlant(SimConfig(capacity=cap))
+    plant.tanks.levels.update({1: l1, 2: l2})
+    plant.valves.update({"A1": a1, "A2": a2, "A3": a3})
+    return plant
+
+
+def run_steps(plant, n):
+    for _ in range(n):
+        plant.step()
+    return plant.tanks.levels
 
 
 class TestStepPlant:
     def test_all_closed_levels_unchanged(self):
-        tanks, valves = make_state(l1=4.0, l2=2.0)
-        out = step_plant(tanks, valves, dt=5)
-        assert out[1].level == 4.0
-        assert out[2].level == 2.0
+        levels = run_steps(make_plant(l1=4.0, l2=2.0), 5)
+        assert levels == {1: 4.0, 2: 2.0}
 
     def test_fill_only_hand_integration(self):
         # Oracle: integrate the difference equation one tick at a time.
         level = 4.0
         for _ in range(2):
             level = level + 1.0
-        tanks, valves = make_state(l1=4.0, a1=True)
-        out = step_plant(tanks, valves, dt=2)
-        assert out[1].level == level == 6.0
+        levels = run_steps(make_plant(l1=4.0, a1=True), 2)
+        assert levels[1] == level == 6.0
 
     def test_clamp_at_capacity(self):
-        tanks, valves = make_state(l1=10.0, a1=True)
-        out = step_plant(tanks, valves, dt=1)
-        assert out[1].level == 10.0
+        levels = run_steps(make_plant(l1=10.0, a1=True), 1)
+        assert levels[1] == 10.0
 
     def test_clamp_at_zero(self):
-        tanks, valves = make_state(l2=0.5, a3=True)
-        out = step_plant(tanks, valves, dt=1)
-        assert out[2].level == 0.0
+        levels = run_steps(make_plant(l2=0.5, a3=True), 1)
+        assert levels[2] == 0.0
 
     def test_transfer_conserves_between_tanks(self):
-        tanks, valves = make_state(l1=5.0, l2=2.0, a2=True)
-        out = step_plant(tanks, valves, dt=3)
-        assert out[1].level == 2.0
-        assert out[2].level == 5.0
+        levels = run_steps(make_plant(l1=5.0, l2=2.0, a2=True), 3)
+        assert levels == {1: 2.0, 2: 5.0}
 
-    def test_dt_must_be_positive(self):
-        tanks, valves = make_state()
-        with pytest.raises(ValueError):
-            step_plant(tanks, valves, dt=0)
+    def test_flow_rates_come_from_the_config(self):
+        plant = TwoTankPlant(SimConfig(flow_rate_a1=0.5, flow_rate_a2=0.25))
+        plant.valves.update({"A1": True, "A2": True})
+        assert run_steps(plant, 2) == {1: 0.5, 2: 0.5}
 
     @given(
         l1=st.floats(min_value=3.0, max_value=7.0),
@@ -75,10 +61,9 @@ class TestStepPlant:
     def test_conservation_without_clamping(self, l1, l2, a1, a2, a3):
         # With levels mid-range and unit flows, one tick can never clamp, so the
         # total water change equals inlet minus outlet.
-        tanks, valves = make_state(l1=l1, l2=l2, a1=a1, a2=a2, a3=a3)
-        out = step_plant(tanks, valves, dt=1)
+        levels = run_steps(make_plant(l1=l1, l2=l2, a1=a1, a2=a2, a3=a3), 1)
         total_before = l1 + l2
-        total_after = out[1].level + out[2].level
+        total_after = levels[1] + levels[2]
         expected = (1.0 if a1 else 0.0) - (1.0 if a3 else 0.0)
         assert total_after - total_before == pytest.approx(expected)
 
@@ -86,31 +71,22 @@ class TestStepPlant:
         l1=st.floats(min_value=0.0, max_value=10.0),
         l2=st.floats(min_value=0.0, max_value=10.0),
         a1=st.booleans(), a2=st.booleans(), a3=st.booleans(),
-        dt=st.integers(min_value=1, max_value=20),
+        n=st.integers(min_value=1, max_value=20),
     )
-    def test_levels_stay_in_bounds(self, l1, l2, a1, a2, a3, dt):
-        tanks, valves = make_state(l1=l1, l2=l2, a1=a1, a2=a2, a3=a3)
-        out = step_plant(tanks, valves, dt=dt)
-        for tank in out.values():
-            assert 0.0 <= tank.level <= tank.capacity
+    def test_levels_stay_in_bounds(self, l1, l2, a1, a2, a3, n):
+        levels = run_steps(make_plant(l1=l1, l2=l2, a1=a1, a2=a2, a3=a3), n)
+        assert all(0.0 <= level <= 10.0 for level in levels.values())
 
 
 class TestReadSensor:
     def test_floor_quantization(self):
-        tanks, _ = make_state(l1=6.9)
-        assert read_sensor(tanks, "S1", 0).value == 6
+        assert read_sensor(make_plant(l1=6.9).tanks, "S1", 0) == 6
 
     def test_empty_tank(self):
-        tanks, _ = make_state()
-        assert read_sensor(tanks, "S2", 0).value == 0
-
-    def test_unknown_sensor(self):
-        tanks, _ = make_state()
-        with pytest.raises(ConfigError):
-            read_sensor(tanks, "S9", 0)
+        assert read_sensor(make_plant().tanks, "S2", 0) == 0
 
     def test_repeat_reads_identical(self):
-        tanks, _ = make_state(l1=4.2)
+        tanks = make_plant(l1=4.2).tanks
         first = read_sensor(tanks, "S1", 17, noise_seed=99)
         second = read_sensor(tanks, "S1", 17, noise_seed=99)
         assert first == second
@@ -118,69 +94,57 @@ class TestReadSensor:
     @given(level=st.floats(min_value=0.0, max_value=10.0),
            tick=st.integers(min_value=0, max_value=10_000))
     def test_noise_stays_quantized_and_bounded(self, level, tick):
-        tanks, _ = make_state(l1=level)
-        reading = read_sensor(tanks, "S1", tick, noise_seed=5)
-        assert isinstance(reading.value, int)
-        assert 0 <= reading.value <= 10
-        assert abs(reading.value - math.floor(level)) <= 1
+        value = read_sensor(make_plant(l1=level).tanks, "S1", tick, noise_seed=5)
+        assert isinstance(value, int)
+        assert 0 <= value <= 10
+        assert abs(value - math.floor(level)) <= 1
 
 
 class TestPlcControl:
+    def setup_method(self):
+        self.plc1, self.plc2 = default_plcs(SimConfig(setpoint_low=3, setpoint_high=6))
+
     def test_plc1_opens_below_low(self):
-        plc = PlcState("PLC1", "S1", ("A1",), 3, 6)
-        commands = plc_control(plc, read_reading("S1", 1))
-        assert commands["A1"] is True
+        assert plc_control(self.plc1, 1) == {"A1": True}
 
     def test_plc1_closes_above_high(self):
-        plc = PlcState("PLC1", "S1", ("A1",), 3, 6, valve_commands={"A1": True})
-        commands = plc_control(plc, read_reading("S1", 7))
-        assert commands["A1"] is False
+        assert plc_control(self.plc1, 7) == {"A1": False}
 
     def test_plc1_holds_in_band(self):
+        # An in-band reading commands nothing, so the valve keeps its position.
         for current in (True, False):
-            plc = PlcState("PLC1", "S1", ("A1",), 3, 6, valve_commands={"A1": current})
-            commands = plc_control(plc, read_reading("S1", 5))
-            assert commands["A1"] is current
+            plant = make_plant(a1=current)
+            for reading in (3, 5, 6):
+                commands = plc_control(self.plc1, reading)
+                assert commands == {}
+                plant.valves.update(commands)
+                assert plant.valves["A1"] is current
 
     def test_plc2_mirrored_law(self):
-        plc = PlcState("PLC2", "S2", ("A2", "A3"), 3, 6)
-        low = plc_control(plc, read_reading("S2", 1))
-        assert low == {"A2": True, "A3": False}
-        plc.valve_commands = low
-        high = plc_control(plc, read_reading("S2", 7))
-        assert high == {"A2": False, "A3": True}
-
-    def test_mismatched_sensor_rejected(self):
-        plc = PlcState("PLC1", "S1", ("A1",), 3, 6)
-        with pytest.raises(SensorMismatchError):
-            plc_control(plc, read_reading("S2", 4))
+        assert plc_control(self.plc2, 1) == {"A2": True, "A3": False}
+        assert plc_control(self.plc2, 7) == {"A2": False, "A3": True}
+        assert plc_control(self.plc2, 4) == {}
 
     def test_pure_no_mutation(self):
-        plc = PlcState("PLC1", "S1", ("A1",), 3, 6)
-        before = dict(plc.valve_commands)
-        plc_control(plc, read_reading("S1", 1))
-        assert plc.valve_commands == before
-
-
-def read_reading(sensor_id, value, tick=0):
-    from histchain.plant import SensorReading
-    return SensorReading(sensor_id, tick, value)
+        before = (dict(self.plc2.below), dict(self.plc2.above))
+        for reading in (1, 4, 7):
+            plc_control(self.plc2, reading)
+        assert (self.plc2.below, self.plc2.above) == before
 
 
 def run_closed_loop(ticks, seed=None):
     cfg = SimConfig()
     plant = TwoTankPlant(cfg)
-    plc1, plc2 = default_plcs(cfg)
+    plcs = default_plcs(cfg)
     levels = []
     readings = []
     for t in range(ticks):
-        for plc in (plc1, plc2):
+        for plc in plcs:
             reading = read_sensor(plant.tanks, plc.sensor_id, t, noise_seed=seed)
-            plc.valve_commands = plc_control(plc, reading)
-            plant.apply_commands(plc.valve_commands)
-            readings.append(reading.value)
-        levels.append((plant.tanks[1].level, plant.tanks[2].level))
-        plant.step(1)
+            plant.valves.update(plc_control(plc, reading))
+            readings.append(reading)
+        levels.append((plant.tanks.levels[1], plant.tanks.levels[2]))
+        plant.step()
     return levels, readings
 
 

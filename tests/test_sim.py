@@ -8,7 +8,7 @@ import pytest
 from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
 from histchain.attacks import run_with_interceptors
-from histchain.config import ConfigError, SimConfig, fmt_minute, parse_config_file
+from histchain.config import ConfigError, SimConfig, fmt_minute, load_config, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
 from histchain.sim import Simulation
@@ -406,3 +406,15 @@ class TestConfig:
     def test_config_file_bad_value(self):
         with pytest.raises(ConfigError):
             parse_config_file("seed=notanumber")
+
+    @pytest.mark.parametrize("line, name", [
+        ("flow_rate.A1=nan", "flow_rate_a1"),
+        ("flow_rate.A3=inf", "flow_rate_a3"),
+        ("capacity=inf", "capacity"),
+        ("capacity=nan", "capacity"),
+    ])
+    def test_non_finite_rate_or_capacity_rejected(self, tmp_path, line, name):
+        path = tmp_path / "run.conf"
+        path.write_text(f"{line}\nsensor_noise=true\n")
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+            load_config(path)
