@@ -4,7 +4,8 @@ block minter, and the simulated wire, driven tick by tick.
 Each interval (one simulated minute) ends with a fixed phase order: PLC vector
 flush, wire delivery, block minting plus announcement and replication, then
 one validator pass per storage node. Identical config and seed reproduce
-byte-identical artifacts.
+byte-identical artifacts. `Simulation.run` is the one interval driver: clean,
+scripted (`scripted`), attacked and benchmarked runs differ only in its hooks.
 """
 
 from __future__ import annotations
@@ -85,15 +86,24 @@ class PlcEndpoint:
         self.rng = rng
         self.buffer: list[int] = []
 
-    def flush(self, captured_at) -> bool:
-        if not self.buffer:
-            return False
-        vector = MeasurementVector(self.sensor_name, captured_at, tuple(self.buffer))
-        self.buffer = []
-        env = seal(vector.canonical, self.keys, self.target,
-                   self.directory.enc_pub(self.target), self.rng)
-        self.transport.send(self.target, MEASUREMENT, env)
-        return True
+    def flush(self, captured_at):
+        if self.buffer:
+            vector = MeasurementVector(self.sensor_name, captured_at, tuple(self.buffer))
+            self.buffer = []
+            env = seal(vector.canonical, self.keys, self.target,
+                       self.directory.enc_pub(self.target), self.rng)
+            self.transport.send(self.target, MEASUREMENT, env)
+
+
+def scripted(script):
+    """A before_boundary hook: in the j-th interval of its run, each PLC that
+    script[j] names sends those values (None: nothing) in place of its readings."""
+    entries = iter(script)
+
+    def hook(sim, k):
+        for name, values in next(entries).items():
+            sim.plcs[name].buffer = list(values or ())
+    return hook
 
 
 class Simulation:
@@ -215,10 +225,11 @@ class Simulation:
     def interval_ts(self, interval_index: int):
         return self.cfg.interval_start(interval_index)
 
-    # -- plant-driven run -----------------------------------------------------
+    # -- the one interval driver ----------------------------------------------
 
     def run(self, minutes: int, before_boundary=None, after_boundary=None):
-        """Closed-loop run of the plant for the given number of intervals."""
+        """Closed-loop run of the plant for the given number of intervals; each
+        hook gets (sim, k), before interval k's flush or after its validation."""
         noise_seed = self.cfg.seed if self.cfg.sensor_noise else None
         for _ in range(minutes):
             k = self.intervals_run
@@ -232,18 +243,6 @@ class Simulation:
                         self.plcs[name].buffer.append(reading)
                 self.plant.step()
             self._run_boundary(k, before_boundary, after_boundary)
-
-    def run_scripted(self, script):
-        """Drive intervals from explicit vectors instead of the plant.
-
-        script: one dict per interval mapping plc name -> list of values, or
-        None to stay silent that interval.
-        """
-        for entry in script:
-            for name, values in entry.items():
-                if values is not None:
-                    self.plcs[name].buffer = list(values)
-            self._run_boundary(self.intervals_run, None, None)
 
     def _run_boundary(self, interval_index: int, before_boundary, after_boundary):
         """End-of-interval phases: flush, deliver, mint, announce, replicate, validate."""

@@ -1,11 +1,12 @@
 """Attack scenario tests: at-rest tampering, in-transit injection, reports."""
 
+from datetime import datetime
+
 import pytest
 
 from histchain import events as ev
 from histchain.attacks import (
     ScenarioSetupError,
-    TABLE1_ROWS,
     run_scenario_a,
     run_scenario_b,
     run_scenario_c,
@@ -13,6 +14,7 @@ from histchain.attacks import (
 )
 from histchain.config import SimConfig
 from histchain.sim import Simulation
+from histchain.storage import INTACT
 
 
 def test_attack_window_covers_only_its_intervals():
@@ -44,12 +46,16 @@ class TestScenarioA:
         assert "detected_exactly_target" in names
         assert "restored_original_values" in names
         restored = report.sim.historian(1).get(("Sensor 1", "2020-12-23T17:27"))
-        assert restored.values == TABLE1_ROWS[1][2]
+        assert restored.values == (6, 7, 7, 6, 7, 7, 6, 7, 7, 6)
 
     def test_fixture_rows_as_documented(self):
         report = run_scenario_a()
         rows = [(r.sensor_name, r.key[1], r.values) for r in report.sim.historian(1).records()]
-        assert rows == list(TABLE1_ROWS)
+        assert rows == [
+            ("Sensor 1", "2020-12-23T17:26", (2, 5)),
+            ("Sensor 1", "2020-12-23T17:27", (6, 7, 7, 6, 7, 7, 6, 7, 7, 6)),
+            ("Sensor 2", "2020-12-23T17:28", (4, 4, 5, 4, 5, 3, 6, 3, 6, 3)),
+        ]
 
     def test_recovery_falls_back_to_third_holder(self):
         # First listed replica holder also corrupted: recovery must come from
@@ -80,6 +86,18 @@ class TestScenarioA:
 
     def test_report_bytes_reproducible(self):
         assert run_scenario_a().to_text() == run_scenario_a().to_text()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_passes_for_any_seed(self, seed):
+        report = run_scenario_a(SimConfig(seed=seed))
+        assert report.passed, report.to_text()
+        assert "historian1_holds_expected_rows" in {a.name for a in report.assertions}
+
+    def test_passes_at_another_start_time(self):
+        report = run_scenario_a(SimConfig(seed=3, start_time=datetime(2021, 1, 1, 0, 0)))
+        assert report.passed, report.to_text()
+        assert [f.key for f in report.findings if f.verdict != INTACT] == [
+            ("Sensor 1", "2021-01-01T00:01")]
 
     def test_emits_expected_operator_codes(self):
         report = run_scenario_a()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from histchain.cli import _build_parser, main
+from .helpers import flip_hex_char
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +43,20 @@ class TestRun:
         out = capsys.readouterr().out
         assert f"scenario {scenario_id}: PASS" in out
         assert "FAIL" not in out
+
+    def test_scenario_a_with_another_seed(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "A", "--seed", "3", "--out", str(tmp_path)])
+        assert code == 0
+        assert "scenario A_historian_tamper: PASS" in capsys.readouterr().out
+
+    def test_scenario_a_with_another_start_time(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("start_time=2021-01-01T00:00\n")
+        code = main(["run", "--scenario", "A", "--config", str(config),
+                     "--out", str(tmp_path / "arts")])
+        assert code == 0
+        assert "scenario A_historian_tamper: PASS" in capsys.readouterr().out
+        assert "2021-01-01T00:01" in (tmp_path / "arts" / "historian1.txt").read_text()
 
     def test_scenario_with_minutes_usage_error(self, tmp_path, capsys):
         """A scenario runs its own fixed length, so --minutes cannot apply."""
@@ -132,6 +147,21 @@ class TestAudit:
         hist.write_text("\n".join(lines) + "\n")
         code = main(["audit", str(tmp_path)])
         assert code == 1
+
+    def test_edited_chain_block_fails_verification(self, tmp_path, capsys):
+        main(["run", "--minutes", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        chain = tmp_path / "chain.txt"
+        lines = chain.read_text().splitlines()
+        target = next(i for i, line in enumerate(lines) if line.startswith("block|2|"))
+        parts = lines[target].split("|")
+        parts[3] = flip_hex_char(parts[3])
+        lines[target] = "|".join(parts)
+        chain.write_text("\n".join(lines) + "\n")
+        code = main(["audit", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "chain|bad|2|hash_mismatch\naudit: chain verification FAILED\n")
 
     def test_missing_artifacts_usage_error(self, tmp_path, capsys):
         code = main(["audit", str(tmp_path / "nowhere")])

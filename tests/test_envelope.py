@@ -178,6 +178,16 @@ class TestSealOpen:
         assert exc.value.rebuilt is not None
         assert exc.value.rebuilt != exc.value.claimed
 
+    def test_ciphertext_shorter_than_header_decrypt_failed(self):
+        sender, recipient = fresh_keys()
+        env = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(7))
+        short = type(env)(env.sender_id, env.recipient_id,
+                          env.ciphertext[:CIPHER_HEADER_LEN - 1], env.signature)
+        with pytest.raises(AuthError) as exc:
+            open_envelope(short, recipient, sender.sig_pub)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+        assert exc.value.detail == "ciphertext too short"
+
     def test_signature_flip_rejected(self):
         sender, recipient = fresh_keys()
         env = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))

@@ -204,6 +204,13 @@ class TestChainDump:
         with pytest.raises(DumpFormatError, match="out of order"):
             parse_chain_dump("\n".join(lines) + "\n")
 
+    def test_rejects_index_line_before_first_block(self):
+        lines = dump_chain(build_chain(2)).splitlines()
+        index_line = next(line for line in lines if line.startswith("index|"))
+        with pytest.raises(DumpFormatError,
+                           match="^line 1: index line before the first block line$"):
+            parse_chain_dump("\n".join([index_line, *lines]) + "\n")
+
     @pytest.mark.parametrize("respell", [
         lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\x0b"),

@@ -11,7 +11,7 @@ from histchain.attacks import run_with_interceptors
 from histchain.config import ConfigError, SimConfig, fmt_minute, load_config, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
-from histchain.sim import Simulation
+from histchain.sim import Simulation, scripted
 from histchain.wire import LOG, MEASUREMENT, MSG_TYPES, EncodeError
 
 
@@ -36,13 +36,23 @@ class TestClosedLoopRun:
 
     def test_silent_interval_mints_no_block(self):
         sim = Simulation(SimConfig(seed=42))
-        sim.run_scripted([
+        sim.run(3, scripted([
             {"plc1": [2, 5], "plc2": None},
             {"plc1": None, "plc2": None},
             {"plc1": [3, 4], "plc2": None},
-        ])
+        ]))
         assert len(sim.chain_module.chain) == 3
         assert len(sim.events.by_code(ev.NO_BLOCK, "chain")) == 1
+
+    def test_script_replaces_only_the_plcs_it_names(self):
+        plant_run = Simulation(SimConfig(seed=42))
+        plant_run.run(1)
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(1, scripted([{"plc1": [2, 5]}]))
+        assert [r.values for r in sim.historian(1).records()
+                if r.sensor_name == "Sensor 1"] == [(2, 5)]
+        assert sim.historian(2).get(("Sensor 2", "2020-12-23T17:26")).values == \
+            plant_run.historian(2).get(("Sensor 2", "2020-12-23T17:26")).values
 
     def test_each_registered_vector_indexed_exactly_once(self):
         # Cross-check the chain against the event log: one ledger index per

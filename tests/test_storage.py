@@ -21,7 +21,7 @@ from histchain.envelope import (
 )
 from histchain.events import EventLog
 from histchain.ledger import Chain, LedgerIndex, make_block
-from histchain.sim import Simulation
+from histchain.sim import Simulation, scripted
 from histchain.storage import (
     Historian,
     StorageNode,
@@ -183,10 +183,10 @@ class TestHistorian:
 
 def scripted_sim(seed=17):
     sim = Simulation(SimConfig(seed=seed))
-    sim.run_scripted([
+    sim.run(2, scripted([
         {"plc1": [2, 5], "plc2": [9, 9]},
         {"plc1": [6, 7, 7, 6], "plc2": [4, 4, 5]},
-    ])
+    ]))
     return sim
 
 
@@ -250,7 +250,7 @@ class TestReplication:
         sim = Simulation(SimConfig(seed=17))
         for nid in range(2, 7):
             sim.install_interceptor("node1", f"node{nid}", flip_body_bytes(REPLICA_RESP))
-        sim.run_scripted([{"plc1": [2, 5], "plc2": None}])
+        sim.run(1, scripted([{"plc1": [2, 5], "plc2": None}]))
         (ix,) = indexes_of(sim)
         assert ix.replica_ids[0] == 1
         mismatches = [r for r in sim.events.records if r.code == ev.REPLICA_MISMATCH]
@@ -320,6 +320,20 @@ class TestServeReplica:
         vector = sim.nodes[2]._request_vector(1, missing)
         assert vector is None
         assert sim.events.by_code(ev.REPLICA_NOT_FOUND, "node2")
+
+    def test_authentic_answer_that_is_not_a_record_not_stored(self):
+        sim = scripted_sim()
+        (first, *_) = indexes_of(sim)
+        origin = sim.nodes[first.replica_ids[0]]
+        requester = sim.nodes[first.replica_ids[1]]
+        origin.serve_replica = lambda env: origin._seal_to(env.sender_id, b"not a record")
+        dump = requester.historian.dump()
+        records_before = len(sim.events)
+        assert requester._request_vector(origin.node_id, first) is None
+        new = sim.events.records[records_before:]
+        assert [(r.actor, r.code) for r in new] == [(requester.name, ev.REPLICA_MISMATCH)]
+        assert "unparseable" in new[0].detail
+        assert requester.historian.dump() == dump
 
     def test_mangled_request_no_data_leaves(self):
         node, keys, _ = standalone_node()
