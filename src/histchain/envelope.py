@@ -146,7 +146,7 @@ def digest(data: bytes) -> Digest:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementVector:
     """One sensor's readings for one interval; the unit of storage and hashing.
 

@@ -36,7 +36,7 @@ REPLICA_REQUEST_REJECTED = "REPLICA_REQUEST_REJECTED"
 ROLE_VIOLATION = "ROLE_VIOLATION"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     tick: int
     actor: str

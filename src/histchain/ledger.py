@@ -126,7 +126,7 @@ def block_preimage(prev_hash_hex: str, indexes, minted_at: datetime) -> bytes:
     return f"{prev_hash_hex}\n{serialize_indexes(indexes)}\n{fmt_minute(minted_at)}".encode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     indexes: tuple[LedgerIndex, ...]
     block_hash: Digest

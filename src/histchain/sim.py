@@ -287,11 +287,18 @@ class Simulation:
     # -- artifacts --------------------------------------------------------------
 
     def write_artifacts(self, outdir) -> dict[str, Path]:
+        """Write the run's artifacts to `outdir`; returns their paths by name.
+
+        events.log and wire_trace.txt are streamed a line at a time and never
+        held whole: an event record is formatted, and a traced frame (kept as
+        bytes) is hexed, only as its line is written.
+        """
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         paths = {}
         paths["events"] = outdir / "events.log"
-        paths["events"].write_text(self.events.dump(), encoding="utf-8")
+        with paths["events"].open("w", encoding="utf-8") as out:
+            out.writelines(record.line() + "\n" for record in self.events.records)
         paths["chain"] = outdir / "chain.txt"
         paths["chain"].write_text(dump_chain(self.chain_module.chain), encoding="utf-8")
         for i, node in self.nodes.items():
@@ -300,7 +307,7 @@ class Simulation:
             paths[f"historian{i}"] = path
         if self.network.trace is not None:
             path = outdir / "wire_trace.txt"
-            path.write_text("".join(line + "\n" for line in self.network.trace),
-                            encoding="utf-8")
+            with path.open("w", encoding="utf-8") as out:
+                out.writelines(data.hex() + "\n" for data in self.network.trace)
             paths["wire_trace"] = path
         return paths

@@ -17,6 +17,10 @@ callable, and the receiver decodes them in one place,
 Simulation.unpack_frame: a header decode_frame rejects, a type the receiver
 does not take at that point, an unknown endpoint or a payload that does not
 unpack is dropped there with MALFORMED_PAYLOAD from the receiver.
+
+A traced network keeps each delivered frame as the bytes object its receiver
+is handed, so the trace costs the frames' own size; they are hexed only as
+Simulation.write_artifacts writes them to wire_trace.txt.
 """
 
 from __future__ import annotations
@@ -141,6 +145,8 @@ Interceptor = Callable[[Frame], Optional[Frame]]
 class Link:
     """One directed link between two endpoints; at most one interceptor."""
 
+    __slots__ = ("interceptor",)
+
     def __init__(self):
         self.interceptor: Interceptor | None = None
 
@@ -156,13 +162,16 @@ class Network:
     One queue holds every frame in flight as (receiving endpoint, bytes) in
     send order, whatever its link, so `pump` delivers in send order. The
     network decodes nothing: a frame's fate past its link is its receiver's.
+    With `trace`, `self.trace` lists every delivered frame, in the order the
+    frames went on the wire, as the very bytes object its receiver is handed:
+    no copy, no hex.
     """
 
     def __init__(self, registry: EndpointRegistry, trace: bool = False):
         self.registry = registry
         self.links: dict[tuple[str, str], Link] = {}
         self._queue: deque[tuple[str, bytes]] = deque()
-        self.trace: list[str] | None = [] if trace else None
+        self.trace: list[bytes] | None = [] if trace else None
 
     def add_link(self, src: str, dst: str):
         self.links[(src, dst)] = Link()
@@ -179,7 +188,7 @@ class Network:
         if delivered is not frame:
             data = pack_frame(delivered)
         if self.trace is not None:
-            self.trace.append(data.hex())
+            self.trace.append(data)
         return data
 
     def send(self, frame: Frame):

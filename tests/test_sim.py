@@ -162,8 +162,7 @@ class TestMalformedFrames:
         blocks = sim.chain_module.chain.blocks
         assert [len(b.indexes) for b in blocks[1:]] == [2, 1, 2]
         if trace:
-            rewritten = [line for line in sim.network.trace
-                         if bytes.fromhex(line)[offset] == value]
+            rewritten = [data for data in sim.network.trace if data[offset] == value]
             assert len(rewritten) == 1
 
     def test_measurement_from_another_node_is_a_role_violation(self):
@@ -335,7 +334,7 @@ class TestDeterminism:
         for i, node in sim.nodes.items():
             arts[f"historian{i}"] = node.historian.dump()
         if trace:
-            arts["trace"] = "\n".join(sim.network.trace)
+            arts["trace"] = sim.network.trace
         return arts
 
     def test_identical_artifacts_same_seed(self):
@@ -350,6 +349,38 @@ class TestDeterminism:
         sim.run(3)
         assert sim.events.dump() != a["events"] or \
             sim.historian(3).dump() != a["historian3"]
+
+
+class TestRunFootprint:
+    def test_trace_keeps_the_bytes_each_receiver_was_handed(self):
+        """Every traced frame is the very bytes object its receiver decoded,
+        for sent, rewritten and round-trip frames alike; a dropped frame is
+        neither traced nor handed."""
+        sim = Simulation(SimConfig(seed=42, trace_wire=True))
+        handed = []
+        unpack = sim.unpack_frame
+
+        def record(data, receiver, *accepted):
+            handed.append(data)
+            return unpack(data, receiver, *accepted)
+
+        def reverse_payload(frame):
+            return dataclasses.replace(frame, payload=frame.payload[::-1])
+
+        sim.unpack_frame = record
+        run_with_interceptors(sim, 3, {1: [("plc1", "node1", reverse_payload),
+                                           ("node2", "chain", lambda f: None)]})
+        assert sim.events.by_code(ev.REPLICA_STORED) and handed
+        assert sorted(map(id, sim.network.trace)) == sorted(map(id, handed))
+
+    def test_kept_records_have_no_instance_dict(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(2)
+        kept = [sim.historian(1).records()[0], sim.events.records[0],
+                sim.chain_module.chain.tip, sim.network.links[("plc1", "node1")]]
+        assert [type(obj).__name__ for obj in kept] == \
+            ["MeasurementVector", "EventRecord", "Block", "Link"]
+        assert not any(hasattr(obj, "__dict__") for obj in kept)
 
 
 class TestArtifacts:

@@ -209,7 +209,7 @@ class TestNetwork:
         network.pump(lambda receiver, data: got.append((receiver, data)))
         rewritten = pack_frame(Frame(1, 99, sent.sender_id, sent.recipient_id, b"zz"))
         assert got == [("node1", rewritten)]
-        assert network.trace == [rewritten.hex()]
+        assert network.trace == [rewritten]
         with pytest.raises(DecodeError) as exc:
             decode_frame(rewritten)
         assert exc.value.reason == UNKNOWN_TYPE
@@ -274,9 +274,9 @@ class TestNetwork:
                 responder)
             assert (response, answered) == (None, made)
 
-    def test_trace_records_delivered_hex(self):
+    def test_trace_records_delivered_bytes(self):
         registry, network = small_network(trace=True)
         sent = frame_to(registry, "plc1", "node1", payload=b"zz")
         network.send(sent)
         network.pump(lambda receiver, data: None)
-        assert network.trace == [encode_frame(sent).hex()]
+        assert network.trace == [encode_frame(sent)]
