@@ -344,8 +344,8 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
     return report.finish(outdir)
 
 
-# Each scenario's runner and the intervals it runs, by its letter: A runs one
-# interval per Table 1 row.
-SCENARIOS = {"A": (run_scenario_a, len(TABLE1_ROWS)),
-             "B": (run_scenario_b, MITM_MINUTES),
-             "C": (run_scenario_c, MITM_MINUTES)}
+# Each scenario's runner, the intervals it runs and its default seed, by its
+# letter: A runs one interval per Table 1 row.
+SCENARIOS = {"A": (run_scenario_a, len(TABLE1_ROWS), SCENARIO_A_SEED),
+             "B": (run_scenario_b, MITM_MINUTES, SCENARIO_B_SEED),
+             "C": (run_scenario_c, MITM_MINUTES, SCENARIO_C_SEED)}

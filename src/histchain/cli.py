@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .attacks import SCENARIOS
 from .audit import audit_directory
-from .config import ConfigError, fmt_minute, load_config
+from .config import ConfigError, SimConfig, fmt_minute, load_config
 from .ledger import DumpFormatError
 from .sim import Simulation
 
@@ -24,18 +25,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A flag that sets a SimConfig field has it as dest and defaults to None.
     run = sub.add_parser("run", help="run the simulation and write artifacts")
     run.add_argument("--seed", type=int, default=None, help="run seed (default 42)")
     run.add_argument("--minutes", type=int, default=None,
                      help="simulated minutes / intervals of a clean run (default 10, "
                           "at least 1); a scenario runs its own fixed length")
-    run.add_argument("--nodes", type=int, default=None,
-                     help="number of storage nodes (default 6)")
+    run.add_argument("--nodes", dest="n_storage_nodes", metavar="NODES", type=int,
+                     default=None, help="number of storage nodes (default 6)")
     run.add_argument("--replication-factor", type=int, default=None,
                      help="copies per vector, origin included (default 3)")
     run.add_argument("--scenario", choices=list(SCENARIOS), default=None,
                      help="attack scenario to run instead of a clean loop")
-    run.add_argument("--trace-wire", action="store_true",
+    run.add_argument("--trace-wire", action="store_const", const=True, default=None,
                      help="dump every delivered frame as hex")
     run.add_argument("--config", type=Path, default=None,
                      help="flat key=value config file")
@@ -55,31 +57,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.nodes is not None:
-        overrides["n_storage_nodes"] = args.nodes
-    if args.replication_factor is not None:
-        overrides["replication_factor"] = args.replication_factor
-    if args.trace_wire:
-        overrides["trace_wire"] = True
-    return overrides
-
-
 def _cmd_run(args) -> int:
     if args.scenario is not None and args.minutes is not None:
         raise ConfigError("--minutes does not apply to --scenario, "
                           "which runs its own fixed length")
     if args.minutes is not None and args.minutes < 1:
         raise ConfigError(f"--minutes must be at least 1, got {args.minutes}")
-    overrides = _flag_overrides(args)
-    cfg = load_config(args.config, **overrides)
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.scenario is not None:
-        runner, minutes = SCENARIOS[args.scenario]
+        runner, minutes, seed = SCENARIOS[args.scenario]
+        # A scenario's own seed, unless --seed or --config names one.
+        if args.seed is None and args.config is None:
+            overrides["seed"] = seed
     else:
         minutes = 10 if args.minutes is None else args.minutes
+    cfg = load_config(args.config, **overrides)
     try:
         cfg.interval_start(minutes - 1)
     except OverflowError:
@@ -93,10 +86,7 @@ def _cmd_run(args) -> int:
         print(f"ran {minutes} intervals, chain length {len(sim.chain_module.chain)}, "
               f"{alarms} alarms; artifacts in {args.out}")
         return 0
-    if args.config is None and not overrides:
-        report = runner(outdir=args.out)  # scenario default seed
-    else:
-        report = runner(cfg, outdir=args.out)
+    report = runner(cfg, outdir=args.out)
     for assertion in report.assertions:
         status = "PASS" if assertion.passed else "FAIL"
         print(f"{assertion.name}: {status}" + (f" ({assertion.detail})" if assertion.detail else ""))

@@ -1,6 +1,10 @@
 """Run configuration, the flat key=value config file format, seeded RNG streams,
 and the ISO-minute codec every artifact and wire body uses.
 
+SimConfig's fields are the one list of settings: each is a config file key,
+parsed by the field's type (flow rates spelled per valve, `flow_rate.A1`), and
+CLI flags set the same fields through load_config.
+
 All randomness in a run flows from the single config seed through named
 sub-streams, so adding a new consumer never perturbs an existing one.
 
@@ -15,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 
 MINUTE_FMT = "%Y-%m-%dT%H:%M"
@@ -93,8 +97,6 @@ class SimConfig:
         return self.start_time + timedelta(minutes=interval_index)
 
 
-# Config file keys -> (dataclass field, parser). Keys use the external names;
-# flow rates are spelled per valve.
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -104,21 +106,14 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean {text!r}")
 
 
+# Config file key -> (SimConfig field, parser), one key per field: the key is
+# the field's name, but flow rates are spelled per valve (`flow_rate.A1`), and
+# the parser follows the field's declared type.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "datetime": parse_minute}
 _CONFIG_KEYS = {
-    "seed": ("seed", int),
-    "n_storage_nodes": ("n_storage_nodes", int),
-    "replication_factor": ("replication_factor", int),
-    "interval_ticks": ("interval_ticks", int),
-    "sample_every": ("sample_every", int),
-    "capacity": ("capacity", float),
-    "flow_rate.A1": ("flow_rate_a1", float),
-    "flow_rate.A2": ("flow_rate_a2", float),
-    "flow_rate.A3": ("flow_rate_a3", float),
-    "setpoint_low": ("setpoint_low", int),
-    "setpoint_high": ("setpoint_high", int),
-    "sensor_noise": ("sensor_noise", _parse_bool),
-    "start_time": ("start_time", parse_minute),
-    "trace_wire": ("trace_wire", _parse_bool),
+    (f"flow_rate.{f.name[-2:].upper()}" if f.name.startswith("flow_rate_") else f.name):
+        (f.name, _PARSERS[f.type])
+    for f in fields(SimConfig)
 }
 
 
@@ -145,12 +140,12 @@ def parse_config_file(text: str) -> dict:
 
 def load_config(path=None, **overrides) -> SimConfig:
     """Validated SimConfig from an optional config file, with overrides on top."""
-    fields = {}
+    settings = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            fields = parse_config_file(fh.read())
-    fields.update(overrides)
-    return SimConfig(**fields).validate()
+            settings = parse_config_file(fh.read())
+    settings.update(overrides)
+    return SimConfig(**settings).validate()
 
 
 def rng_stream(seed: int, name: str) -> random.Random:

@@ -79,8 +79,5 @@ class EventLog:
             if r.code == code and (actor is None or r.actor == actor)
         ]
 
-    def dump(self) -> str:
-        return "".join(r.line() + "\n" for r in self.records)
-
     def __len__(self) -> int:
         return len(self.records)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -229,16 +230,17 @@ def verify_chain(chain: Chain) -> FirstBadBlock | None:
 # Chain dump: bit-exact text artifact, one `block|` line per block followed by
 # one `index|` line per index.
 
-def dump_chain(chain: Chain) -> str:
-    lines = []
+def chain_lines(chain: Chain) -> Iterator[str]:
+    """The chain dump's lines one at a time, each ending in `\n`."""
     for pos, block in enumerate(chain.blocks):
-        lines.append(
-            f"block|{pos}|{fmt_minute(block.minted_at)}"
-            f"|{block.block_hash.hex}|{block.prev_block_hash.hex}"
-        )
+        yield (f"block|{pos}|{fmt_minute(block.minted_at)}"
+               f"|{block.block_hash.hex}|{block.prev_block_hash.hex}\n")
         for ix in block.indexes:
-            lines.append(f"index|{ix.line}")
-    return "".join(line + "\n" for line in lines)
+            yield f"index|{ix.line}\n"
+
+
+def dump_chain(chain: Chain) -> str:
+    return "".join(chain_lines(chain))
 
 
 @functools.cache

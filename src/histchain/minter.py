@@ -53,7 +53,8 @@ class ChainModule:
         self.buffer: list[IndexSubmission] = []
 
     def collect(self, env) -> bool:
-        """Verify one index submission; buffer it for the open interval."""
+        """Verify one index submission; buffer it for the open interval. One
+        from any sender but a storage node raises ROLE_VIOLATION."""
         try:
             plaintext = open_envelope(env, self.keys,
                                       self.directory.sig_pub(env.sender_id))
@@ -62,6 +63,11 @@ class ChainModule:
             if exc.claimed is not None:
                 detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
             self.events.alarm("chain", ev.INDEX_REJECTED, detail)
+            return False
+        if not env.sender_id.startswith("node"):
+            self.events.alarm("chain", ev.ROLE_VIOLATION,
+                              f"authentic index from {env.sender_id}, which is not "
+                              "a storage node; not buffered")
             return False
         try:
             submission = IndexSubmission(int(env.sender_id.removeprefix("node")),

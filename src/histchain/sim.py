@@ -23,7 +23,7 @@ from .envelope import (
     generate_node_keys,
     seal,
 )
-from .ledger import dump_chain
+from .ledger import chain_lines
 from .minter import ChainModule
 from .plant import TwoTankPlant, default_plcs, plc_control, read_sensor
 from .storage import StorageNode
@@ -289,8 +289,8 @@ class Simulation:
     def write_artifacts(self, outdir) -> dict[str, Path]:
         """Write the run's artifacts to `outdir`; returns their paths by name.
 
-        events.log and wire_trace.txt are streamed a line at a time and never
-        held whole: an event record is formatted, and a traced frame (kept as
+        Every file is streamed a line at a time and never held whole: an
+        event record or chain line is formatted, and a traced frame (kept as
         bytes) is hexed, only as its line is written.
         """
         outdir = Path(outdir)
@@ -300,10 +300,12 @@ class Simulation:
         with paths["events"].open("w", encoding="utf-8") as out:
             out.writelines(record.line() + "\n" for record in self.events.records)
         paths["chain"] = outdir / "chain.txt"
-        paths["chain"].write_text(dump_chain(self.chain_module.chain), encoding="utf-8")
+        with paths["chain"].open("w", encoding="utf-8") as out:
+            out.writelines(chain_lines(self.chain_module.chain))
         for i, node in self.nodes.items():
             path = outdir / f"historian{i}.txt"
-            path.write_text(node.historian.dump(), encoding="utf-8")
+            with path.open("wb") as out:
+                out.writelines(r.canonical + b"\n" for r in node.historian.records())
             paths[f"historian{i}"] = path
         if self.network.trace is not None:
             path = outdir / "wire_trace.txt"

@@ -344,12 +344,18 @@ class StorageNode:
         return vector
 
     def serve_replica(self, env):
-        """Answer a replica request with the sealed local copy, NotFound, or nothing."""
+        """Answer a storage node's replica request with the sealed local copy,
+        NotFound, or nothing; one from any other sender raises ROLE_VIOLATION."""
         try:
             plaintext = self._open(env)
         except AuthError as exc:
             self.events.alarm(self.name, ev.REPLICA_REQUEST_REJECTED,
                               f"replica request from {env.sender_id} failed: {exc.detail}")
+            return None
+        if not env.sender_id.startswith("node"):
+            self.events.alarm(self.name, ev.ROLE_VIOLATION,
+                              f"authentic replica request from {env.sender_id}, which "
+                              "is not a storage node; not answered")
             return None
         try:
             wanted, captured_at = parse_vector_ref(plaintext)

@@ -1,5 +1,6 @@
 """CLI surface tests: run, audit, dump commands, exit codes, README commands."""
 
+import dataclasses
 import os
 import re
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from histchain.cli import _build_parser, main
+from histchain.config import SimConfig, parse_config_file
 from .helpers import flip_hex_char
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +50,37 @@ class TestRun:
         code = main(["run", "--scenario", "A", "--seed", "3", "--out", str(tmp_path)])
         assert code == 0
         assert "scenario A_historian_tamper: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scenario, flags, seed", [
+        ("A", ["--trace-wire"], 17),
+        ("B", ["--nodes", "6"], 3),
+        ("A", ["--seed", "5"], 5),
+        ("A", ["--config", "run.conf"], 42),
+        ("C", ["--config", "run.conf"], 42),
+    ], ids=["A-trace-wire", "B-nodes", "A-seed", "A-config", "C-config"])
+    def test_scenario_seed_unless_seed_or_config_given(self, tmp_path, scenario, flags,
+                                                        seed):
+        """A scenario runs its own seed unless --seed or --config is given;
+        other flags apply on top of it, and a config file without a seed key
+        gives the default seed."""
+        (tmp_path / "run.conf").write_text("capacity=10\n")
+        flags = [str(tmp_path / f) if f == "run.conf" else f for f in flags]
+        code = main(["run", "--scenario", scenario, *flags, "--out", str(tmp_path / "arts")])
+        assert code == 0
+        report = (tmp_path / "arts" / "scenario_report.txt").read_text().splitlines()
+        assert report[1] == f"seed|{seed}"
+
+    def test_trace_wire_leaves_scenario_artifacts_unchanged(self, tmp_path):
+        assert main(["run", "--scenario", "A", "--out", str(tmp_path / "plain")]) == 0
+        assert main(["run", "--scenario", "A", "--trace-wire",
+                     "--out", str(tmp_path / "traced")]) == 0
+        assert (tmp_path / "traced" / "wire_trace.txt").stat().st_size > 0
+        names = sorted(p.name for p in (tmp_path / "plain").glob("*.txt")
+                       if p.name == "chain.txt" or p.name.startswith("historian"))
+        assert "chain.txt" in names and "historian1.tampered.txt" in names
+        for name in names:
+            assert ((tmp_path / "traced" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
 
     def test_scenario_a_with_another_start_time(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -249,6 +282,17 @@ class TestReadme:
         parser = _build_parser()
         for argv in commands:
             parser.parse_args(argv[1:])
+
+    def test_sample_config_is_the_defaults(self):
+        """The sample config file names every SimConfig field once, each at
+        its default value."""
+        lines = readme_lines()
+        start = lines.index("```", next(i for i, line in enumerate(lines)
+                                        if line.startswith("Config files are flat")))
+        sample = "\n".join(lines[start + 1:lines.index("```", start + 1)])
+        parsed = parse_config_file(sample)
+        assert list(parsed) == [f.name for f in dataclasses.fields(SimConfig)]
+        assert SimConfig(**parsed) == SimConfig()
 
     def test_named_scripts_exist(self):
         for line in readme_lines():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from datetime import datetime
 
 import pytest
 
@@ -10,9 +11,9 @@ from histchain import events as ev
 from histchain.attacks import run_with_interceptors
 from histchain.config import ConfigError, SimConfig, fmt_minute, load_config, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
-from histchain.ledger import dump_chain
+from histchain.ledger import dump_chain, format_vector_ref
 from histchain.sim import Simulation, scripted
-from histchain.wire import LOG, MEASUREMENT, MSG_TYPES, EncodeError
+from histchain.wire import LOG, MEASUREMENT, MSG_TYPES, REPLICA_REQ, EncodeError
 
 
 class TestClosedLoopRun:
@@ -208,6 +209,40 @@ class TestMalformedFrames:
                         if r.tick // cfg.interval_ticks == 2 and f"@{tip_minute} " in r.detail]
         assert pulled_again == []
 
+    def sealed_ref(self, sim, sender, recipient):
+        """A well-formed vector reference to node1's latest record, sealed by
+        `sender` to `recipient`."""
+        held = sim.historian(1).records()[-1]
+        return seal(format_vector_ref(vector_digest(held), held.captured_at),
+                    sim.keystore[sender], recipient, sim.directory.enc_pub(recipient),
+                    random.Random(1))
+
+    def test_index_from_a_plc_is_a_role_violation(self):
+        """Only storage nodes submit indexes: the minter buffers nothing for
+        an authentic INDEX that plc1 sealed to it."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(2)
+        assert sim.chain_module.collect(self.sealed_ref(sim, "plc1", "chain")) is False
+        assert sim.chain_module.buffer == []
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("chain", ev.ROLE_VIOLATION)]
+        assert "plc1" in alarms[0].detail
+        sim.run(1)
+        assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [2, 2, 2]
+
+    def test_replica_request_from_a_plc_is_a_role_violation(self):
+        """Only storage nodes pull replicas: node1 sends no answer to an
+        authentic REPLICA_REQ that plc1 sealed to it, and the run goes on."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(2)
+        request = self.sealed_ref(sim, "plc1", "node1")
+        assert sim.plcs["plc1"].transport.round_trip("node1", REPLICA_REQ, request) is None
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
+        assert "plc1" in alarms[0].detail
+        sim.run(1)
+        assert len(sim.events.alarms()) == 1
+
     @pytest.mark.parametrize("src, dst, claimed, code", [
         ("plc1", "node1", "node3", ev.DIGEST_MISMATCH),
         ("plc1", "node1", "plc2", ev.DIGEST_MISMATCH),
@@ -328,7 +363,7 @@ class TestDeterminism:
         sim = Simulation(SimConfig(seed=1234, trace_wire=trace))
         sim.run(3)
         arts = {
-            "events": sim.events.dump(),
+            "events": [r.line() for r in sim.events.records],
             "chain": dump_chain(sim.chain_module.chain),
         }
         for i, node in sim.nodes.items():
@@ -347,7 +382,7 @@ class TestDeterminism:
         a = self.run_artifacts()
         sim = Simulation(SimConfig(seed=987))
         sim.run(3)
-        assert sim.events.dump() != a["events"] or \
+        assert [r.line() for r in sim.events.records] != a["events"] or \
             sim.historian(3).dump() != a["historian3"]
 
 
@@ -443,6 +478,36 @@ class TestConfig:
     def test_config_file_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config_file("bogus_key=1")
+
+    @pytest.mark.parametrize("key", ["bogus_key", "flow_rate_a1"])
+    def test_unknown_key_message(self, key):
+        """A flow rate is a key only in its per-valve spelling."""
+        with pytest.raises(ConfigError, match=f"^line 1: unknown config key '{key}'$"):
+            parse_config_file(f"{key}=1")
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("seed=7", "seed", 7),
+        ("flow_rate.A2=2.5", "flow_rate_a2", 2.5),
+        ("capacity=12", "capacity", 12.0),
+        ("sensor_noise=on", "sensor_noise", True),
+        ("trace_wire=0", "trace_wire", False),
+        ("start_time=2021-01-01T00:00", "start_time", datetime(2021, 1, 1)),
+    ])
+    def test_config_value_parsed_by_field_type(self, line, field, value):
+        parsed = parse_config_file(line)
+        assert parsed == {field: value} and type(parsed[field]) is type(value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed=1.5", "bad value for seed: invalid literal for int() with base 10: '1.5'"),
+        ("capacity=lots", "bad value for capacity: could not convert string to float: 'lots'"),
+        ("trace_wire=maybe", "bad value for trace_wire: bad boolean 'maybe'"),
+        ("start_time=2020-12-23 17:26", "bad value for start_time: bad minute timestamp "
+                                        "'2020-12-23 17:26': expected %Y-%m-%dT%H:%M"),
+    ])
+    def test_config_bad_value_message(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_file(f"# a comment\n{line}")
+        assert str(info.value) == f"line 2: {message}"
 
     def test_config_file_bad_value(self):
         with pytest.raises(ConfigError):

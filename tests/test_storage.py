@@ -351,10 +351,13 @@ class TestServeReplica:
     @pytest.mark.parametrize("digest_hex", ["not-hex", "AB" * 32, "ab" * 31],
                              ids=["not_hex", "uppercase", "short"])
     def test_authentic_request_with_bad_digest_rejected(self, digest_hex):
+        """Sent by a storage node, since one from a PLC is a role violation."""
         node, keys, _ = standalone_node()
         node.register(sealed_measurement(keys))
+        keys["node2"] = generate_node_keys("node2", random.Random("node2"))
+        node.directory.register(keys["node2"])
         request = f"{digest_hex}|2020-12-23T17:27".encode("ascii")
-        env = seal(request, keys["plc1"], "node1", keys["node1"].enc_pub, random.Random(7))
+        env = seal(request, keys["node2"], "node1", keys["node1"].enc_pub, random.Random(7))
         assert node.serve_replica(env) is None
         assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
 
