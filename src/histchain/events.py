@@ -36,6 +36,11 @@ REPLICA_REQUEST_REJECTED = "REPLICA_REQUEST_REJECTED"
 ROLE_VIOLATION = "ROLE_VIOLATION"
 
 
+# A tab and every character str.splitlines breaks at become a space, so a
+# detail (which may quote bytes off the wire) stays one field of one line.
+_ONE_FIELD = str.maketrans(dict.fromkeys("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 @dataclass(frozen=True, slots=True)
 class EventRecord:
     tick: int
@@ -45,7 +50,7 @@ class EventRecord:
     detail: str
 
     def line(self) -> str:
-        detail = self.detail.replace("\t", " ").replace("\n", " ")
+        detail = self.detail.translate(_ONE_FIELD)
         return f"{self.tick}\t{self.actor}\t{self.severity}\t{self.code}\t{detail}"
 
 

@@ -19,6 +19,7 @@ from .envelope import (
     seal,
 )
 from .ledger import Block, Chain, LedgerIndex, make_block, parse_vector_ref
+from .wire import LOG
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,13 @@ def draw_replicas(origin: int, n_nodes: int, replication_factor: int,
 class ChainModule:
     """Sole writer of the chain; trusted and unattackable in this model."""
 
-    def __init__(self, keys: NodeKeys, directory: KeyDirectory,
+    def __init__(self, keys: NodeKeys, directory: KeyDirectory, transport,
                  event_log: ev.EventLog, rng: random.Random,
                  n_storage_nodes: int, replication_factor: int,
                  crypto_rng: random.Random):
         self.keys = keys
         self.directory = directory
+        self.transport = transport
         self.events = event_log
         self.rng = rng  # replica-choice stream
         self.crypto_rng = crypto_rng
@@ -82,7 +84,8 @@ class ChainModule:
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:
-        """Mint one block from the buffered submissions, or nothing if none came."""
+        """Mint one block from the buffered submissions and send each storage
+        node its own sealed LOG of the new tip; nothing if none came."""
         if not self.buffer:
             self.events.info("chain", ev.NO_BLOCK,
                              "no authentic index this interval; chain unchanged")
@@ -100,14 +103,9 @@ class ChainModule:
         self.chain.append(block)
         self.events.info("chain", ev.BLOCK_MINTED,
                          f"hash={block.block_hash.hex} n_indexes={len(indexes)}")
-        return block
-
-    def broadcast_log(self, block_hash: Digest) -> list[tuple[str, object]]:
-        """One sealed announcement per storage node, same plaintext, per-node key."""
-        envelopes = []
         for i in range(1, self.n_storage_nodes + 1):
             name = f"node{i}"
-            env = seal(block_hash.hex.encode("ascii"), self.keys, name,
-                       self.directory.enc_pub(name), self.crypto_rng)
-            envelopes.append((name, env))
-        return envelopes
+            self.transport.send(name, LOG, seal(
+                block.block_hash.hex.encode("ascii"), self.keys, name,
+                self.directory.enc_pub(name), self.crypto_rng))
+        return block

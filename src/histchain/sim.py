@@ -29,6 +29,7 @@ from .plant import TwoTankPlant, default_plcs, plc_control, read_sensor
 from .storage import StorageNode
 from .wire import (
     ANSWER_DROPPED,
+    FRAME_VERSION,
     INDEX,
     LOG,
     MEASUREMENT,
@@ -56,7 +57,7 @@ class NodeTransport:
 
     def frame(self, dst: str, msg_type: int, env) -> Frame:
         registry = self.sim.registry
-        return Frame(1, msg_type, registry.wire_id(self.src),
+        return Frame(FRAME_VERSION, msg_type, registry.wire_id(self.src),
                      registry.wire_id(dst), pack_envelope(env))
 
     def send(self, dst: str, msg_type: int, env):
@@ -144,11 +145,10 @@ class Simulation:
             for i in range(1, cfg.n_storage_nodes + 1)
         }
         self.chain_module = ChainModule(
-            self.keystore["chain"], self.directory, self.events,
-            self.replica_rng, cfg.n_storage_nodes, cfg.replication_factor,
-            crypto["chain"],
+            self.keystore["chain"], self.directory, NodeTransport(self, "chain"),
+            self.events, self.replica_rng, cfg.n_storage_nodes,
+            cfg.replication_factor, crypto["chain"],
         )
-        self.chain_transport = NodeTransport(self, "chain")
         self.intervals_run = 0
 
     # -- wiring -------------------------------------------------------------
@@ -253,10 +253,7 @@ class Simulation:
         for plc in self.plcs.values():
             plc.flush(ts)
         self.network.pump(self._deliver)
-        block = self.chain_module.close_interval(ts)
-        if block is not None:
-            for name, env in self.chain_module.broadcast_log(block.block_hash):
-                self.chain_transport.send(name, LOG, env)
+        if self.chain_module.close_interval(ts) is not None:
             self.network.pump(self._deliver)
         for node in self.nodes.values():
             node.validate_cycle(self.chain_module.chain)

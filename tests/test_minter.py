@@ -20,8 +20,19 @@ from histchain.envelope import (
 from histchain.events import EventLog
 from histchain.ledger import dump_chain
 from histchain.minter import ChainModule, draw_replicas
+from histchain.wire import LOG
 
 TS = datetime(2020, 12, 23, 3, 24)
+
+
+class SentLog:
+    """Stub transport: keeps each (dst, msg_type, envelope) it is asked to send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, msg_type, env):
+        self.sent.append((dst, msg_type, env))
 
 
 def make_module(n_nodes=6, seed=0):
@@ -31,7 +42,7 @@ def make_module(n_nodes=6, seed=0):
     for name in [f"node{i}" for i in range(1, n_nodes + 1)] + ["chain"]:
         keys[name] = generate_node_keys(name, rng)
         directory.register(keys[name])
-    module = ChainModule(keys["chain"], directory, EventLog(),
+    module = ChainModule(keys["chain"], directory, SentLog(), EventLog(),
                          random.Random(seed + 1), n_nodes, 3, rng)
     return module, keys
 
@@ -72,6 +83,7 @@ class TestCloseInterval:
         assert module.close_interval(TS) is None
         assert len(module.chain) == 1
         assert module.events.by_code(ev.NO_BLOCK, "chain")
+        assert module.transport.sent == []
 
     def test_single_index_block(self):
         module, keys = make_module()
@@ -123,19 +135,20 @@ class TestBroadcastLog:
         module, keys = make_module()
         module.collect(submission_env(keys, origin=2))
         block = module.close_interval(TS)
-        logs = module.broadcast_log(block.block_hash)
-        assert [name for name, _ in logs] == [f"node{i}" for i in range(1, 7)]
-        ciphertexts = [env.ciphertext for _, env in logs]
+        sent = module.transport.sent
+        assert [(name, msg_type) for name, msg_type, _ in sent] == [
+            (f"node{i}", LOG) for i in range(1, 7)]
+        ciphertexts = [env.ciphertext for _, _, env in sent]
         assert len(set(ciphertexts)) == len(ciphertexts)
-        for name, env in logs:
+        for name, _, env in sent:
             plaintext = open_envelope(env, keys[name], keys["chain"].sig_pub)
             assert plaintext.decode() == block.block_hash.hex
 
     def test_cross_node_open_fails(self):
         module, keys = make_module()
         module.collect(submission_env(keys, origin=2))
-        block = module.close_interval(TS)
-        logs = dict(module.broadcast_log(block.block_hash))
+        module.close_interval(TS)
+        logs = {name: env for name, _, env in module.transport.sent}
         with pytest.raises(AuthError) as exc:
             open_envelope(logs["node1"], keys["node2"], keys["chain"].sig_pub)
         assert exc.value.kind == AuthError.DECRYPT_FAILED
