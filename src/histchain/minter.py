@@ -53,10 +53,13 @@ class ChainModule:
         self.replication_factor = replication_factor
         self.chain = Chain()
         self.buffer: list[IndexSubmission] = []
+        # Hex of every digest buffered or minted: each is indexed once.
+        self.indexed: set[str] = set()
 
     def collect(self, env) -> bool:
         """Verify one index submission; buffer it for the open interval. One
-        from any sender but a storage node raises ROLE_VIOLATION."""
+        from any sender but a storage node raises ROLE_VIOLATION, and one
+        whose digest is already buffered or minted INDEX_REJECTED."""
         try:
             plaintext = open_envelope(env, self.keys,
                                       self.directory.sig_pub(env.sender_id))
@@ -78,9 +81,16 @@ class ChainModule:
             self.events.alarm("chain", ev.INDEX_REJECTED,
                               f"index from {env.sender_id} authentic but malformed")
             return False
+        digest_hex = submission.vector_digest.hex
+        if digest_hex in self.indexed:
+            self.events.alarm("chain", ev.INDEX_REJECTED,
+                              f"index from {env.sender_id} repeats {digest_hex}, "
+                              "already buffered or minted; dropped")
+            return False
+        self.indexed.add(digest_hex)
         self.buffer.append(submission)
         self.events.info("chain", ev.INDEX_ACCEPTED,
-                         f"index from {env.sender_id} verified: {submission.vector_digest.hex}")
+                         f"index from {env.sender_id} verified: {digest_hex}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:

@@ -199,17 +199,20 @@ class Simulation:
 
         A frame whose header decode_frame rejects, whose type is not among
         `accepted` (the types `receiver` takes at this point), that names an
-        unknown endpoint or whose payload does not unpack is dropped:
-        `receiver` raises MALFORMED_PAYLOAD and None is returned, so the frame
-        reaches no handler.
+        unknown endpoint or an addressee other than `receiver`, or whose
+        payload does not unpack is dropped: `receiver` raises MALFORMED_PAYLOAD
+        and None is returned, so the frame reaches no handler.
         """
         try:
             frame = decode_frame(data)
-            if frame.msg_type in accepted:
+            addressee = self.registry.name(frame.recipient_id)
+            if addressee != receiver:
+                reason = f"addressed to {addressee}, not {receiver}"
+            elif frame.msg_type in accepted:
                 return frame.msg_type, unpack_envelope(
-                    frame.payload, self.registry.name(frame.sender_id),
-                    self.registry.name(frame.recipient_id))
-            reason = f"{receiver} does not take this type here"
+                    frame.payload, self.registry.name(frame.sender_id), receiver)
+            else:
+                reason = f"{receiver} does not take this type here"
         except KeyError as exc:
             reason = f"unknown endpoint id {exc}"
         except DecodeError as exc:

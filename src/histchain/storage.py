@@ -10,12 +10,11 @@ copy that matches the ledger digest, asked for in ledger order, overwrites the
 local one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
-parsed, grouped by capture minute, so the validator finds the candidates for a
-ledger index with one dict lookup. Each record carries its canonical bytes,
-which are the very line `dump` persists, and the check is one SHA-256 over
-them. The digest is recomputed on every check and never cached, and every
-store edit (put_new, overwrite, tamper, load, replica pull) stores a new
-frozen record, so an at-rest edit is caught on the next cycle.
+parsed, each with its canonical bytes: the very line `dump` persists. Each
+validator cycle hashes every held record once into a digest -> record map that
+dies with the cycle, and looks each ledger index listing the node up in it.
+Every store edit stores a new frozen record, so an at-rest edit is caught on
+the next cycle.
 
 The event log records decisions, not "still fine": each completed validator
 cycle logs one CHECK_OK summary per node (`checked=N intact=M chain_len=L`),
@@ -60,10 +59,10 @@ class Historian:
     line per record.
 
     The one map goes from ISO minute to that minute's {key -> record}, so
-    `at_time` is one lookup and `get` two. `records` and `dump` walk the
-    groups: minutes in the order each first got a record (a minute left
-    empty by `delete` is forgotten), and records within a minute in insertion
-    order. When each record arrives in minute order this is insertion order.
+    `at_time` is one lookup and `get` two; it serves replica answers, naming
+    an unrecoverable record and the offline audit. `records` and `dump` walk
+    minutes in the order each first got a record (a minute emptied by
+    `delete` is forgotten), and each minute's records in insertion order.
     """
 
     def __init__(self, node_id: int):
@@ -379,42 +378,43 @@ class StorageNode:
     # -- validator -----------------------------------------------------------
 
     def validate_cycle(self, chain: Chain) -> list[ValidationFinding]:
-        """Full-chain audit of this node's holdings, with automated recovery."""
+        """Full-chain audit of this node's holdings, with automated recovery:
+        each held record is hashed once per cycle; each duty is one lookup."""
         bad = verify_chain(chain)
         if bad is not None:
             self.events.alarm(self.name, ev.CHAIN_INVALID,
                               f"chain fails verification at block {bad.position} "
                               f"({bad.reason}); validation aborted")
             return []
-        findings = []
-        for block in reversed(chain.blocks):
-            for ix in block.indexes:
-                if self.node_id not in ix.replica_ids:
-                    continue
-                findings.append(self._check_index(ix))
+        held = {vector_digest(r).hex: r for r in self.historian.records()}
+        findings = [self._check_index(ix, held)
+                    for block in reversed(chain.blocks) for ix in block.indexes
+                    if self.node_id in ix.replica_ids]
         intact = sum(f.verdict == INTACT for f in findings)
         self.events.info(self.name, ev.CHECK_OK,
                          f"checked={len(findings)} intact={intact} "
                          f"chain_len={len(chain.blocks)}")
         return findings
 
-    def _check_index(self, ix: LedgerIndex) -> ValidationFinding:
+    def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
+        """INTACT if `held` (digest hex -> record) has the index's digest at
+        its minute; otherwise alarm and recover, keeping `held` what is stored."""
         minute = ix.minute
         expected = ix.vector_digest.hex
-        records = self.historian.at_time(minute)
-        for record in records:
-            if vector_digest(record).hex == expected:
-                return ValidationFinding(record.key, INTACT)
+        record = held.get(expected)
+        if record is not None and record.key[1] == minute:
+            return ValidationFinding(record.key, INTACT)
         self.events.alarm(self.name, ev.FDI_ALARM,
                           f"no local record for {minute} matches ledger digest "
                           f"{expected}; data falsified or missing, recovering")
         outcome = self.recover(ix)
         if outcome is None:
-            # A failed recovery leaves the store untouched, so `records` is
-            # still what this node holds for the minute.
-            only = records[0] if len(records) == 1 else None
-            return ValidationFinding((only.sensor_name if only else None, minute),
-                                     TAMPERED_UNRECOVERABLE)
+            records = self.historian.at_time(minute)
+            name = records[0].sensor_name if len(records) == 1 else None
+            return ValidationFinding((name, minute), TAMPERED_UNRECOVERABLE)
+        if outcome.previous is not None:
+            held.pop(vector_digest(outcome.previous).hex, None)
+        held[expected] = outcome.vector
         return ValidationFinding((outcome.vector.sensor_name, minute), TAMPERED_RECOVERED,
                                  recovered_from=outcome.recovered_from)
 

@@ -15,8 +15,10 @@ rewrite goes on the wire as pack_frame writes it, any header included. The
 network hands each delivered frame's bytes to one `(receiver, bytes)`
 callable, and the receiver decodes them in one place,
 Simulation.unpack_frame: a header decode_frame rejects, a type the receiver
-does not take at that point, an unknown endpoint or a payload that does not
-unpack is dropped there with MALFORMED_PAYLOAD from the receiver.
+does not take at that point, an unknown endpoint, a recipient other than the
+receiver or a payload that does not unpack is dropped there with
+MALFORMED_PAYLOAD from the receiver. A link delivers to the endpoint its
+sender addressed, whatever the recipient an interceptor writes.
 
 A traced network keeps each delivered frame as the bytes object its receiver
 is handed, so the trace costs the frames' own size; they are hexed only as

@@ -17,10 +17,13 @@ from histchain.envelope import (
     vector_digest,
     MeasurementVector,
 )
+from histchain.audit import audit_directory
+from histchain.config import SimConfig
 from histchain.events import EventLog
 from histchain.ledger import dump_chain
 from histchain.minter import ChainModule, draw_replicas
-from histchain.wire import LOG
+from histchain.sim import Simulation
+from histchain.wire import INDEX, LOG
 
 TS = datetime(2020, 12, 23, 3, 24)
 
@@ -75,6 +78,25 @@ class TestCollect:
         module, keys = make_module()
         assert module.collect(submission_env(keys, payload=b"nonsense")) is False
         assert module.buffer == []
+
+    def test_digest_already_buffered_or_minted_rejected(self):
+        """An honest digest never repeats: it fixes the sensor, the minute
+        and the values. A second INDEX for one is refused, whoever seals it."""
+        module, keys = make_module()
+        assert module.collect(submission_env(keys, origin=2)) is True
+        assert module.collect(submission_env(keys, origin=2)) is False
+        assert len(module.buffer) == 1
+        module.close_interval(TS)
+        replayed = submission_env(keys, origin=2)
+        assert module.collect(replayed) is False
+        relayed = seal(open_envelope(replayed, keys["chain"], keys["node2"].sig_pub),
+                       keys["node3"], "chain", keys["chain"].enc_pub, random.Random(2))
+        assert module.collect(relayed) is False
+        assert module.buffer == []
+        rejected = module.events.by_code(ev.INDEX_REJECTED, "chain")
+        assert len(rejected) == 3
+        assert all("already buffered or minted" in r.detail for r in rejected)
+        assert module.close_interval(TS) is None
 
 
 class TestCloseInterval:
@@ -166,3 +188,52 @@ class TestDrawReplicas:
     def test_respects_replication_factor(self):
         draw = draw_replicas(2, 6, 4, random.Random(0))
         assert len(draw) == 4 and draw[0] == 2
+
+
+def chain_digests(sim):
+    return [ix.vector_digest.hex for block in sim.chain_module.chain.blocks
+            for ix in block.indexes]
+
+
+class TestIndexReplay:
+    """An on-link adversary who resends an authentic INDEX gets it refused,
+    so no digest is minted twice and the audit of the artifacts flags nothing."""
+
+    def assert_each_digest_once(self, sim, replays, tmp_path):
+        digests = chain_digests(sim)
+        assert len(digests) == len(set(digests))
+        assert len(sim.events.by_code(ev.INDEX_REJECTED, "chain")) == replays
+        sim.write_artifacts(tmp_path)
+        report = audit_directory(tmp_path)
+        assert report.chain_issue is None and report.flagged() == []
+
+    def test_first_index_replayed_in_each_later_interval(self, tmp_path):
+        sim = Simulation(SimConfig(seed=42))
+        first = []
+
+        def replay_first(frame):
+            if frame.msg_type == INDEX:
+                if not first:
+                    first.append(frame)
+                return first[0]
+            return frame
+
+        sim.install_interceptor("node1", "chain", replay_first)
+        sim.run(3)
+        self.assert_each_digest_once(sim, 2, tmp_path)
+        gaps = sim.events.by_code(ev.COVERAGE_GAP, "node1")
+        assert len(gaps) == 2
+
+    def test_index_relayed_over_another_nodes_link(self, tmp_path):
+        sim = Simulation(SimConfig(seed=42))
+        latest = []
+
+        def keep(frame):
+            latest.append(frame)
+            return frame
+
+        sim.install_interceptor("node1", "chain", keep)
+        sim.install_interceptor("node2", "chain", lambda frame: latest[-1])
+        sim.run(2)
+        self.assert_each_digest_once(sim, 2, tmp_path)
+        assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [1, 1]

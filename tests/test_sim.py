@@ -13,7 +13,16 @@ from histchain.config import ConfigError, SimConfig, fmt_minute, load_config, pa
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain, format_vector_ref
 from histchain.sim import Simulation, scripted
-from histchain.wire import LOG, MEASUREMENT, MSG_TYPES, REPLICA_REQ, EncodeError
+from histchain.wire import (
+    INDEX,
+    LOG,
+    MEASUREMENT,
+    MSG_TYPES,
+    REPLICA_REQ,
+    REPLICA_RESP,
+    EncodeError,
+    pack_frame,
+)
 
 
 class TestClosedLoopRun:
@@ -269,6 +278,60 @@ class TestMalformedFrames:
                                 lambda f: dataclasses.replace(f, msg_type=256))
         with pytest.raises(EncodeError):
             sim.run(1)
+
+
+NODE_LINKS = [(f"node{a}", f"node{b}") for a in range(1, 7) for b in range(1, 7) if a != b]
+
+
+class TestMisaddressedFrames:
+    """A frame whose header names an endpoint other than the one receiving
+    it is dropped at the decode gate, whatever its type: the receiver raises
+    MALFORMED_PAYLOAD naming the endpoint the header gives."""
+
+    @pytest.mark.parametrize("msg_type, links, addressee", [
+        (MEASUREMENT, [("plc1", "node1")], "node2"),
+        (INDEX, [("node1", "chain")], "node3"),
+        (LOG, [("chain", "node3")], "node4"),
+        (REPLICA_REQ, NODE_LINKS, None),
+        (REPLICA_RESP, NODE_LINKS, None),
+    ], ids=["MEASUREMENT", "INDEX", "LOG", "REPLICA_REQ", "REPLICA_RESP"])
+    def test_frame_for_another_endpoint_reaches_no_handler(self, msg_type, links,
+                                                           addressee):
+        cfg = SimConfig(seed=42)
+        sim = Simulation(cfg)
+        moved = {}  # bytes of each re-addressed frame -> (receiver, header's endpoint)
+        gated = []
+        unpack = sim.unpack_frame
+
+        def readdress(src, dst):
+            to = addressee or next(f"node{i}" for i in range(1, 7)
+                                   if f"node{i}" not in (src, dst))
+
+            def interceptor(frame):
+                if frame.msg_type != msg_type:
+                    return frame
+                frame = dataclasses.replace(frame, recipient_id=sim.registry.wire_id(to))
+                moved[pack_frame(frame)] = (dst, to)
+                return frame
+            return interceptor
+
+        def record(data, receiver, *accepted):
+            unpacked = unpack(data, receiver, *accepted)
+            if data in moved:
+                gated.append((receiver, unpacked is None))
+            return unpacked
+
+        sim.unpack_frame = record
+        run_with_interceptors(sim, 3, {1: [(src, dst, readdress(src, dst))
+                                           for src, dst in links]})
+        assert moved and sorted(gated) == sorted((dst, True) for dst, _ in moved.values())
+        dropped = [(r.actor, r.detail.split("dropped: ")[1])
+                   for r in sim.events.by_code(ev.MALFORMED_PAYLOAD)]
+        assert sorted(dropped) == sorted((dst, f"addressed to {to}, not {dst}")
+                                         for dst, to in moved.values())
+        unanswered = [r for r in sim.events.by_code(ev.REPLICA_NO_RESPONSE)
+                      if r.tick // cfg.interval_ticks == 1]
+        assert len(unanswered) == (len(moved) if msg_type == REPLICA_REQ else 0)
 
 
 class TestInterceptors:

@@ -2,12 +2,13 @@
 
 import dataclasses
 import random
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
 from histchain import events as ev
 from histchain import storage
+from histchain.attacks import run_scenario_a
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
     Digest,
@@ -23,6 +24,7 @@ from histchain.events import EventLog
 from histchain.ledger import Chain, LedgerIndex, make_block
 from histchain.sim import Simulation, scripted
 from histchain.storage import (
+    INTACT,
     Historian,
     StorageNode,
     TAMPERED_RECOVERED,
@@ -540,3 +542,108 @@ class TestIncrementalVerification:
         assert len(calls) >= len(held)
         assert {fmt_minute(ix.captured_at) for ix in held} <= {key[1] for key in calls}
         assert node.historian.get(record.key) == record
+
+
+class TestDigestLookup:
+    """A cycle hashes every held record once, then looks each duty up by
+    digest; the findings are those of a per-duty look at the store."""
+
+    def test_every_held_record_hashed_once_per_cycle(self, monkeypatch):
+        """Scenario A's uncovered Sensor 9 row shares its minute with a
+        covered Sensor 1 record; it is hashed all the same."""
+        hashed, cycles = [], []
+        digest, validate = storage.vector_digest, StorageNode.validate_cycle
+
+        def counting(vector):
+            hashed.append(vector.key)
+            return digest(vector)
+
+        def watched(node, chain):
+            held = sorted(r.key for r in node.historian.records())
+            hashed.clear()
+            findings = validate(node, chain)
+            cycles.append((node.node_id, held, sorted(hashed)))
+            return findings
+
+        monkeypatch.setattr(storage, "vector_digest", counting)
+        monkeypatch.setattr(StorageNode, "validate_cycle", watched)
+        assert run_scenario_a(uncovered=True).passed
+        node_id, held, _ = cycles[-1]
+        assert node_id == 1 and "Sensor 9" in {name for name, _ in held}
+        assert [got for _, _, got in cycles] == [held for _, held, _ in cycles]
+
+    def test_digest_held_under_another_minute_is_not_intact(self):
+        sim = scripted_sim()
+        chain = sim.chain_module.chain
+        first, *_, last = sim.historian(1).records()
+        assert first.key[1] != last.key[1]
+        moved = LedgerIndex(vector_digest(first), last.captured_at, (1, 2, 3))
+        chain.append(make_block([moved], chain.tip.block_hash,
+                                chain.tip.minted_at + timedelta(minutes=1)))
+        findings = sim.nodes[1].validate_cycle(chain)
+        assert findings[0].key[1] == last.key[1]
+        assert findings[0].verdict == TAMPERED_UNRECOVERABLE
+        assert all(f.verdict == INTACT for f in findings[1:])
+        assert [r.code for r in sim.events.alarms() if r.actor == "node1"][0] == ev.FDI_ALARM
+
+    def test_two_tampered_records_both_recovered(self):
+        sim = scripted_sim()
+        node = sim.nodes[1]
+        duties = [ix for b in reversed(sim.chain_module.chain.blocks) for ix in b.indexes
+                  if 1 in ix.replica_ids]
+        originals = node.historian.records()[:2]
+        for record in originals:
+            node.historian.tamper(record.key, (0, 0))
+        tampered = {vector_digest(r).hex for r in originals}
+        before = len(sim.events)
+        findings = node.validate_cycle(sim.chain_module.chain)
+        expected = [
+            (INTACT, None) if ix.vector_digest.hex not in tampered
+            else (TAMPERED_RECOVERED, ix.replica_ids[1])
+            for ix in duties
+        ]
+        assert [(f.verdict, f.recovered_from) for f in findings] == expected
+        assert [f.key[1] for f in findings] == [ix.minute for ix in duties]
+        codes = [(r.actor, r.code) for r in sim.events.records[before:]]
+        assert codes == [("node1", ev.FDI_ALARM), ("node1", ev.RECOVERED)] * 2 + \
+            [("node1", ev.CHECK_OK)]
+        assert [node.historian.get(r.key) for r in originals] == originals
+
+    def test_record_a_restore_replaces_is_no_longer_held(self):
+        """A newer index for other values of a held record's key restores
+        them over it; the older index for the replaced record then misses and
+        is restored in turn, as a fresh look at the store would show."""
+        sim = scripted_sim()
+        chain = sim.chain_module.chain
+        record = sim.historian(1).records()[0]
+        (old,) = [ix for ix in indexes_of(sim)
+                  if ix.vector_digest.hex == vector_digest(record).hex]
+        other = next(n for n in range(2, 7) if n not in old.replica_ids)
+        forged = MeasurementVector(record.sensor_name, record.captured_at, (2, 1))
+        sim.historian(other).overwrite(forged)
+        newer = LedgerIndex(vector_digest(forged), record.captured_at, (1, other))
+        chain.append(make_block([newer], chain.tip.block_hash,
+                                chain.tip.minted_at + timedelta(minutes=1)))
+        findings = sim.nodes[1].validate_cycle(chain)
+        flagged = [(f.verdict, f.recovered_from) for f in findings if f.verdict != INTACT]
+        assert flagged == [(TAMPERED_RECOVERED, other),
+                           (TAMPERED_RECOVERED, old.replica_ids[1])]
+        assert sim.historian(1).get(record.key) == record
+
+    def test_record_restored_earlier_in_the_cycle_is_held(self):
+        """A chain that lists one digest twice: the newer index restores the
+        record, and the older one finds it."""
+        sim = scripted_sim()
+        chain = sim.chain_module.chain
+        record = sim.historian(1).records()[0]
+        (old,) = [ix for ix in indexes_of(sim)
+                  if ix.vector_digest.hex == vector_digest(record).hex]
+        chain.append(make_block([old], chain.tip.block_hash,
+                                chain.tip.minted_at + timedelta(minutes=1)))
+        sim.historian(1).tamper(record.key, (0, 0))
+        findings = sim.nodes[1].validate_cycle(chain)
+        flagged = [(f.verdict, f.recovered_from) for f in findings if f.verdict != INTACT]
+        assert flagged == [(TAMPERED_RECOVERED, old.replica_ids[1])]
+        assert findings[0].verdict == TAMPERED_RECOVERED
+        assert len(sim.events.by_code(ev.FDI_ALARM, "node1")) == 1
+        assert sim.historian(1).get(record.key) == record
