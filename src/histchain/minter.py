@@ -1,6 +1,8 @@
-"""The single block-minting module: collects sealed index submissions each
-interval, mints a block when at least one is authentic, assigns replica
-holders, and announces the new tip to every storage node under its own key.
+"""The single block-minting module: collects index submissions each interval,
+mints a block when at least one is accepted, assigns replica holders, and
+announces the new tip to every storage node under its own key. Each INDEX
+reaches `collect` through Simulation.intake, which authenticates it and checks
+that a storage node sent it.
 """
 
 from __future__ import annotations
@@ -10,14 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from . import events as ev
-from .envelope import (
-    AuthError,
-    Digest,
-    KeyDirectory,
-    NodeKeys,
-    open_envelope,
-    seal,
-)
+from .envelope import Digest, KeyDirectory, NodeKeys, seal
 from .ledger import Block, Chain, LedgerIndex, make_block, parse_vector_ref
 from .wire import LOG
 
@@ -56,41 +51,27 @@ class ChainModule:
         # Hex of every digest buffered or minted: each is indexed once.
         self.indexed: set[str] = set()
 
-    def collect(self, env) -> bool:
-        """Verify one index submission; buffer it for the open interval. One
-        from any sender but a storage node raises ROLE_VIOLATION, and one
-        whose digest is already buffered or minted INDEX_REJECTED."""
+    def collect(self, sender: str, plaintext: bytes) -> bool:
+        """Buffer storage node `sender`'s index submission for the open
+        interval. One that does not parse, or whose digest is already
+        buffered or minted, raises INDEX_REJECTED and returns False."""
         try:
-            plaintext = open_envelope(env, self.keys,
-                                      self.directory.sig_pub(env.sender_id))
-        except AuthError as exc:
-            detail = f"index from {env.sender_id} corrupted ({exc.detail}); dropped"
-            if exc.claimed is not None:
-                detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
-            self.events.alarm("chain", ev.INDEX_REJECTED, detail)
-            return False
-        if not env.sender_id.startswith("node"):
-            self.events.alarm("chain", ev.ROLE_VIOLATION,
-                              f"authentic index from {env.sender_id}, which is not "
-                              "a storage node; not buffered")
-            return False
-        try:
-            submission = IndexSubmission(int(env.sender_id.removeprefix("node")),
+            submission = IndexSubmission(int(sender.removeprefix("node")),
                                          *parse_vector_ref(plaintext))
         except ValueError:
             self.events.alarm("chain", ev.INDEX_REJECTED,
-                              f"index from {env.sender_id} authentic but malformed")
+                              f"index from {sender} authentic but malformed")
             return False
         digest_hex = submission.vector_digest.hex
         if digest_hex in self.indexed:
             self.events.alarm("chain", ev.INDEX_REJECTED,
-                              f"index from {env.sender_id} repeats {digest_hex}, "
+                              f"index from {sender} repeats {digest_hex}, "
                               "already buffered or minted; dropped")
             return False
         self.indexed.add(digest_hex)
         self.buffer.append(submission)
         self.events.info("chain", ev.INDEX_ACCEPTED,
-                         f"index from {env.sender_id} verified: {digest_hex}")
+                         f"index from {sender} verified: {digest_hex}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:

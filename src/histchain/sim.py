@@ -16,11 +16,13 @@ from pathlib import Path
 from . import events as ev
 from .config import PLC_TARGET_NODE, SimConfig, rng_stream
 from .envelope import (
+    AuthError,
     KeyDirectory,
     MeasurementVector,
     NodeKeys,
     clear_signature_caches,
     generate_node_keys,
+    open_envelope,
     seal,
 )
 from .ledger import chain_lines
@@ -46,6 +48,16 @@ from .wire import (
 )
 
 PLC_SENSOR_NAMES = {"plc1": "Sensor 1", "plc2": "Sensor 2"}
+
+# Each type a receiver takes unasked: the kind of endpoint that may send it,
+# its name in an alarm, what refusing it means, and the code an envelope of
+# it that fails to open raises (None: DECRYPT_FAILED or DIGEST_MISMATCH).
+INTAKE = {
+    MEASUREMENT: ("plc", "measurement", "not stored", None),
+    LOG: ("chain", "block announcement", "ignored", None),
+    INDEX: ("node", "index", "not buffered", ev.INDEX_REJECTED),
+    REPLICA_REQ: ("node", "replica request", "not answered", ev.REPLICA_REQUEST_REJECTED),
+}
 
 
 class NodeTransport:
@@ -169,33 +181,68 @@ class Simulation:
         """Hand one queued frame to its receiver: the chain takes INDEX, a
         node MEASUREMENT or LOG."""
         if receiver == "chain":
-            unpacked = self.unpack_frame(data, receiver, INDEX)
-            if unpacked is not None:
-                self.chain_module.collect(unpacked[1])
+            taken = self.intake(data, receiver, INDEX)
+            if taken is not None:
+                self.chain_module.collect(*taken[1:])
             return
-        unpacked = self.unpack_frame(data, receiver, MEASUREMENT, LOG)
-        if unpacked is None:
+        taken = self.intake(data, receiver, MEASUREMENT, LOG)
+        if taken is None:
             return
-        msg_type, env = unpacked
+        msg_type, sender, plaintext = taken
         node = self.nodes[int(receiver.removeprefix("node"))]
         if msg_type == MEASUREMENT:
-            node.register(env)
+            node.register(sender, plaintext)
         else:
-            node.handle_log(env, self.chain_module.chain)
+            node.handle_log(plaintext, self.chain_module.chain)
 
     def _answer(self, receiver: str, data: bytes) -> Frame | None:
         """A node's REPLICA_RESP to a REPLICA_REQ, or None for no answer."""
-        unpacked = self.unpack_frame(data, receiver, REPLICA_REQ)
+        taken = self.intake(data, receiver, REPLICA_REQ)
         node = self.nodes[int(receiver.removeprefix("node"))]
-        reply = None if unpacked is None else node.serve_replica(unpacked[1])
+        reply = None if taken is None else node.serve_replica(*taken[1:])
         if reply is None:
             return None
         return node.transport.frame(reply.recipient_id, REPLICA_RESP, reply)
 
+    def intake(self, data: bytes, receiver: str, *accepted: int):
+        """(msg_type, sender, plaintext) of a frame `receiver` takes unasked,
+        or None: the one step that opens such a frame's envelope, under the
+        key of the sender its header names, and checks that sender against
+        INTAKE's kind for the type and the links. On failure `receiver`
+        raises the type's alarm, or ROLE_VIOLATION for an authentic sender out
+        of its role, and the frame reaches no handler. A replica answer is
+        opened by its asker, which alone knows whom it asked and what digest
+        it expects."""
+        unpacked = self.unpack_frame(data, receiver, *accepted)
+        if unpacked is None:
+            return None
+        msg_type, env = unpacked
+        sender = env.sender_id
+        kind, what, refused, code = INTAKE[msg_type]
+        try:
+            plaintext = open_envelope(env, self.keystore[receiver],
+                                      self.directory.sig_pub(sender))
+        except AuthError as exc:
+            if code is None:
+                code = (ev.DECRYPT_FAILED if exc.kind == AuthError.DECRYPT_FAILED
+                        else ev.DIGEST_MISMATCH)
+            detail = f"{what} from {sender} rejected, {refused}: {exc.detail}"
+            if exc.claimed is not None:
+                detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
+            self.events.alarm(receiver, code, detail)
+            return None
+        if sender.rstrip("0123456789") != kind or (sender, receiver) not in self.network.links:
+            self.events.alarm(receiver, ev.ROLE_VIOLATION,
+                              f"authentic {what} from {sender}, which may not send "
+                              f"it to {receiver}; {refused}")
+            return None
+        return msg_type, sender, plaintext
+
     def unpack_frame(self, data: bytes, receiver: str, *accepted: int):
         """(msg_type, envelope) for a frame's bytes, addressed by endpoint
         name; the one place anything off the wire is decoded, so the one gate
-        on a frame's header, type and payload.
+        on a frame's header, type and payload. A frame taken unasked then
+        goes on to `intake`, the one place its envelope is opened.
 
         A frame whose header decode_frame rejects, whose type is not among
         `accepted` (the types `receiver` takes at this point), that names an

@@ -1,8 +1,11 @@
 """Storage nodes: each hosts a Historian plus the three protocol roles.
 
-Register verifies and stores vectors arriving from a PLC and submits their
-index to the block-minting module. The replication handler pulls copies of
-vectors the ledger assigns to this node. The validator cyclically re-walks the
+Simulation.intake authenticates and role-checks each MEASUREMENT, LOG and
+REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
+and checks only the body; a node opens only the replica answers it asked
+for. Register stores vectors from the node's PLC and submits their index to
+the block-minting module. The replication handler pulls copies of vectors
+the ledger assigns to this node. The validator cyclically re-walks the
 whole chain, recomputes the digest of every locally held vector, and triggers
 automated recovery from the other listed holders when a digest disagrees or a
 record is missing. Replica pull and recovery share one holder loop: the first
@@ -27,10 +30,9 @@ import random
 from dataclasses import dataclass
 
 from . import events as ev
-from .config import PLC_TARGET_NODE, fmt_minute
+from .config import fmt_minute
 from .envelope import (
     AuthError,
-    Digest,
     KeyDirectory,
     MeasurementVector,
     NodeKeys,
@@ -185,39 +187,16 @@ class StorageNode:
 
     # -- helpers ----------------------------------------------------------
 
-    def _open(self, env) -> bytes:
-        return open_envelope(env, self.keys, self.directory.sig_pub(env.sender_id))
-
     def _seal_to(self, recipient: str, plaintext: bytes):
         return seal(plaintext, self.keys, recipient,
                     self.directory.enc_pub(recipient), self.rng)
 
-    def _auth_alarm(self, exc: AuthError, context: str):
-        code = ev.DECRYPT_FAILED if exc.kind == AuthError.DECRYPT_FAILED else ev.DIGEST_MISMATCH
-        detail = f"{context}: {exc.detail}"
-        if exc.claimed is not None:
-            detail += f"; claimed={exc.claimed} rebuilt={exc.rebuilt}"
-        self.events.alarm(self.name, code, detail)
-
     # -- register ----------------------------------------------------------
 
-    def register(self, env):
-        """Verify, store, and index a vector from the PLC assigned to this node.
-
-        Returns the submitted fingerprint Digest when stored, None when
-        rejected (the alarm carries the reason). An authentic vector from any
-        other sender raises ROLE_VIOLATION.
-        """
-        try:
-            plaintext = self._open(env)
-        except AuthError as exc:
-            self._auth_alarm(exc, f"measurement from {env.sender_id} rejected, not stored")
-            return None
-        if PLC_TARGET_NODE.get(env.sender_id) != self.name:
-            self.events.alarm(self.name, ev.ROLE_VIOLATION,
-                              f"authentic measurement from {env.sender_id}, which is "
-                              f"not the PLC assigned to {self.name}; not stored")
-            return None
+    def register(self, sender: str, plaintext: bytes):
+        """Store and index a vector from `sender`, the PLC assigned to this
+        node; returns the submitted fingerprint Digest, or None when rejected
+        (the alarm carries the reason)."""
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
@@ -234,7 +213,7 @@ class StorageNode:
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
         self.events.info(self.name, ev.MSG_AUTHENTIC,
-                         f"vector from {env.sender_id} verified; digest={fingerprint.hex}")
+                         f"vector from {sender} verified; digest={fingerprint.hex}")
         name, minute = vector.key
         self.events.info(self.name, ev.STORED,
                          f"stored {name}@{minute}; replication pending")
@@ -245,19 +224,9 @@ class StorageNode:
 
     # -- replication handler ------------------------------------------------
 
-    def handle_log(self, env, chain: Chain) -> list[int]:
-        """Process a minted-block announcement; returns origins pulled from.
-        An authentic LOG from any sender but the minter raises ROLE_VIOLATION."""
-        try:
-            plaintext = self._open(env)
-        except AuthError as exc:
-            self._auth_alarm(exc, "block announcement rejected")
-            return []
-        if env.sender_id != "chain":
-            self.events.alarm(self.name, ev.ROLE_VIOLATION,
-                              f"authentic block announcement from {env.sender_id}, "
-                              "which is not the minter; ignored")
-            return []
+    def handle_log(self, plaintext: bytes, chain: Chain) -> list[int]:
+        """Process the minter's announcement of a minted block; returns
+        origins pulled from."""
         block_hash = plaintext.decode("ascii", errors="replace")
         try:
             block = chain.lookup(block_hash)
@@ -342,38 +311,20 @@ class StorageNode:
             return None
         return vector
 
-    def serve_replica(self, env):
-        """Answer a storage node's replica request with the sealed local copy,
-        NotFound, or nothing; one from any other sender raises ROLE_VIOLATION."""
-        try:
-            plaintext = self._open(env)
-        except AuthError as exc:
-            self.events.alarm(self.name, ev.REPLICA_REQUEST_REJECTED,
-                              f"replica request from {env.sender_id} failed: {exc.detail}")
-            return None
-        if not env.sender_id.startswith("node"):
-            self.events.alarm(self.name, ev.ROLE_VIOLATION,
-                              f"authentic replica request from {env.sender_id}, which "
-                              "is not a storage node; not answered")
-            return None
+    def serve_replica(self, sender: str, plaintext: bytes):
+        """Answer storage node `sender`'s replica request with the sealed local
+        copy of exactly the digest asked for (a bad copy is this node's own
+        validator's to catch), NotFound, or nothing."""
         try:
             wanted, captured_at = parse_vector_ref(plaintext)
         except ValueError:
             self.events.alarm(self.name, ev.REPLICA_REQUEST_REJECTED,
                               "authentic but malformed replica request")
             return None
-        record = self._best_copy(wanted, fmt_minute(captured_at))
+        record = next((r for r in self.historian.at_time(fmt_minute(captured_at))
+                       if vector_digest(r) == wanted), None)
         body = NOT_FOUND_MARKER if record is None else record.canonical
-        return self._seal_to(env.sender_id, body)
-
-    def _best_copy(self, wanted: Digest, minute: str) -> MeasurementVector | None:
-        """Exact digest match if present; otherwise whatever this node holds for
-        that minute (the requester re-verifies against the ledger)."""
-        candidates = self.historian.at_time(minute)
-        for record in candidates:
-            if vector_digest(record) == wanted:
-                return record
-        return candidates[0] if candidates else None
+        return self._seal_to(sender, body)
 
     # -- validator -----------------------------------------------------------
 

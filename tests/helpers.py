@@ -1,12 +1,15 @@
-"""Shared test utilities: chain building and single-field mutation machinery."""
+"""Shared test utilities: chain building, single-field mutation machinery,
+and handing a receiver a frame as the wire would."""
 
 from __future__ import annotations
 
 import dataclasses
 from datetime import datetime, timedelta
 
-from histchain.envelope import Digest, digest
+from histchain.envelope import Digest, SignedEnvelope, digest
 from histchain.ledger import Block, Chain, LedgerIndex, make_block
+from histchain.sim import NodeTransport
+from histchain.wire import REPLICA_REQ, pack_frame
 
 
 def flip_hex_char(hex_str: str, pos: int = 0) -> str:
@@ -71,3 +74,20 @@ def mutated_chain(chain: Chain, position: int, kind: str) -> Chain:
     blocks = list(chain.blocks)
     blocks[position] = mutate_block(blocks[position], kind)
     return Chain.from_blocks(blocks)
+
+
+def flip_body(env: SignedEnvelope, mask: int = 0x01) -> SignedEnvelope:
+    """`env` with its last ciphertext byte, a body byte, XORed with `mask`."""
+    ct = bytearray(env.ciphertext)
+    ct[-1] ^= mask
+    return dataclasses.replace(env, ciphertext=bytes(ct))
+
+
+def deliver(sim, sender: str, receiver: str, msg_type: int, env: SignedEnvelope):
+    """Hand `receiver` `env` in a frame whose header names `sender`, as the
+    wire hands it over, whether or not a link joins the two. Returns the
+    answer frame for a REPLICA_REQ."""
+    data = pack_frame(NodeTransport(sim, sender).frame(receiver, msg_type, env))
+    if msg_type == REPLICA_REQ:
+        return sim._answer(receiver, data)
+    return sim._deliver(receiver, data)

@@ -24,6 +24,7 @@ from histchain.ledger import dump_chain
 from histchain.minter import ChainModule, draw_replicas
 from histchain.sim import Simulation
 from histchain.wire import INDEX, LOG
+from .helpers import deliver, flip_body
 
 TS = datetime(2020, 12, 23, 3, 24)
 
@@ -50,48 +51,49 @@ def make_module(n_nodes=6, seed=0):
     return module, keys
 
 
-def submission_env(keys, origin=2, payload=None, ts="2020-12-23T03:24"):
+def submission(origin=2, ts="2020-12-23T03:24"):
+    """(sender, plaintext) of storage node `origin`'s INDEX for its vector."""
     vec = MeasurementVector(f"Sensor {origin}", TS, (7, 6, 6, 7))
-    body = payload if payload is not None else f"{vector_digest(vec).hex}|{ts}".encode()
-    return seal(body, keys[f"node{origin}"], "chain", keys["chain"].enc_pub, random.Random(1))
+    return f"node{origin}", f"{vector_digest(vec).hex}|{ts}".encode()
+
+
+def submission_env(keys, origin=2):
+    """submission(origin) sealed by its sender to the minter."""
+    sender, body = submission(origin)
+    return seal(body, keys[sender], "chain", keys["chain"].enc_pub, random.Random(1))
 
 
 class TestCollect:
     def test_authentic_index_accepted(self):
-        module, keys = make_module()
-        assert module.collect(submission_env(keys)) is True
+        module, _ = make_module()
+        assert module.collect(*submission()) is True
         assert len(module.buffer) == 1
         assert module.buffer[0].origin == 2
         assert module.events.by_code(ev.INDEX_ACCEPTED, "chain")
 
     def test_corrupted_index_rejected_with_alarm(self):
-        module, keys = make_module()
-        env = submission_env(keys, origin=1)
-        ct = bytearray(env.ciphertext)
-        ct[-1] ^= 0x10
-        assert module.collect(type(env)(env.sender_id, env.recipient_id,
-                                        bytes(ct), env.signature)) is False
-        assert module.buffer == []
-        assert module.events.by_code(ev.INDEX_REJECTED, "chain")
+        """The intake refuses it; the minter buffers nothing."""
+        sim = Simulation(SimConfig(seed=42))
+        deliver(sim, "node1", "chain", INDEX, flip_body(submission_env(sim.keystore, 1), 0x10))
+        assert sim.chain_module.buffer == []
+        assert sim.events.by_code(ev.INDEX_REJECTED, "chain")
 
     def test_malformed_but_authentic_rejected(self):
-        module, keys = make_module()
-        assert module.collect(submission_env(keys, payload=b"nonsense")) is False
+        module, _ = make_module()
+        assert module.collect("node2", b"nonsense") is False
         assert module.buffer == []
 
     def test_digest_already_buffered_or_minted_rejected(self):
         """An honest digest never repeats: it fixes the sensor, the minute
-        and the values. A second INDEX for one is refused, whoever seals it."""
-        module, keys = make_module()
-        assert module.collect(submission_env(keys, origin=2)) is True
-        assert module.collect(submission_env(keys, origin=2)) is False
+        and the values. A second INDEX for one is refused, whoever sends it."""
+        module, _ = make_module()
+        assert module.collect(*submission(origin=2)) is True
+        assert module.collect(*submission(origin=2)) is False
         assert len(module.buffer) == 1
         module.close_interval(TS)
-        replayed = submission_env(keys, origin=2)
-        assert module.collect(replayed) is False
-        relayed = seal(open_envelope(replayed, keys["chain"], keys["node2"].sig_pub),
-                       keys["node3"], "chain", keys["chain"].enc_pub, random.Random(2))
-        assert module.collect(relayed) is False
+        assert module.collect(*submission(origin=2)) is False
+        _, body = submission(origin=2)
+        assert module.collect("node3", body) is False
         assert module.buffer == []
         rejected = module.events.by_code(ev.INDEX_REJECTED, "chain")
         assert len(rejected) == 3
@@ -108,8 +110,8 @@ class TestCloseInterval:
         assert module.transport.sent == []
 
     def test_single_index_block(self):
-        module, keys = make_module()
-        module.collect(submission_env(keys, origin=2))
+        module, _ = make_module()
+        module.collect(*submission(origin=2))
         block = module.close_interval(TS)
         assert block is not None and len(block.indexes) == 1
         ix = block.indexes[0]
@@ -119,10 +121,10 @@ class TestCloseInterval:
         assert len(module.chain) == 2
 
     def test_submission_after_close_lands_in_next_block(self):
-        module, keys = make_module()
-        module.collect(submission_env(keys, origin=2))
+        module, _ = make_module()
+        module.collect(*submission(origin=2))
         module.close_interval(TS)
-        module.collect(submission_env(keys, origin=3, ts="2020-12-23T03:25"))
+        module.collect(*submission(origin=3, ts="2020-12-23T03:25"))
         later = datetime(2020, 12, 23, 3, 25)
         block = module.close_interval(later)
         assert block is not None
@@ -130,12 +132,10 @@ class TestCloseInterval:
         assert len(module.chain) == 3
 
     def test_rejected_digest_never_reaches_chain_dump(self):
-        module, keys = make_module()
-        bad = submission_env(keys, origin=1)
-        ct = bytearray(bad.ciphertext)
-        ct[-1] ^= 0x10
-        module.collect(type(bad)(bad.sender_id, bad.recipient_id, bytes(ct), bad.signature))
-        module.collect(submission_env(keys, origin=2))
+        sim = Simulation(SimConfig(seed=42))
+        module = sim.chain_module
+        deliver(sim, "node1", "chain", INDEX, flip_body(submission_env(sim.keystore, 1), 0x10))
+        deliver(sim, "node2", "chain", INDEX, submission_env(sim.keystore, 2))
         module.close_interval(TS)
         rejected_vec = MeasurementVector("Sensor 1", TS, (7, 6, 6, 7))
         text = dump_chain(module.chain)
@@ -144,9 +144,9 @@ class TestCloseInterval:
     def test_fixed_seed_reproducible_assignments(self):
         draws = []
         for _ in range(2):
-            module, keys = make_module(seed=5)
+            module, _ = make_module(seed=5)
             for origin in (1, 2, 4):
-                module.collect(submission_env(keys, origin=origin))
+                module.collect(*submission(origin=origin))
             block = module.close_interval(TS)
             draws.append([ix.replica_ids for ix in block.indexes])
         assert draws[0] == draws[1]
@@ -155,7 +155,7 @@ class TestCloseInterval:
 class TestBroadcastLog:
     def test_one_envelope_per_node_distinct_ciphertexts(self):
         module, keys = make_module()
-        module.collect(submission_env(keys, origin=2))
+        module.collect(*submission(origin=2))
         block = module.close_interval(TS)
         sent = module.transport.sent
         assert [(name, msg_type) for name, msg_type, _ in sent] == [
@@ -168,7 +168,7 @@ class TestBroadcastLog:
 
     def test_cross_node_open_fails(self):
         module, keys = make_module()
-        module.collect(submission_env(keys, origin=2))
+        module.collect(*submission(origin=2))
         module.close_interval(TS)
         logs = {name: env for name, _, env in module.transport.sent}
         with pytest.raises(AuthError) as exc:

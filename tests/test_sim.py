@@ -9,10 +9,12 @@ import pytest
 from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
 from histchain.attacks import run_with_interceptors
-from histchain.config import ConfigError, SimConfig, fmt_minute, load_config, parse_config_file
+from histchain.config import ConfigError, SimConfig, load_config, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
-from histchain.ledger import dump_chain, format_vector_ref
+from histchain.ledger import dump_chain
+from histchain.minter import ChainModule
 from histchain.sim import Simulation, scripted
+from histchain.storage import StorageNode
 from histchain.wire import (
     INDEX,
     LOG,
@@ -23,6 +25,7 @@ from histchain.wire import (
     EncodeError,
     pack_frame,
 )
+from .helpers import deliver, flip_body
 
 
 class TestClosedLoopRun:
@@ -102,7 +105,7 @@ class TestEnvelopeTraffic:
         the two answers for one vector, so 11 are signed and verified. A
         Simulation starts with both signature caches empty."""
         seals = count_calls(monkeypatch, envelope.seal, sim_module, storage, minter)
-        opens = count_calls(monkeypatch, envelope.open_envelope, storage, minter)
+        opens = count_calls(monkeypatch, envelope.open_envelope, sim_module, storage)
         digests = count_calls(monkeypatch, envelope.vector_digest, storage)
         # A cache entry left by earlier work, which a new run must not count on.
         rng = random.Random(1)
@@ -195,63 +198,6 @@ class TestMalformedFrames:
         assert sim.historian(1).get(forged.key) is None
         assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [2, 2, 2]
 
-    def test_log_from_another_node_is_a_role_violation(self):
-        """Only the minter announces blocks: node1 does not pull for an
-        authentic LOG naming the tip that node3 sealed to it."""
-        cfg = SimConfig(seed=42)
-        sim = Simulation(cfg)
-        tip_minute = fmt_minute(sim.interval_ts(1))
-
-        def send_forged(sim_, k):
-            if k == 2:
-                tip = sim_.chain_module.chain.tip.block_hash.hex.encode("ascii")
-                sim_.nodes[3].transport.send("node1", LOG, seal(
-                    tip, sim_.keystore["node3"], "node1",
-                    sim_.directory.enc_pub("node1"), sim_.nodes[3].rng))
-
-        sim.run(3, send_forged)
-        alarms = sim.events.alarms()
-        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
-        assert alarms[0].tick // cfg.interval_ticks == 2
-        assert "node3" in alarms[0].detail
-        pulled_again = [r for r in sim.events.by_code(ev.REPLICA_STORED, "node1")
-                        if r.tick // cfg.interval_ticks == 2 and f"@{tip_minute} " in r.detail]
-        assert pulled_again == []
-
-    def sealed_ref(self, sim, sender, recipient):
-        """A well-formed vector reference to node1's latest record, sealed by
-        `sender` to `recipient`."""
-        held = sim.historian(1).records()[-1]
-        return seal(format_vector_ref(vector_digest(held), held.captured_at),
-                    sim.keystore[sender], recipient, sim.directory.enc_pub(recipient),
-                    random.Random(1))
-
-    def test_index_from_a_plc_is_a_role_violation(self):
-        """Only storage nodes submit indexes: the minter buffers nothing for
-        an authentic INDEX that plc1 sealed to it."""
-        sim = Simulation(SimConfig(seed=42))
-        sim.run(2)
-        assert sim.chain_module.collect(self.sealed_ref(sim, "plc1", "chain")) is False
-        assert sim.chain_module.buffer == []
-        alarms = sim.events.alarms()
-        assert [(r.actor, r.code) for r in alarms] == [("chain", ev.ROLE_VIOLATION)]
-        assert "plc1" in alarms[0].detail
-        sim.run(1)
-        assert [len(b.indexes) for b in sim.chain_module.chain.blocks[1:]] == [2, 2, 2]
-
-    def test_replica_request_from_a_plc_is_a_role_violation(self):
-        """Only storage nodes pull replicas: node1 sends no answer to an
-        authentic REPLICA_REQ that plc1 sealed to it, and the run goes on."""
-        sim = Simulation(SimConfig(seed=42))
-        sim.run(2)
-        request = self.sealed_ref(sim, "plc1", "node1")
-        assert sim.plcs["plc1"].transport.round_trip("node1", REPLICA_REQ, request) is None
-        alarms = sim.events.alarms()
-        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.ROLE_VIOLATION)]
-        assert "plc1" in alarms[0].detail
-        sim.run(1)
-        assert len(sim.events.alarms()) == 1
-
     @pytest.mark.parametrize("src, dst, claimed, code", [
         ("plc1", "node1", "node3", ev.DIGEST_MISMATCH),
         ("plc1", "node1", "plc2", ev.DIGEST_MISMATCH),
@@ -334,6 +280,58 @@ class TestMisaddressedFrames:
         assert len(unanswered) == (len(moved) if msg_type == REPLICA_REQ else 0)
 
 
+ENDPOINTS = ["plc1", "plc2", *(f"node{i}" for i in range(1, 7)), "chain"]
+STORAGE_NODES = {f"node{i}" for i in range(1, 7)}
+
+
+class TestIntake:
+    """Simulation.intake opens each frame a receiver takes unasked under the
+    key of the sender its header names, then checks that sender's role; only
+    a frame that passes both reaches its handler."""
+
+    # (type, receiver, senders it takes the type from, handler, code a
+    # frame of the type that fails authentication raises)
+    UNASKED = [
+        (MEASUREMENT, "node1", {"plc1"}, (StorageNode, "register"), ev.DIGEST_MISMATCH),
+        (MEASUREMENT, "node2", {"plc2"}, (StorageNode, "register"), ev.DIGEST_MISMATCH),
+        (LOG, "node1", {"chain"}, (StorageNode, "handle_log"), ev.DIGEST_MISMATCH),
+        (INDEX, "chain", STORAGE_NODES, (ChainModule, "collect"), ev.INDEX_REJECTED),
+        (REPLICA_REQ, "node1", STORAGE_NODES - {"node1"}, (StorageNode, "serve_replica"),
+         ev.REPLICA_REQUEST_REJECTED),
+    ]
+
+    @pytest.mark.parametrize("sender", ENDPOINTS)
+    @pytest.mark.parametrize("msg_type, receiver, in_role, handler, code", UNASKED,
+                             ids=["MEASUREMENT-node1", "MEASUREMENT-node2", "LOG",
+                                  "INDEX", "REPLICA_REQ"])
+    def test_authentic_in_role_sender_alone_reaches_the_handler(
+            self, monkeypatch, msg_type, receiver, in_role, handler, code, sender):
+        sim = Simulation(SimConfig(seed=42))
+        reached = []
+        monkeypatch.setattr(*handler, lambda _, *args: reached.append(args))
+        body = b"any body: the handler is a stand-in"
+        env = seal(body, sim.keystore[sender], receiver, sim.directory.enc_pub(receiver),
+                   random.Random(1))
+
+        deliver(sim, sender, receiver, msg_type, env)
+        alarms = sim.events.alarms()
+        if sender in in_role:
+            assert alarms == []
+            expected = (body, sim.chain_module.chain) if msg_type == LOG else (sender, body)
+            assert reached == [expected]
+        else:
+            assert [(r.actor, r.code) for r in alarms] == [(receiver, ev.ROLE_VIOLATION)]
+            assert sender in alarms[0].detail
+            assert reached == []
+
+        records_before = len(sim.events)
+        deliver(sim, sender, receiver, msg_type, flip_body(env))
+        new = sim.events.records[records_before:]
+        assert [(r.actor, r.code) for r in new] == [(receiver, code)]
+        assert "claimed=" in new[0].detail and "rebuilt=" in new[0].detail
+        assert len(reached) == (sender in in_role)
+
+
 class TestInterceptors:
     """The Simulation puts interceptors on links; last install wins."""
 
@@ -362,8 +360,8 @@ class TestInterceptors:
         assert sim.events.alarms() == []
 
 
-# A retyped frame whose new type its receiver takes at that point reaches the
-# handler, which refuses the sender's role; any other is dropped at the type gate.
+# A retyped frame whose new type its receiver takes at that point is opened by
+# the intake, which refuses the sender's role; any other is dropped at the type gate.
 ROLE_REFUSED = {("plc1", "node1", LOG), ("chain", "node3", MEASUREMENT)}
 
 
@@ -376,8 +374,8 @@ class TestRetypeSweep:
     def test_every_retyped_frame_alarms_at_its_receiver(self, monkeypatch, src, dst,
                                                         msg_type):
         """Each frame whose msg_type a one-interval interceptor changes gets
-        one alarm from its receiver in that interval, and a dropped one
-        reaches no handler: every handler opens its envelope first. A replica
+        one alarm from its receiver in that interval, and a dropped one is
+        never opened: only a frame past the type gate is. A replica
         answer dropped by its requester is not also reported as unanswered."""
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
@@ -389,8 +387,8 @@ class TestRetypeSweep:
                            sim.events.tick // cfg.interval_ticks))
             return envelope.open_envelope(env, *args)
 
+        monkeypatch.setattr(sim_module, "open_envelope", recorded)
         monkeypatch.setattr(storage, "open_envelope", recorded)
-        monkeypatch.setattr(minter, "open_envelope", recorded)
 
         def retype(frame):
             counts["sent"] += 1

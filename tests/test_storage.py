@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -30,7 +31,15 @@ from histchain.storage import (
     TAMPERED_RECOVERED,
     TAMPERED_UNRECOVERABLE,
 )
-from .helpers import BLOCK_MUTATIONS, flip_hex_char, mutate_block, mutated_chain
+from histchain.wire import LOG, MEASUREMENT, REPLICA_REQ
+from .helpers import (
+    BLOCK_MUTATIONS,
+    deliver,
+    flip_body,
+    flip_hex_char,
+    mutate_block,
+    mutated_chain,
+)
 
 TS = datetime(2020, 12, 23, 17, 27)
 VEC = MeasurementVector("Sensor 1", TS, (7, 6, 6, 7, 7, 6, 7, 6, 6, 6, 7))
@@ -68,7 +77,7 @@ def sealed_measurement(keys, vector=VEC, sender="plc1", recipient="node1"):
 class TestRegister:
     def test_authentic_vector_stored_and_indexed(self):
         node, keys, transport = standalone_node()
-        fingerprint = node.register(sealed_measurement(keys))
+        fingerprint = node.register("plc1", canonical_serialize(VEC))
         assert fingerprint is not None and fingerprint.hex == vector_digest(VEC).hex
         assert len(node.historian) == 1
         record = node.historian.get(("Sensor 1", "2020-12-23T17:27"))
@@ -85,62 +94,44 @@ class TestRegister:
         assert minute == "2020-12-23T17:27"
 
     def test_tampered_envelope_rejected_nothing_stored(self):
-        node, keys, transport = standalone_node()
-        env = sealed_measurement(keys)
-        ct = bytearray(env.ciphertext)
-        ct[-1] ^= 0xFF
-        tampered = type(env)(env.sender_id, env.recipient_id, bytes(ct), env.signature)
-        assert node.register(tampered) is None
-        assert len(node.historian) == 0
-        assert transport.sent == []
-        alarms = node.events.by_code(ev.DIGEST_MISMATCH, "node1")
-        assert len(alarms) == 1
+        """The intake refuses the frame; nothing is stored or indexed."""
+        sim = Simulation(SimConfig(seed=42))
+        deliver(sim, "plc1", "node1", MEASUREMENT,
+                flip_body(sealed_measurement(sim.keystore), 0xFF))
+        sim.network.pump(sim._deliver)
+        assert len(sim.historian(1)) == 0
+        assert sim.chain_module.buffer == []
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.DIGEST_MISMATCH)]
         assert "rebuilt=" in alarms[0].detail
 
     def test_duplicate_key_rejected(self):
         node, keys, transport = standalone_node()
-        node.register(sealed_measurement(keys))
-        node.register(sealed_measurement(keys))
+        node.register("plc1", canonical_serialize(VEC))
+        node.register("plc1", canonical_serialize(VEC))
         assert len(node.historian) == 1
         assert len(node.events.by_code(ev.DUPLICATE_RECORD, "node1")) == 1
         assert len(transport.sent) == 1
 
     def test_rejected_envelopes_never_mutate_store(self):
-        node, keys, _ = standalone_node()
-        node.register(sealed_measurement(keys))
-        size = len(node.historian)
+        sim = Simulation(SimConfig(seed=42))
+        deliver(sim, "plc1", "node1", MEASUREMENT, sealed_measurement(sim.keystore))
+        size = len(sim.historian(1))
         for pos in (0, 40, 100, -1):
-            env = sealed_measurement(keys)
+            env = sealed_measurement(sim.keystore)
             ct = bytearray(env.ciphertext)
             ct[pos] ^= 0x01
-            node.register(type(env)(env.sender_id, env.recipient_id,
-                                    bytes(ct), env.signature))
-            assert len(node.historian) == size
-
-    @pytest.mark.parametrize("node_id, sender", [
-        (1, "plc2"), (1, "node3"), (1, "chain"), (2, "plc1"),
-    ])
-    def test_authentic_measurement_from_unassigned_sender_is_role_violation(
-            self, node_id, sender):
-        node, keys, transport = standalone_node(node_id)
-        if sender not in keys:
-            keys[sender] = generate_node_keys(sender, random.Random(sender))
-            node.directory.register(keys[sender])
-        env = sealed_measurement(keys, sender=sender, recipient=node.name)
-        assert node.register(env) is None
-        assert len(node.historian) == 0
-        assert transport.sent == []
-        alarms = node.events.alarms()
-        assert [(r.actor, r.code) for r in alarms] == [(node.name, ev.ROLE_VIOLATION)]
-        assert sender in alarms[0].detail
+            deliver(sim, "plc1", "node1", MEASUREMENT,
+                    dataclasses.replace(env, ciphertext=bytes(ct)))
+            assert len(sim.historian(1)) == size
+        assert not sim.events.by_code(ev.DUPLICATE_RECORD)
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
                                      "\x85", "\u2028", "\u2029"], ids=repr)
     def test_line_break_in_name_is_malformed_payload(self, brk):
         node, keys, transport = standalone_node()
         payload = f"Sensor{brk}1|2020-12-23T17:27|7,6".encode("utf-8")
-        env = seal(payload, keys["plc1"], "node1", keys["node1"].enc_pub, random.Random(2))
-        assert node.register(env) is None
+        assert node.register("plc1", payload) is None
         assert len(node.historian) == 0
         assert transport.sent == []
         assert len(node.events.by_code(ev.MALFORMED_PAYLOAD, "node1")) == 1
@@ -217,28 +208,22 @@ class TestReplication:
                     assert all(vector_digest(r).hex != ix.vector_digest.hex for r in records)
 
     def test_corrupted_log_announcement_ignored_with_alarm(self):
+        """The intake's one alarm is all that happens: nothing is pulled."""
         sim = scripted_sim()
-        node = sim.nodes[3]
         tip = sim.chain_module.chain.tip.block_hash
         env = seal(tip.hex.encode(), sim.keystore["chain"], "node3",
                    sim.keystore["node3"].enc_pub, random.Random(8))
-        ct = bytearray(env.ciphertext)
-        ct[-1] ^= 0x40
-        alarms_before = len(sim.events.alarms())
-        pulled = node.handle_log(type(env)(env.sender_id, env.recipient_id,
-                                           bytes(ct), env.signature),
-                                 sim.chain_module.chain)
-        assert pulled == []
-        assert len(sim.events.alarms()) == alarms_before + 1
+        records_before = len(sim.events)
+        deliver(sim, "chain", "node3", LOG, flip_body(env, 0x40))
+        new = sim.events.records[records_before:]
+        assert [(r.actor, r.code) for r in new] == [("node3", ev.DIGEST_MISMATCH)]
 
     def test_log_naming_unknown_block_alarms_and_pulls_nothing(self):
         sim = scripted_sim()
         node = sim.nodes[3]
-        env = seal(b"ab" * 32, sim.keystore["chain"], "node3",
-                   sim.keystore["node3"].enc_pub, random.Random(3))
         dump = node.historian.dump()
         records_before = len(sim.events)
-        assert node.handle_log(env, sim.chain_module.chain) == []
+        assert node.handle_log(b"ab" * 32, sim.chain_module.chain) == []
         new = sim.events.records[records_before:]
         assert [(r.actor, r.severity, r.code) for r in new] == [
             ("node3", ev.ALARM, ev.UNKNOWN_BLOCK)]
@@ -271,21 +256,16 @@ class TestReplication:
         (record,) = [r for r in holder.historian.at_time(fmt_minute(ix.captured_at))
                      if vector_digest(r).hex == ix.vector_digest.hex]
         key = record.key
-
-        rng = random.Random(4)
-
-        def announce():
-            return seal(block.block_hash.hex.encode(), sim.keystore["chain"],
-                        holder.name, holder.keys.enc_pub, rng)
+        announcement = block.block_hash.hex.encode()
 
         dump = holder.historian.dump()
         stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
-        assert holder.handle_log(announce(), chain)
+        assert holder.handle_log(announcement, chain)
         assert holder.historian.dump() == dump
         assert len(sim.events.by_code(ev.REPLICA_STORED, holder.name)) > stored_before
 
         holder.historian.tamper(key, (99,))
-        holder.handle_log(announce(), chain)
+        holder.handle_log(announcement, chain)
         assert vector_digest(holder.historian.get(key)).hex == ix.vector_digest.hex
         assert holder.historian.dump() == dump
 
@@ -296,9 +276,7 @@ class TestReplication:
         chain = Chain()
         chain.append(make_block([LedgerIndex(vector_digest(VEC), TS, (2, 1, 3))],
                                 chain.tip.block_hash, TS))
-        env = seal(chain.tip.block_hash.hex.encode(), keys["chain"], "node1",
-                   keys["node1"].enc_pub, random.Random(5))
-        assert node.handle_log(env, chain) == []
+        assert node.handle_log(chain.tip.block_hash.hex.encode(), chain) == []
         assert len(node.historian) == 0
         assert len(node.events.by_code(ev.REPLICA_NO_RESPONSE, "node1")) == 2
         assert not node.events.by_code(ev.UNRECOVERABLE)
@@ -328,7 +306,7 @@ class TestServeReplica:
         (first, *_) = indexes_of(sim)
         origin = sim.nodes[first.replica_ids[0]]
         requester = sim.nodes[first.replica_ids[1]]
-        origin.serve_replica = lambda env: origin._seal_to(env.sender_id, b"not a record")
+        origin.serve_replica = lambda sender, _: origin._seal_to(sender, b"not a record")
         dump = requester.historian.dump()
         records_before = len(sim.events)
         assert requester._request_vector(origin.node_id, first) is None
@@ -337,30 +315,35 @@ class TestServeReplica:
         assert "unparseable" in new[0].detail
         assert requester.historian.dump() == dump
 
-    def test_mangled_request_no_data_leaves(self):
-        node, keys, _ = standalone_node()
-        node.register(sealed_measurement(keys))
-        env = seal(b"junk-request", keys["plc1"], "node1", keys["node1"].enc_pub,
-                   random.Random(6))
-        ct = bytearray(env.ciphertext)
-        ct[-1] ^= 0xAA
-        reply = node.serve_replica(type(env)(env.sender_id, env.recipient_id,
-                                             bytes(ct), env.signature))
-        assert reply is None
-        assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
+    def test_holder_with_a_tampered_copy_answers_not_found(self):
+        """Only the exact digest asked for is answered: a tampered copy is
+        its holder's validator's to catch, not an alarm against that holder."""
+        sim = scripted_sim()
+        (first, *_) = indexes_of(sim)
+        origin, requester = (sim.nodes[n] for n in first.replica_ids[:2])
+        (record,) = [r for r in origin.historian.at_time(first.minute)
+                     if vector_digest(r).hex == first.vector_digest.hex]
+        origin.historian.tamper(record.key, (0, 0))
+        records_before = len(sim.events)
+        assert requester._request_vector(origin.node_id, first) is None
+        new = sim.events.records[records_before:]
+        assert [(r.actor, r.code) for r in new] == [(requester.name, ev.REPLICA_NOT_FOUND)]
 
+    def test_mangled_request_no_data_leaves(self):
+        sim = scripted_sim()
+        env = seal(b"junk-request", sim.keystore["plc1"], "node1",
+                   sim.keystore["node1"].enc_pub, random.Random(6))
+        assert deliver(sim, "plc1", "node1", REPLICA_REQ, flip_body(env, 0xAA)) is None
+        alarms = sim.events.alarms()
+        assert [(r.actor, r.code) for r in alarms] == [("node1", ev.REPLICA_REQUEST_REJECTED)]
 
     @pytest.mark.parametrize("digest_hex", ["not-hex", "AB" * 32, "ab" * 31],
                              ids=["not_hex", "uppercase", "short"])
     def test_authentic_request_with_bad_digest_rejected(self, digest_hex):
-        """Sent by a storage node, since one from a PLC is a role violation."""
-        node, keys, _ = standalone_node()
-        node.register(sealed_measurement(keys))
-        keys["node2"] = generate_node_keys("node2", random.Random("node2"))
-        node.directory.register(keys["node2"])
+        node, _, _ = standalone_node()
+        node.register("plc1", canonical_serialize(VEC))
         request = f"{digest_hex}|2020-12-23T17:27".encode("ascii")
-        env = seal(request, keys["node2"], "node1", keys["node1"].enc_pub, random.Random(7))
-        assert node.serve_replica(env) is None
+        assert node.serve_replica("node2", request) is None
         assert node.events.by_code(ev.REPLICA_REQUEST_REJECTED, "node1")
 
 
@@ -434,6 +417,27 @@ class TestValidateAndRecover:
         for node in sim.nodes.values():
             node.validate_cycle(sim.chain_module.chain)
         assert len(sim.events.alarms()) == before == 0
+
+
+class TestNodeWipe:
+    def test_wiped_nodes_raise_no_alarm_against_an_honest_holder(self):
+        """Seed 42, 160 minutes; then every record of nodes 1-3 is deleted and
+        one cycle runs on each. A holder asked for a record it does not hold
+        intact answers NotFound, never its other sensor's row of that minute,
+        so no REPLICA_MISMATCH names an honest peer. 99 records are lost:
+        those whose every holder was wiped."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(160)
+        for node_id in (1, 2, 3):
+            for record in sim.historian(node_id).records():
+                sim.historian(node_id).delete(record.key)
+        records_before = len(sim.events)
+        for node_id in (1, 2, 3):
+            sim.nodes[node_id].validate_cycle(sim.chain_module.chain)
+        codes = Counter(r.code for r in sim.events.records[records_before:])
+        assert codes[ev.REPLICA_MISMATCH] == 0
+        assert [codes[c] for c in (ev.FDI_ALARM, ev.RECOVERED, ev.UNRECOVERABLE,
+                                   ev.REPLICA_NOT_FOUND)] == [582, 483, 99, 330]
 
 
 class TestCheckSummary:
