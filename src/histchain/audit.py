@@ -7,19 +7,29 @@ same records. A Historian line that is not a canonical record, or repeats the
 key of an earlier line, is reported as malformed, and a ledger index that only
 such a line held as missing.
 
+The nodes audited are every holder the ledger lists plus every node with a
+dump; a listed holder with no dump holds nothing, so each of its duties is
+missing.
+
 The chain dump is parsed once, one full-line pattern match per line. The
 holders of a record store the same line, so the dumps are loaded with one
 shared map from line text to parsed record, and each identical line is parsed
 once; a line that fails to parse is not kept, so it is parsed and reported at
 every node that holds it. Every node's duties come from one walk of the
-ledger. Each node's duties are checked in one exact-match pass; only the
-duties it missed are visited again, for a stray record or a missing one, and
+ledger. Each node's held records are hashed once into a digest -> record map
+that dies with that node's pass, so no digest is shared between holders or
+audits (`test_every_finding_hashes_its_record` guards it). A digest fixes a
+record's canonical bytes and so its key, and a Historian holds each key once,
+so each duty's exact match is one lookup: intact when the map has its digest
+at its minute under a key no earlier duty used. Only the duties that missed
+are visited again, for a stray record at their minute or a missing one, and
 the node's records are walked for uncovered ones only when some stored key
-went unused. Each duty still re-hashes its record: no digest is cached.
+went unused.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -88,21 +98,23 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
         return report
 
     # Every node's duties, in ledger order, from one walk of the chain.
-    duties_of: dict[int, list[LedgerIndex]] = {node_id: [] for node_id in historian_texts}
+    duties_of: defaultdict[int, list[LedgerIndex]] = defaultdict(list)
     for block in chain.blocks[1:]:
         for ix in block.indexes:
             for holder in ix.replica_ids:
-                duties = duties_of.get(holder)
-                if duties is not None:
-                    duties.append(ix)
+                duties_of[holder].append(ix)
 
     # A record's r holders store the same line: parse it once for all of them.
     parsed: dict[str, MeasurementVector] = {}
-    for node_id in sorted(historian_texts):
+    for node_id in sorted(duties_of.keys() | historian_texts.keys()):
+        text = historian_texts.get(node_id)
         bad_lines: list[int] = []
-        store = Historian.load(node_id, historian_texts[node_id], bad_lines, parsed)
+        # A listed holder with no dump holds nothing.
+        store = (Historian(node_id) if text is None
+                 else Historian.load(node_id, text, bad_lines, parsed))
         report.malformed.extend((node_id, lineno) for lineno in bad_lines)
         duties = duties_of[node_id]
+        held = {vector_digest(record).hex: record for record in store.records()}
         used: set = set()
         findings: list[AuditFinding | None] = []
         missed: list[int] = []
@@ -110,11 +122,10 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
         # verdict of an intact one sharing the same minute.
         for ix in duties:
             expected = ix.vector_digest.hex
-            for record in store.at_time(ix.minute):
-                if record.key not in used and vector_digest(record).hex == expected:
-                    used.add(record.key)
-                    findings.append(AuditFinding(node_id, record.key, expected, expected, INTACT))
-                    break
+            record = held.get(expected)
+            if record is not None and record.key[1] == ix.minute and record.key not in used:
+                used.add(record.key)
+                findings.append(AuditFinding(node_id, record.key, expected, expected, INTACT))
             else:
                 missed.append(len(findings))
                 findings.append(None)

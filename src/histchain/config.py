@@ -118,8 +118,10 @@ _CONFIG_KEYS = {
 
 
 def parse_config_file(text: str) -> dict:
-    """Parse flat key=value lines into SimConfig field overrides."""
+    """Parse flat key=value lines into SimConfig field overrides; a key set
+    twice is an error naming both lines."""
     overrides = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,6 +132,9 @@ def parse_config_file(text: str) -> dict:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         field_name, parser = _CONFIG_KEYS[key]
         try:
             overrides[field_name] = parser(value.strip())

@@ -1,6 +1,7 @@
 """Offline audit tests: the standalone oracle over run artifacts."""
 
 import hashlib
+from datetime import timedelta
 
 import pytest
 
@@ -10,7 +11,8 @@ from histchain.audit import INTACT, MISMATCH, MISSING, audit_artifacts, audit_di
 from histchain.cli import main
 from histchain.config import SimConfig
 from histchain.envelope import parse_canonical, vector_digest
-from histchain.ledger import DumpFormatError, dump_chain
+from histchain.ledger import (Chain, DumpFormatError, LedgerIndex, dump_chain, make_block,
+                              parse_chain_dump)
 from histchain.sim import Simulation
 from histchain.storage import DuplicateRecordError, Historian
 from .helpers import flip_hex_char
@@ -199,8 +201,34 @@ class TestAuditDirectory:
 
         dump.unlink()
         report = audit_directory(tmp_path)
-        assert {f.node_id for f in report.findings} == {2, 3, 4, 5, 6}
-        assert report.all_intact
+        node1 = [f for f in report.findings if f.node_id == 1]
+        assert node1 and {f.verdict for f in node1} == {MISSING}
+        assert report.flagged() == node1
+
+    def test_deleted_dump_of_a_listed_holder_holds_nothing(self, tmp_path):
+        """A holder the ledger lists is audited as holding nothing when its
+        dump is gone, as when its dump is empty: each of its duties is missing."""
+        sim, _, _ = clean_artifacts(minutes=10)
+        sim.write_artifacts(tmp_path)
+        dump = tmp_path / "historian3.txt"
+        dump.write_text("")
+        emptied = audit_directory(tmp_path).to_text()
+
+        dump.unlink()
+        report = audit_directory(tmp_path)
+        assert report.to_text() == emptied
+        duties = [ix for block in sim.chain_module.chain.blocks for ix in block.indexes
+                  if 3 in ix.replica_ids]
+        assert [(f.node_id, f.verdict, f.expected_digest) for f in report.flagged()] \
+            == [(3, MISSING, ix.vector_digest.hex) for ix in duties]
+
+    def test_no_dump_at_all_raises(self, tmp_path):
+        sim, _, _ = clean_artifacts(minutes=2)
+        sim.write_artifacts(tmp_path)
+        for dump in tmp_path.glob("historian*.txt"):
+            dump.unlink()
+        with pytest.raises(IOError):
+            audit_directory(tmp_path)
 
     def test_ignores_tampered_snapshot_files(self, tmp_path):
         run_scenario_a(outdir=tmp_path)
@@ -290,6 +318,55 @@ class TestSharedParse:
         edit(historians)
         text = audit_artifacts(chain_text, historians).to_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+def rehashed(chain_text, position, edit):
+    """The chain dump with the indexes of block `position` replaced by
+    `edit(indexes)` and every block re-minted, so the chain verifies."""
+    chain = Chain()
+    for pos, block in enumerate(parse_chain_dump(chain_text).blocks[1:], 1):
+        indexes = edit(block.indexes) if pos == position else block.indexes
+        chain.append(make_block(indexes, chain.tip.block_hash, block.minted_at))
+    return dump_chain(chain)
+
+
+class TestMatcherEdges:
+    """Ledgers no minter writes, re-hashed so they verify: a digest held under
+    another minute, and one digest indexed twice."""
+
+    def test_index_moved_to_another_minute_is_not_intact(self, pinned_artifacts):
+        chain_text, historians = pinned_artifacts
+        chain = parse_chain_dump(chain_text)
+        first = chain.blocks[1].indexes[0]
+        later = chain.blocks[-1].indexes[0].captured_at
+        assert later != first.captured_at
+        moved = LedgerIndex(first.vector_digest, later, first.replica_ids)
+        edited = rehashed(chain_text, 1, lambda indexes: (moved, *indexes[1:]))
+        (line,) = [line for line in historians[first.replica_ids[0]].splitlines()
+                   if hashlib.sha256(line.encode()).hexdigest() == first.vector_digest.hex]
+
+        report = audit_artifacts(edited, historians)
+        assert report.chain_issue is None
+        holders = sorted(first.replica_ids)
+        assert [(f.node_id, f.verdict, f.expected_digest) for f in report.flagged()] \
+            == [(node_id, MISSING, first.vector_digest.hex) for node_id in holders]
+        key = tuple(line.split("|")[:2])
+        assert report.uncovered == [(node_id, key) for node_id in holders]
+
+    def test_two_indexes_with_one_digest_leave_only_the_first_intact(self, pinned_artifacts):
+        chain_text, historians = pinned_artifacts
+        chain = parse_chain_dump(chain_text)
+        repeated = chain.blocks[2].indexes[0]
+        chain.append(make_block([repeated], chain.tip.block_hash,
+                                chain.tip.minted_at + timedelta(minutes=1)))
+
+        report = audit_artifacts(dump_chain(chain), historians)
+        assert report.chain_issue is None and report.uncovered == []
+        for node_id in repeated.replica_ids:
+            verdicts = [f.verdict for f in report.findings if f.node_id == node_id
+                        and f.expected_digest == repeated.vector_digest.hex]
+            assert verdicts == [INTACT, MISSING]
+        assert len(report.flagged()) == len(repeated.replica_ids)
 
 
 def damaged_set():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from histchain.cli import _build_parser, main
-from histchain.config import SimConfig, parse_config_file
+from histchain.config import ConfigError, SimConfig, parse_config_file
 from .helpers import flip_hex_char
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +118,21 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("text, first, second", [
+        ("seed=1\nseed=2\n", 1, 2),
+        ("flow_rate.A1=2\n# comment\n\ncapacity=12\n flow_rate.A1 = 2\n", 1, 5),
+    ], ids=["seed", "flow_rate"])
+    def test_repeated_config_key_usage_error(self, tmp_path, capsys, text, first, second):
+        with pytest.raises(ConfigError, match=f"line {second}: .* already set on line {first}"):
+            parse_config_file(text)
+        config = tmp_path / "run.conf"
+        config.write_text(text)
+        code = main(["run", "--minutes", "1", "--config", str(config),
+                     "--out", str(tmp_path / "arts")])
+        assert code == 2
+        assert f"already set on line {first}" in capsys.readouterr().err
+        assert not (tmp_path / "arts").exists()
+
     @pytest.mark.parametrize("text", ["flow_rate.A1=nan\n",
                                       "capacity=inf\nsensor_noise=true\n"])
     def test_non_finite_config_usage_error(self, tmp_path, capsys, text):
@@ -199,6 +214,15 @@ class TestAudit:
     def test_missing_artifacts_usage_error(self, tmp_path, capsys):
         code = main(["audit", str(tmp_path / "nowhere")])
         assert code == 2
+
+    def test_deleted_historian_dump_exit_one(self, tmp_path, capsys):
+        main(["run", "--minutes", "10", "--out", str(tmp_path)])
+        (tmp_path / "historian3.txt").unlink()
+        capsys.readouterr()
+        code = main(["audit", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.endswith(
+            "audit: 60 checks, 6 flagged, 0 uncovered records\n")
 
 
 class TestDumps:
