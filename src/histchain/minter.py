@@ -1,27 +1,20 @@
-"""The single block-minting module: collects index submissions each interval,
-mints a block when at least one is accepted, assigns replica holders, and
-announces the new tip to every storage node under its own key. Each INDEX
-reaches `collect` through Simulation.intake, which authenticates it and checks
-that a storage node sent it.
+"""The single block-minting module: buffers, for each index submission it
+accepts, the ledger index it will mint, with its replica holders drawn as the
+submission is accepted; mints a block of the interval's buffer when it is not
+empty; and announces the new tip to every storage node under its own key. Each
+INDEX reaches `collect` through Simulation.intake, which authenticates it and
+checks that a storage node sent it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from datetime import datetime
 
 from . import events as ev
-from .envelope import Digest, KeyDirectory, NodeKeys, seal
+from .envelope import KeyDirectory, NodeKeys, seal
 from .ledger import Block, Chain, LedgerIndex, make_block, parse_vector_ref
 from .wire import LOG
-
-
-@dataclass(frozen=True)
-class IndexSubmission:
-    origin: int
-    vector_digest: Digest
-    captured_at: datetime
 
 
 def draw_replicas(origin: int, n_nodes: int, replication_factor: int,
@@ -47,49 +40,44 @@ class ChainModule:
         self.n_storage_nodes = n_storage_nodes
         self.replication_factor = replication_factor
         self.chain = Chain()
-        self.buffer: list[IndexSubmission] = []
+        self.buffer: list[LedgerIndex] = []
         # Hex of every digest buffered or minted: each is indexed once.
         self.indexed: set[str] = set()
 
     def collect(self, sender: str, plaintext: bytes) -> bool:
-        """Buffer storage node `sender`'s index submission for the open
-        interval. One that does not parse, or whose digest is already
-        buffered or minted, raises INDEX_REJECTED and returns False."""
+        """Buffer the ledger index of storage node `sender`'s submission for
+        the open interval, its holders drawn now: `sender` first. One that
+        does not parse, or whose digest is already buffered or minted, raises
+        INDEX_REJECTED, draws nothing and returns False."""
         try:
-            submission = IndexSubmission(int(sender.removeprefix("node")),
-                                         *parse_vector_ref(plaintext))
+            origin = int(sender.removeprefix("node"))
+            vector_digest, captured_at = parse_vector_ref(plaintext)
         except ValueError:
             self.events.alarm("chain", ev.INDEX_REJECTED,
                               f"index from {sender} authentic but malformed")
             return False
-        digest_hex = submission.vector_digest.hex
+        digest_hex = vector_digest.hex
         if digest_hex in self.indexed:
             self.events.alarm("chain", ev.INDEX_REJECTED,
                               f"index from {sender} repeats {digest_hex}, "
                               "already buffered or minted; dropped")
             return False
         self.indexed.add(digest_hex)
-        self.buffer.append(submission)
+        self.buffer.append(LedgerIndex(
+            vector_digest, captured_at,
+            draw_replicas(origin, self.n_storage_nodes, self.replication_factor, self.rng)))
         self.events.info("chain", ev.INDEX_ACCEPTED,
                          f"index from {sender} verified: {digest_hex}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:
-        """Mint one block from the buffered submissions and send each storage
-        node its own sealed LOG of the new tip; nothing if none came."""
-        if not self.buffer:
+        """Mint one block of the buffered indexes and send each storage node
+        its own sealed LOG of the new tip; nothing if none came."""
+        indexes, self.buffer = self.buffer, []
+        if not indexes:
             self.events.info("chain", ev.NO_BLOCK,
                              "no authentic index this interval; chain unchanged")
             return None
-        indexes = [
-            LedgerIndex(
-                s.vector_digest, s.captured_at,
-                draw_replicas(s.origin, self.n_storage_nodes,
-                              self.replication_factor, self.rng),
-            )
-            for s in self.buffer
-        ]
-        self.buffer = []
         block = make_block(indexes, self.chain.tip.block_hash, minted_at)
         self.chain.append(block)
         self.events.info("chain", ev.BLOCK_MINTED,

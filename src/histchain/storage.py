@@ -5,12 +5,14 @@ REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
 for. Register stores vectors from the node's PLC and submits their index to
 the block-minting module. The replication handler pulls copies of vectors
-the ledger assigns to this node. The validator cyclically re-walks the
-whole chain, recomputes the digest of every locally held vector, and triggers
-automated recovery from the other listed holders when a digest disagrees or a
-record is missing. Replica pull and recovery share one holder loop: the first
-copy that matches the ledger digest, asked for in ledger order, overwrites the
-local one.
+the ledger assigns to this node. The validator runs every interval, whether
+or not a block was minted or a LOG arrived. It first settles the node's
+submissions of that interval: each one the tip does not carry raises
+COVERAGE_GAP. It then re-walks the whole chain, recomputes the digest of
+every locally held vector, and triggers automated recovery from the other
+listed holders when a digest disagrees or a record is missing. Replica pull
+and recovery share one holder loop: the first copy that matches the ledger
+digest, asked for in ledger order, overwrites the local one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
 parsed, each with its canonical bytes: the very line `dump` persists. Each
@@ -181,8 +183,8 @@ class StorageNode:
         self.events = event_log
         self.rng = rng
         self.historian = Historian(node_id)
-        # digest hex -> capture minute for vectors submitted but not yet seen
-        # in a minted block; anything left behind is a ledger coverage gap.
+        # digest hex -> capture minute for vectors submitted since the last
+        # validator cycle, which settles them against the tip it checks.
         self.pending_submissions: dict[str, str] = {}
 
     # -- helpers ----------------------------------------------------------
@@ -234,7 +236,6 @@ class StorageNode:
             self.events.alarm(self.name, ev.UNKNOWN_BLOCK,
                               f"announced block {block_hash[:16]}.. not in chain view")
             return []
-        self._reconcile_submissions(block)
         pulled = []
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
@@ -246,20 +247,6 @@ class StorageNode:
                                      f"node{outcome.recovered_from}")
                     pulled.append(ix.replica_ids[0])
         return pulled
-
-    def _reconcile_submissions(self, block):
-        block_minute = fmt_minute(block.minted_at)
-        block_digests = {ix.vector_digest.hex for ix in block.indexes}
-        for digest_hex, minute in list(self.pending_submissions.items()):
-            if minute > block_minute:
-                continue
-            if digest_hex not in block_digests:
-                self.events.alarm(
-                    self.name, ev.COVERAGE_GAP,
-                    f"vector {digest_hex} captured {minute} never reached the ledger; "
-                    "its integrity cannot be checked by the validator",
-                )
-            del self.pending_submissions[digest_hex]
 
     def _fetch_from_holders(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Ask the other listed holders in ledger order; the first copy that
@@ -330,7 +317,9 @@ class StorageNode:
 
     def validate_cycle(self, chain: Chain) -> list[ValidationFinding]:
         """Full-chain audit of this node's holdings, with automated recovery:
-        each held record is hashed once per cycle; each duty is one lookup."""
+        each held record is hashed once per cycle; each duty is one lookup.
+        It first settles the interval's submissions, even on a bad chain."""
+        self._reconcile_submissions(chain.tip)
         bad = verify_chain(chain)
         if bad is not None:
             self.events.alarm(self.name, ev.CHAIN_INVALID,
@@ -346,6 +335,20 @@ class StorageNode:
                          f"checked={len(findings)} intact={intact} "
                          f"chain_len={len(chain.blocks)}")
         return findings
+
+    def _reconcile_submissions(self, tip):
+        """COVERAGE_GAP for each pending submission `tip` does not carry; all
+        are settled, since the minter mints an interval's indexes in that
+        interval's block, the tip at its cycles, or not at all."""
+        minted = {ix.vector_digest.hex for ix in tip.indexes}
+        for digest_hex, minute in self.pending_submissions.items():
+            if digest_hex not in minted:
+                self.events.alarm(
+                    self.name, ev.COVERAGE_GAP,
+                    f"vector {digest_hex} captured {minute} never reached the ledger; "
+                    "its integrity cannot be checked by the validator",
+                )
+        self.pending_submissions = {}
 
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
         """INTACT if `held` (digest hex -> record) has the index's digest at

@@ -34,15 +34,13 @@ def test_attack_window_covers_only_its_intervals():
         seen.append(sim.events.tick // cfg.interval_ticks)
         return frame
 
-    hooked = []
-
-    def look_at_link(sim_, k):
-        hooked.append((k, sim_.network.links[("plc1", "node1")].interceptor))
-
-    run_with_interceptors(sim, 4, {1: [("plc1", "node1", count)],
-                                   3: [("plc1", "node1", count)]}, look_at_link)
+    windows = {1: [("plc1", "node1", count)], 3: [("plc1", "node1", count)]}
+    after = []
+    for _ in range(4):
+        run_with_interceptors(sim, 1, windows)
+        after.append(sim.network.links[("plc1", "node1")].interceptor)
     assert seen == [1, 3]
-    assert hooked == [(k, None) for k in range(4)]
+    assert after == [None] * 4
     assert all(link.interceptor is None for link in sim.network.links.values())
 
 

@@ -78,14 +78,14 @@ SCENARIO_B = {
 
 SCENARIO_C = {
     "chain.txt": "d5f803af31cba05a28cd5a05a5d60fa512155df90f56c4bca8cae4ac1bfe2708",
-    "events.log": "e457fd0ac1c9bc681db8c7e2b759709146b5be078369a7c6afb1445d185d9f84",
+    "events.log": "55a1a3539c9d04b41e2970114caff015ccb72d70d67d581d05e027d6a1e4eed0",
     "historian1.txt": "fdeee8d616d0d23a5f78eb7812eed7e8efbb37ec7d26c9fd76403ed720a076d0",
     "historian2.txt": "3acd583825ebbefd36a0f062be2241feae3b18134b2fe5687b21cf9ae7558fd2",
     "historian3.txt": "d77119bd4e8c79133d52a59f583d2b1abe9bfb6bb0cccca0adc3e553a8b23e78",
     "historian4.txt": "d77119bd4e8c79133d52a59f583d2b1abe9bfb6bb0cccca0adc3e553a8b23e78",
     "historian5.txt": "291db487b77ceb760a98b57a99b9f31b6cba84d8ab23ace2f9bdf693c0a71f6b",
     "historian6.txt": "9bab33e62092d7b37d9add8c0c9c9394a13940e02377ac2ee1834ebec5210ffe",
-    "scenario_report.txt": "aa869d09cff70e3639ddb439dc4d597a5cf271218ab8c2c68682b91a1293a247",
+    "scenario_report.txt": "b534f74fa2c99ef61f4fd657674b7f061da889f0bf4f0458d753eed1fb050955",
 }
 
 

@@ -65,11 +65,16 @@ def submission_env(keys, origin=2):
 
 class TestCollect:
     def test_authentic_index_accepted(self):
+        """The index is buffered with its holders drawn, origin first, and
+        minted as buffered."""
         module, _ = make_module()
         assert module.collect(*submission()) is True
         assert len(module.buffer) == 1
-        assert module.buffer[0].origin == 2
+        buffered = module.buffer[0]
+        assert buffered.replica_ids[0] == 2
         assert module.events.by_code(ev.INDEX_ACCEPTED, "chain")
+        block = module.close_interval(TS)
+        assert [ix.replica_ids for ix in block.indexes] == [buffered.replica_ids]
 
     def test_corrupted_index_rejected_with_alarm(self):
         """The intake refuses it; the minter buffers nothing."""

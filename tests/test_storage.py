@@ -5,11 +5,13 @@ import random
 from collections import Counter
 from datetime import datetime, timedelta
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from histchain import events as ev
 from histchain import storage
-from histchain.attacks import run_scenario_a
+from histchain.attacks import flip_body_bytes, run_scenario_a, run_with_interceptors
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
     Digest,
@@ -31,7 +33,7 @@ from histchain.storage import (
     TAMPERED_RECOVERED,
     TAMPERED_UNRECOVERABLE,
 )
-from histchain.wire import LOG, MEASUREMENT, REPLICA_REQ
+from histchain.wire import INDEX, LOG, MEASUREMENT, REPLICA_REQ
 from .helpers import (
     BLOCK_MUTATIONS,
     deliver,
@@ -651,3 +653,94 @@ class TestDigestLookup:
         assert findings[0].verdict == TAMPERED_RECOVERED
         assert len(sim.events.by_code(ev.FDI_ALARM, "node1")) == 1
         assert sim.historian(1).get(record.key) == record
+
+
+# The sensor whose vectors each PLC-fed node registers and submits.
+ORIGIN_SENSOR = {1: "Sensor 1", 2: "Sensor 2"}
+INDEX_FATES = {"pass": None, "drop": lambda frame: None, "flip": flip_body_bytes(INDEX)}
+
+
+def run_settling(sim, windows, minutes):
+    """Run `minutes` intervals through run_with_interceptors, one at a time;
+    after each, no node has a submission left pending."""
+    for _ in range(minutes):
+        run_with_interceptors(sim, 1, windows)
+        assert [n.pending_submissions for n in sim.nodes.values()] == [{}] * len(sim.nodes)
+
+
+def registered(sim, node_id):
+    """Digest hex of each vector `node_id` registered from its PLC, by interval."""
+    records = {r.key[1]: r for r in sim.historian(node_id).records()
+               if r.sensor_name == ORIGIN_SENSOR[node_id]}
+    return [vector_digest(records[fmt_minute(sim.interval_ts(k))]).hex
+            for k in range(sim.intervals_run)]
+
+
+def coverage_gaps(sim, node_id):
+    """(interval, digest hex) of each COVERAGE_GAP `node_id` raised."""
+    return [(r.tick // sim.cfg.interval_ticks, r.detail.split()[1])
+            for r in sim.events.by_code(ev.COVERAGE_GAP, f"node{node_id}")]
+
+
+def minted_digests(sim):
+    return {ix.vector_digest.hex for ix in indexes_of(sim)}
+
+
+class TestSubmissionSettlement:
+    """Each node's validator cycle settles the submissions of its interval
+    against the tip, minted or not, LOG or no LOG: each one the ledger lacks
+    raises one COVERAGE_GAP in the interval it was lost."""
+
+    def lost_in(self, sim, node_id, intervals):
+        return [(k, registered(sim, node_id)[k]) for k in intervals]
+
+    def test_every_index_dropped_gaps_each_interval(self):
+        sim = Simulation(SimConfig(seed=42))
+        drop = INDEX_FATES["drop"]
+        run_settling(sim, {k: [("node1", "chain", drop), ("node2", "chain", drop)]
+                           for k in range(3)}, 3)
+        assert len(sim.chain_module.chain) == 1
+        for node_id in (1, 2):
+            assert coverage_gaps(sim, node_id) == self.lost_in(sim, node_id, range(3))
+        assert len(sim.events.alarms()) == 6
+
+    def test_index_bodies_flipped_in_last_interval_gap_there(self):
+        sim = Simulation(SimConfig(seed=42))
+        flip = INDEX_FATES["flip"]
+        run_settling(sim, {2: [("node1", "chain", flip), ("node2", "chain", flip)]}, 3)
+        for node_id in (1, 2):
+            assert coverage_gaps(sim, node_id) == self.lost_in(sim, node_id, [2])
+
+    def test_log_dropped_while_index_minted_raises_no_gap(self):
+        sim = Simulation(SimConfig(seed=42))
+        run_settling(sim, {1: [("chain", "node1", lambda frame: None)]}, 3)
+        assert registered(sim, 1)[1] in minted_digests(sim)
+        assert sim.events.by_code(ev.COVERAGE_GAP) == []
+
+    def test_cycle_aborted_by_invalid_chain_settles_first(self):
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(1)
+        node = sim.nodes[1]
+        node.pending_submissions["ab" * 32] = "2020-12-23T17:26"
+        assert node.validate_cycle(mutated_chain(sim.chain_module.chain, -1, "minted_at")) == []
+        assert node.pending_submissions == {}
+        assert [r.code for r in sim.events.alarms()] == [ev.COVERAGE_GAP, ev.CHAIN_INVALID]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(sorted(INDEX_FATES))] * 2),
+                    min_size=1, max_size=5))
+    def test_gaps_are_the_registered_digests_the_chain_lacks(self, fates):
+        """Per interval, each of node1->chain and node2->chain passes, drops or
+        flips every INDEX."""
+        sim = Simulation(SimConfig(seed=42))
+        run_settling(sim, {
+            k: [(f"node{i}", "chain", INDEX_FATES[fate])
+                for i, fate in enumerate(pair, 1) if fate != "pass"]
+            for k, pair in enumerate(fates)}, len(fates))
+        minted = minted_digests(sim)
+        for node_id in (1, 2):
+            gaps = coverage_gaps(sim, node_id)
+            assert sorted(d for _, d in gaps) == sorted(
+                d for d in registered(sim, node_id) if d not in minted)
+            assert [k for k, _ in gaps] == [
+                k for k, pair in enumerate(fates) if pair[node_id - 1] != "pass"]
