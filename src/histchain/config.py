@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from typing import ClassVar
 
 MINUTE_FMT = "%Y-%m-%dT%H:%M"
 
@@ -52,11 +53,12 @@ def parse_minute(text: str) -> datetime:
 
 @dataclass
 class SimConfig:
+    # The fixed clock: plant ticks per interval, and ticks per PLC sample.
+    interval_ticks: ClassVar[int] = 60
+    sample_every: ClassVar[int] = 6
     seed: int = 42
     n_storage_nodes: int = 6
     replication_factor: int = 3
-    interval_ticks: int = 60
-    sample_every: int = 6
     capacity: float = 10.0
     flow_rate_a1: float = 1.0
     flow_rate_a2: float = 1.0
@@ -78,10 +80,6 @@ class SimConfig:
                 f"replication_factor {self.replication_factor} must be between 1 "
                 f"and n_storage_nodes ({self.n_storage_nodes})"
             )
-        if self.interval_ticks < 1:
-            raise ConfigError("interval_ticks must be >= 1")
-        if not (1 <= self.sample_every <= self.interval_ticks):
-            raise ConfigError("sample_every must be between 1 and interval_ticks")
         for name in ("capacity", "flow_rate_a1", "flow_rate_a2", "flow_rate_a3"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # false for NaN as well

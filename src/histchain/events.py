@@ -28,7 +28,8 @@ INDEX_REJECTED = "INDEX_REJECTED"
 FDI_ALARM = "FDI_ALARM"
 UNRECOVERABLE = "UNRECOVERABLE"
 CHAIN_INVALID = "CHAIN_INVALID"
-UNKNOWN_BLOCK = "UNKNOWN_BLOCK"
+STALE_LOG = "STALE_LOG"
+LOG_MISSING = "LOG_MISSING"
 COVERAGE_GAP = "COVERAGE_GAP"
 REPLICA_MISMATCH = "REPLICA_MISMATCH"
 REPLICA_NO_RESPONSE = "REPLICA_NO_RESPONSE"

@@ -47,10 +47,6 @@ class ChainLinkError(ValueError):
     """Appended block does not link to the current tip."""
 
 
-class UnknownBlockError(KeyError):
-    """Requested block hash is not present in the chain."""
-
-
 class EmptyBlockError(ValueError):
     """A block must carry at least one index."""
 
@@ -151,7 +147,9 @@ def genesis_block() -> Block:
 
 
 class Chain:
-    """Single-writer chain; append is the only mutation and readers see snapshots."""
+    """Single-writer chain; append is the only mutation. Readers take the tip
+    or walk the blocks: a block announcement must name the tip, so nothing
+    looks a block up by hash."""
 
     def __init__(self):
         self.blocks: list[Block] = [genesis_block()]
@@ -178,15 +176,6 @@ class Chain:
                 f"tip is {self.tip.block_hash.hex[:12]}.."
             )
         self.blocks.append(block)
-
-    def lookup(self, block_hash_hex: str) -> Block:
-        """The block with this hash, searched from the tip back, so the
-        announced block, always the tip, is found first; raises
-        UnknownBlockError when no block has it."""
-        for block in reversed(self.blocks):
-            if block.block_hash.hex == block_hash_hex:
-                return block
-        raise UnknownBlockError(block_hash_hex)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ Simulation.intake authenticates and role-checks each MEASUREMENT, LOG and
 REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
 for. Register stores vectors from the node's PLC and submits their index to
-the block-minting module. The replication handler pulls copies of vectors
-the ledger assigns to this node. The validator runs every interval, whether
-or not a block was minted or a LOG arrived. It first settles the node's
-submissions of that interval: each one the tip does not carry raises
-COVERAGE_GAP. It then re-walks the whole chain, recomputes the digest of
-every locally held vector, and triggers automated recovery from the other
-listed holders when a digest disagrees or a record is missing. Replica pull
-and recovery share one holder loop: the first copy that matches the ledger
-digest, asked for in ledger order, overwrites the local one.
+the block-minting module. The replication handler pulls the copies the
+announced block assigns to this node. A block is announced in the interval
+it is minted, before any validator cycle, so a LOG must name the tip: any
+other hash raises STALE_LOG and pulls nothing. The validator runs every
+interval, whether or not a block was minted or a LOG arrived. It first
+settles the node's submissions of that interval: each one the tip does not
+carry raises COVERAGE_GAP. On a valid chain whose tip the node has not
+pulled, it raises LOG_MISSING and pulls then. It then re-walks the whole
+chain, recomputes the digest of every locally held vector, and triggers
+automated recovery from the other listed holders when a digest disagrees or
+a record is missing. Replica pull and recovery share one holder loop: the
+first copy that matches the ledger digest, asked for in ledger order,
+overwrites the local one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
 parsed, each with its canonical bytes: the very line `dump` persists. Each
@@ -44,7 +48,8 @@ from .envelope import (
     seal,
     vector_digest,
 )
-from .ledger import Chain, LedgerIndex, format_vector_ref, parse_vector_ref, verify_chain
+from .ledger import (Block, Chain, LedgerIndex, format_vector_ref, genesis_block,
+                     parse_vector_ref, verify_chain)
 from .wire import ANSWER_DROPPED, INDEX, REPLICA_REQ
 
 INTACT = "intact"
@@ -186,6 +191,8 @@ class StorageNode:
         # digest hex -> capture minute for vectors submitted since the last
         # validator cycle, which settles them against the tip it checks.
         self.pending_submissions: dict[str, str] = {}
+        # Hash hex of the last tip whose replicas this node pulled.
+        self.pulled = genesis_block().block_hash.hex
 
     # -- helpers ----------------------------------------------------------
 
@@ -197,20 +204,19 @@ class StorageNode:
 
     def register(self, sender: str, plaintext: bytes):
         """Store and index a vector from `sender`, the PLC assigned to this
-        node; returns the submitted fingerprint Digest, or None when rejected
-        (the alarm carries the reason)."""
+        node; a rejected one raises an alarm that carries the reason."""
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
             self.events.alarm(self.name, ev.MALFORMED_PAYLOAD,
                               f"authentic but unparseable measurement: {exc}")
-            return None
+            return
         try:
             self.historian.put_new(vector)
         except DuplicateRecordError:
             self.events.alarm(self.name, ev.DUPLICATE_RECORD,
                               f"{vector.key} already stored; rejected")
-            return None
+            return
         # Independent recomputation over the canonical form, which embeds the
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
@@ -222,21 +228,21 @@ class StorageNode:
         self.pending_submissions[fingerprint.hex] = minute
         self.transport.send("chain", INDEX, self._seal_to(
             "chain", format_vector_ref(fingerprint, vector.captured_at)))
-        return fingerprint
 
     # -- replication handler ------------------------------------------------
 
-    def handle_log(self, plaintext: bytes, chain: Chain) -> list[int]:
-        """Process the minter's announcement of a minted block; returns
-        origins pulled from."""
-        block_hash = plaintext.decode("ascii", errors="replace")
-        try:
-            block = chain.lookup(block_hash)
-        except KeyError:
-            self.events.alarm(self.name, ev.UNKNOWN_BLOCK,
-                              f"announced block {block_hash[:16]}.. not in chain view")
-            return []
-        pulled = []
+    def handle_log(self, plaintext: bytes, chain: Chain):
+        """Pull the replicas of the block the minter announces, which must be
+        the tip: STALE_LOG for any other hash, known or not."""
+        if plaintext != chain.tip.block_hash.hex.encode():
+            block_hash = plaintext.decode("ascii", errors="replace")
+            self.events.alarm(self.name, ev.STALE_LOG,
+                              f"announced block {block_hash[:16]}.. is not the tip; ignored")
+            return
+        self._pull_replicas(chain.tip)
+
+    def _pull_replicas(self, block: Block):
+        """Pull the copies `block` assigns to this node, then mark it pulled."""
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
                 outcome = self._fetch_from_holders(ix)
@@ -245,8 +251,7 @@ class StorageNode:
                     self.events.info(self.name, ev.REPLICA_STORED,
                                      f"replica {name}@{minute} pulled from "
                                      f"node{outcome.recovered_from}")
-                    pulled.append(ix.replica_ids[0])
-        return pulled
+        self.pulled = block.block_hash.hex
 
     def _fetch_from_holders(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Ask the other listed holders in ledger order; the first copy that
@@ -318,14 +323,20 @@ class StorageNode:
     def validate_cycle(self, chain: Chain) -> list[ValidationFinding]:
         """Full-chain audit of this node's holdings, with automated recovery:
         each held record is hashed once per cycle; each duty is one lookup.
-        It first settles the interval's submissions, even on a bad chain."""
-        self._reconcile_submissions(chain.tip)
+        It first settles the interval's submissions, even on a bad chain; on a
+        good one it pulls for a tip whose LOG never came (LOG_MISSING)."""
+        tip = chain.tip
+        self._reconcile_submissions(tip)
         bad = verify_chain(chain)
         if bad is not None:
             self.events.alarm(self.name, ev.CHAIN_INVALID,
                               f"chain fails verification at block {bad.position} "
                               f"({bad.reason}); validation aborted")
             return []
+        if tip.block_hash.hex != self.pulled:
+            self.events.alarm(self.name, ev.LOG_MISSING,
+                              f"no LOG named tip block {tip.block_hash.hex[:16]}..; pulling now")
+            self._pull_replicas(tip)
         held = {vector_digest(r).hex: r for r in self.historian.records()}
         findings = [self._check_index(ix, held)
                     for block in reversed(chain.blocks) for ix in block.indexes

@@ -21,7 +21,6 @@ from histchain.ledger import (
     ChainLinkError,
     DumpFormatError,
     LedgerIndex,
-    UnknownBlockError,
     dump_chain,
     format_vector_ref,
     genesis_block,
@@ -169,18 +168,6 @@ class TestVerifyChain:
                 bad = verify_chain(mutated_chain(chain, position, kind))
                 assert bad is not None, f"{kind}@{position} went undetected"
                 assert bad.position == position, (kind, position, bad)
-
-
-class TestWalkBack:
-    def test_unknown_hash_rejected(self):
-        chain = build_chain(3)
-        with pytest.raises(UnknownBlockError):
-            chain.lookup("ab" * 32)
-
-    def test_every_block_found_not_only_the_tip(self):
-        chain = build_chain(4)
-        for block in chain.blocks:
-            assert chain.lookup(block.block_hash.hex) is block
 
 
 class TestChainDump:

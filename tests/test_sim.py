@@ -215,7 +215,9 @@ class TestMalformedFrames:
         run_with_interceptors(sim, 3, {1: [
             (src, dst, lambda f: dataclasses.replace(f, sender_id=wire_id))]})
         alarms = sim.events.alarms()
-        assert [(r.actor, r.code) for r in alarms if r.actor == dst] == [(dst, code)]
+        # A refused LOG is a lost one: the node's next cycle names it.
+        lost_log = [(dst, ev.LOG_MISSING)] if src == "chain" else []
+        assert [(r.actor, r.code) for r in alarms if r.actor == dst] == [(dst, code)] + lost_log
         assert all(r.tick // cfg.interval_ticks == 1 for r in alarms)
 
     def test_too_wide_header_field_is_an_interceptor_error(self):
@@ -545,6 +547,13 @@ class TestConfig:
         """A flow rate is a key only in its per-valve spelling."""
         with pytest.raises(ConfigError, match=f"^line 1: unknown config key '{key}'$"):
             parse_config_file(f"{key}=1")
+
+    @pytest.mark.parametrize("key", ["interval_ticks", "sample_every"])
+    def test_clock_is_not_settable(self, key):
+        """The plant clock is a pair of constants, not config keys."""
+        with pytest.raises(ConfigError, match=f"^line 1: unknown config key '{key}'$"):
+            parse_config_file(f"{key}=60")
+        assert key not in {f.name for f in dataclasses.fields(SimConfig)}
 
     @pytest.mark.parametrize("line, field, value", [
         ("seed=7", "seed", 7),

@@ -79,8 +79,8 @@ def sealed_measurement(keys, vector=VEC, sender="plc1", recipient="node1"):
 class TestRegister:
     def test_authentic_vector_stored_and_indexed(self):
         node, keys, transport = standalone_node()
-        fingerprint = node.register("plc1", canonical_serialize(VEC))
-        assert fingerprint is not None and fingerprint.hex == vector_digest(VEC).hex
+        node.register("plc1", canonical_serialize(VEC))
+        assert node.pending_submissions == {vector_digest(VEC).hex: "2020-12-23T17:27"}
         assert len(node.historian) == 1
         record = node.historian.get(("Sensor 1", "2020-12-23T17:27"))
         assert record.values == VEC.values
@@ -133,7 +133,8 @@ class TestRegister:
     def test_line_break_in_name_is_malformed_payload(self, brk):
         node, keys, transport = standalone_node()
         payload = f"Sensor{brk}1|2020-12-23T17:27|7,6".encode("utf-8")
-        assert node.register("plc1", payload) is None
+        node.register("plc1", payload)
+        assert node.pending_submissions == {}
         assert len(node.historian) == 0
         assert transport.sent == []
         assert len(node.events.by_code(ev.MALFORMED_PAYLOAD, "node1")) == 1
@@ -225,10 +226,10 @@ class TestReplication:
         node = sim.nodes[3]
         dump = node.historian.dump()
         records_before = len(sim.events)
-        assert node.handle_log(b"ab" * 32, sim.chain_module.chain) == []
+        node.handle_log(b"ab" * 32, sim.chain_module.chain)
         new = sim.events.records[records_before:]
         assert [(r.actor, r.severity, r.code) for r in new] == [
-            ("node3", ev.ALARM, ev.UNKNOWN_BLOCK)]
+            ("node3", ev.ALARM, ev.STALE_LOG)]
         assert node.historian.dump() == dump
 
     def test_corrupted_replica_response_not_stored(self):
@@ -262,7 +263,7 @@ class TestReplication:
 
         dump = holder.historian.dump()
         stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
-        assert holder.handle_log(announcement, chain)
+        holder.handle_log(announcement, chain)
         assert holder.historian.dump() == dump
         assert len(sim.events.by_code(ev.REPLICA_STORED, holder.name)) > stored_before
 
@@ -278,7 +279,7 @@ class TestReplication:
         chain = Chain()
         chain.append(make_block([LedgerIndex(vector_digest(VEC), TS, (2, 1, 3))],
                                 chain.tip.block_hash, TS))
-        assert node.handle_log(chain.tip.block_hash.hex.encode(), chain) == []
+        node.handle_log(chain.tip.block_hash.hex.encode(), chain)
         assert len(node.historian) == 0
         assert len(node.events.by_code(ev.REPLICA_NO_RESPONSE, "node1")) == 2
         assert not node.events.by_code(ev.UNRECOVERABLE)
@@ -586,6 +587,7 @@ class TestDigestLookup:
         moved = LedgerIndex(vector_digest(first), last.captured_at, (1, 2, 3))
         chain.append(make_block([moved], chain.tip.block_hash,
                                 chain.tip.minted_at + timedelta(minutes=1)))
+        sim.nodes[1].handle_log(chain.tip.block_hash.hex.encode(), chain)
         findings = sim.nodes[1].validate_cycle(chain)
         assert findings[0].key[1] == last.key[1]
         assert findings[0].verdict == TAMPERED_UNRECOVERABLE
@@ -744,3 +746,93 @@ class TestSubmissionSettlement:
                 d for d in registered(sim, node_id) if d not in minted)
             assert [k for k, _ in gaps] == [
                 k for k, pair in enumerate(fates) if pair[node_id - 1] != "pass"]
+
+
+LOG_FATES = ("pass", "drop", "replay")
+NODE_IDS = range(1, 7)
+
+
+def log_fate(fate, carried):
+    """Interceptor for one chain->node link in one interval: pass the LOG,
+    drop it, or deliver in its place the last LOG the link carried (nothing
+    if it carried none). `carried` holds what the link delivered so far."""
+    def fn(frame):
+        if fate == "drop" or (fate == "replay" and not carried):
+            return None
+        if fate == "replay":
+            frame = carried[-1]
+        carried.append(frame)
+        return frame
+    return fn
+
+
+def alarm_codes(sim):
+    """(interval, actor, code) of every alarm of the run."""
+    return [(r.tick // sim.cfg.interval_ticks, r.actor, r.code) for r in sim.events.alarms()]
+
+
+def holds_its_replicas(sim, node_id):
+    """True when `node_id` holds every vector the chain lists it for."""
+    held = {vector_digest(r).hex for r in sim.historian(node_id).records()}
+    return all(ix.vector_digest.hex in held
+               for ix in held_indexes(sim, node_id))
+
+
+class TestLogAnnouncement:
+    """A LOG must name the tip: one naming any other block raises STALE_LOG
+    and pulls nothing, and a node whose cycle finds a tip it never pulled
+    raises LOG_MISSING and pulls then, duty or no duty."""
+
+    def test_replayed_log_is_stale_and_pulls_nothing(self):
+        """Node3's interval-0 LOG is put back in place of its interval-2 one."""
+        sim = Simulation(SimConfig(seed=42))
+        kept = []
+        run_with_interceptors(sim, 3, {0: [("chain", "node3", log_fate("pass", kept))],
+                                       2: [("chain", "node3", log_fate("replay", kept))]})
+        assert alarm_codes(sim) == [(2, "node3", ev.STALE_LOG), (2, "node3", ev.LOG_MISSING)]
+        assert sim.events.alarms()[0].tick == 179
+        assert not [r for r in sim.events.by_code(ev.REPLICA_STORED, "node3") if r.tick == 179]
+        assert holds_its_replicas(sim, 3)
+
+    def test_dropped_log_is_named_missing_and_its_replica_pulled(self):
+        sim = Simulation(SimConfig(seed=42))
+        run_with_interceptors(sim, 3, {1: [("chain", "node1", lambda frame: None)]})
+        alarms = sim.events.alarms()
+        assert [(r.tick, r.actor, r.code) for r in alarms] == [(119, "node1", ev.LOG_MISSING)]
+        pulled = [r.detail for r in sim.events.by_code(ev.REPLICA_STORED, "node1")
+                  if r.tick == 119]
+        assert pulled == ["replica Sensor 2@2020-12-23T17:27 pulled from node2"]
+        assert holds_its_replicas(sim, 1)
+
+    def test_dropped_log_to_a_node_without_duty_is_named_missing(self):
+        reference = Simulation(SimConfig(seed=42))
+        reference.run(2)
+        duties = {n for ix in reference.chain_module.chain.tip.indexes
+                  for n in ix.replica_ids[1:]}
+        idle = [n for n in NODE_IDS if n not in duties]
+        assert idle
+        sim = Simulation(SimConfig(seed=42))
+        run_with_interceptors(sim, 3, {1: [("chain", f"node{n}", lambda frame: None)
+                                           for n in idle]})
+        assert alarm_codes(sim) == [(1, f"node{n}", ev.LOG_MISSING) for n in idle]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(LOG_FATES)] * len(NODE_IDS)),
+                    min_size=1, max_size=5))
+    def test_each_lost_log_named_once_in_its_interval(self, fates):
+        """Per interval, each chain->node link passes, drops or replays its LOG."""
+        sim = Simulation(SimConfig(seed=42))
+        carried = {n: [] for n in NODE_IDS}
+        windows = {k: [("chain", f"node{n}", log_fate(fate, carried[n]))
+                       for n, fate in zip(NODE_IDS, row)]
+                   for k, row in enumerate(fates)}
+        expected = Counter()
+        for n, column in zip(NODE_IDS, zip(*fates)):
+            for k, fate in enumerate(column):
+                if fate == "replay" and "pass" in column[:k]:
+                    expected[(k, f"node{n}", ev.STALE_LOG)] += 1
+                if fate != "pass":
+                    expected[(k, f"node{n}", ev.LOG_MISSING)] += 1
+        run_with_interceptors(sim, len(fates), windows)
+        assert Counter(alarm_codes(sim)) == expected
+        assert all(holds_its_replicas(sim, n) for n in NODE_IDS)
