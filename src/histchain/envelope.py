@@ -114,36 +114,18 @@ class AuthError(Exception):
         self.rebuilt = rebuilt
 
 
-_SHA256_HEX = re.compile("[0-9a-f]{64}")
-
-
 @dataclass(frozen=True, slots=True)
 class Digest:
-    """Lowercase hex SHA-256 fingerprint; the constructor checks its input."""
+    """Lowercase hex SHA-256 fingerprint. The constructor checks nothing:
+    hashlib writes lowercase hex, and the hex of text from outside is checked
+    where it enters, by ledger.parse_vector_ref and the chain-dump patterns."""
 
     hex: str
 
-    def __post_init__(self):
-        if not _SHA256_HEX.fullmatch(self.hex):
-            raise ValueError(f"not a sha256 hex digest: {self.hex!r}")
-
-    @classmethod
-    def of_checked_hex(cls, hex_text: str) -> "Digest":
-        """A Digest of text the caller already knows is lowercase SHA-256
-        hex (hashlib output, or a field a full-line pattern matched), without
-        running the check again."""
-        result = object.__new__(cls)
-        object.__setattr__(result, "hex", hex_text)
-        return result
-
 
 def digest(data: bytes) -> Digest:
-    """SHA-256 of data. hashlib's hexdigest is lowercase hex by construction,
-    so the check is skipped as in Digest.of_checked_hex, written out here
-    because every record check makes one."""
-    result = object.__new__(Digest)
-    object.__setattr__(result, "hex", hashlib.sha256(data).hexdigest())
-    return result
+    """SHA-256 of data."""
+    return Digest(hashlib.sha256(data).hexdigest())
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,6 +30,7 @@ UNRECOVERABLE = "UNRECOVERABLE"
 CHAIN_INVALID = "CHAIN_INVALID"
 STALE_LOG = "STALE_LOG"
 LOG_MISSING = "LOG_MISSING"
+REPLICA_PENDING = "REPLICA_PENDING"
 COVERAGE_GAP = "COVERAGE_GAP"
 REPLICA_MISMATCH = "REPLICA_MISMATCH"
 REPLICA_NO_RESPONSE = "REPLICA_NO_RESPONSE"

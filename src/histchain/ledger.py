@@ -12,9 +12,12 @@ full; a chain built with Chain(), Chain.from_blocks or parse_chain_dump starts
 with nothing verified.
 
 Every field of a chain dump and of a `digest|minute` body is read strictly: a
-minute, a position or a replica id parses only in the spelling the writer
-gives it (config.parse_minute, plain decimal), and lines end in `\n` alone,
-so one chain has one dump.
+digest only as lowercase SHA-256 hex, and a minute, a position or a replica id
+only in the spelling the writer gives it (config.parse_minute, plain decimal);
+lines end in `\n` alone, so one chain has one dump. These checks run once,
+where the text enters. The constructors check nothing, since only the minter
+builds ledger values of its own, and verify_chain judges whether each block
+links and holds an index.
 
 Each index builds its `digest|minute|ids` line once, on construction; the
 block preimage and the dump read it. parse_chain_dump matches each line once
@@ -43,14 +46,6 @@ HASH_MISMATCH = "hash_mismatch"
 EMPTY_INDEXES = "empty_indexes"
 
 
-class ChainLinkError(ValueError):
-    """Appended block does not link to the current tip."""
-
-
-class EmptyBlockError(ValueError):
-    """A block must carry at least one index."""
-
-
 class DumpFormatError(ValueError):
     """Chain dump file is malformed."""
 
@@ -60,9 +55,10 @@ class LedgerIndex:
     """One stored vector: its digest, capture time, and the ordered holder list.
 
     replica_ids[0] is the origin node; the rest are the randomly assigned
-    replica holders, all distinct. minute is the ISO capture minute and line
-    the index's `digest|minute|ids` text in the chain dump and the block
-    preimage; both are built once, on construction.
+    replica holders, all distinct (draw_replicas draws them so; a dump is
+    checked for it). minute is the ISO capture minute and line the index's
+    `digest|minute|ids` text in the chain dump and the block preimage; both
+    are built once, on construction.
     """
 
     vector_digest: Digest
@@ -72,12 +68,10 @@ class LedgerIndex:
     line: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = _checked_holders(tuple(self.replica_ids))
         minute = fmt_minute(self.captured_at)
-        object.__setattr__(self, "replica_ids", ids)
+        ids = ",".join(map(str, self.replica_ids))
         object.__setattr__(self, "minute", minute)
-        object.__setattr__(self, "line",
-                           f"{self.vector_digest.hex}|{minute}|{','.join(map(str, ids))}")
+        object.__setattr__(self, "line", f"{self.vector_digest.hex}|{minute}|{ids}")
 
     @classmethod
     def _parsed(cls, vector_digest: Digest, captured_at: datetime, ids: tuple[int, ...],
@@ -95,12 +89,7 @@ class LedgerIndex:
         return ix
 
 
-def _checked_holders(ids: tuple[int, ...]) -> tuple[int, ...]:
-    if not ids:
-        raise ValueError("replica list is empty")
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"replica ids not distinct: {ids}")
-    return ids
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
@@ -110,8 +99,11 @@ def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
 
 def parse_vector_ref(body: bytes) -> tuple[Digest, datetime]:
     """Inverse of format_vector_ref; raises ValueError unless the body is a
-    SHA-256 hex digest and a strict ISO minute joined by one `|`."""
+    lowercase SHA-256 hex digest and a strict ISO minute joined by one `|`.
+    The only wire text that becomes a Digest enters here."""
     digest_hex, minute = body.decode("ascii").split("|")
+    if _SHA256_HEX.fullmatch(digest_hex) is None:
+        raise ValueError(f"not a sha256 hex digest: {digest_hex!r}")
     return Digest(digest_hex), parse_minute(minute)
 
 
@@ -132,10 +124,9 @@ class Block:
 
 
 def make_block(indexes, prev_hash: Digest, minted_at: datetime) -> Block:
-    """Mint a block over a non-empty index list; pure function of its inputs."""
+    """Mint a block over `indexes`; pure function of its inputs. The minter
+    passes a non-empty list; verify_chain flags a block without one."""
     indexes = tuple(indexes)
-    if not indexes:
-        raise EmptyBlockError("refusing to mint a block with no indexes")
     block_hash = digest(block_preimage(prev_hash.hex, indexes, minted_at))
     return Block(indexes, block_hash, prev_hash, minted_at)
 
@@ -170,11 +161,8 @@ class Chain:
         return len(self.blocks)
 
     def append(self, block: Block):
-        if block.prev_block_hash.hex != self.tip.block_hash.hex:
-            raise ChainLinkError(
-                f"block links to {block.prev_block_hash.hex[:12]}.., "
-                f"tip is {self.tip.block_hash.hex[:12]}.."
-            )
+        """Add `block` as the new tip; the one writer mints it on the tip, and
+        verify_chain flags a block that does not link."""
         self.blocks.append(block)
 
 
@@ -239,13 +227,16 @@ def _dump_line_patterns() -> tuple[re.Pattern, re.Pattern]:
     replica ids in plain ASCII decimal (config.parse_minute checks minutes).
     Compiled on the first parse, so a run that reads no dump never pays."""
     decimal = "(?:0|[1-9][0-9]*)"
-    hex64 = "[0-9a-f]{64}"
+    hex64 = _SHA256_HEX.pattern
     return (re.compile(rf"block\|({decimal})\|([^|]*)\|({hex64})\|({hex64})"),
             re.compile(rf"index\|({hex64})\|([^|]*)\|({decimal}(?:,{decimal})*)"))
 
 
 def _parse_holders(text: str) -> tuple[int, ...]:
-    return _checked_holders(tuple(map(int, text.split(","))))
+    ids = tuple(map(int, text.split(",")))
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"replica ids not distinct: {ids}")
+    return ids
 
 
 def parse_chain_dump(text: str) -> Chain:
@@ -253,7 +244,8 @@ def parse_chain_dump(text: str) -> Chain:
     blank ones included, is a `block|` or `index|` line ended by `\n` alone.
 
     Each line is matched once against the full pattern of its kind, which
-    checks every digest and number; each distinct minute is parsed once.
+    checks every digest and number; each distinct minute is parsed once, and
+    each distinct holder list is checked once for a repeated holder.
     """
     # (minted_at, block hash, prev hash, indexes) of each block line so far.
     headers: list[tuple[datetime, Digest, Digest, list[LedgerIndex]]] = []
@@ -261,7 +253,6 @@ def parse_chain_dump(text: str) -> Chain:
     # Minutes and holder lists repeat from line to line: parse each spelling once.
     minute = functools.cache(parse_minute)
     holders = functools.cache(_parse_holders)
-    checked_digest = Digest.of_checked_hex
     block_line, index_line = _dump_line_patterns()
 
     *lines, unterminated = text.split("\n")
@@ -276,7 +267,7 @@ def parse_chain_dump(text: str) -> Chain:
                 digest_hex, minute_text, ids = match.groups()
                 # raw[6:] is the text after `index|`: the index's own line.
                 indexes.append(LedgerIndex._parsed(
-                    checked_digest(digest_hex), minute(minute_text), holders(ids),
+                    Digest(digest_hex), minute(minute_text), holders(ids),
                     minute_text, raw[6:]))
                 continue
             match = block_line.fullmatch(raw)
@@ -286,8 +277,8 @@ def parse_chain_dump(text: str) -> Chain:
             if position != str(len(headers)):
                 raise ValueError(f"position {position!r} out of order")
             indexes = []
-            headers.append((minute(minute_text), checked_digest(block_hash),
-                            checked_digest(prev_hash), indexes))
+            headers.append((minute(minute_text), Digest(block_hash),
+                            Digest(prev_hash), indexes))
         except ValueError as exc:
             raise DumpFormatError(f"line {lineno}: {exc}") from None
     if not headers:

@@ -5,16 +5,18 @@ REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
 for. Register stores vectors from the node's PLC and submits their index to
 the block-minting module. The replication handler pulls the copies the
-announced block assigns to this node. A block is announced in the interval
+announced block assigns to this node; a copy no holder delivers stays owed,
+in `unpulled`, and is asked for again at each later pull and cycle. A block is announced in the interval
 it is minted, before any validator cycle, so a LOG must name the tip: any
 other hash raises STALE_LOG and pulls nothing. The validator runs every
 interval, whether or not a block was minted or a LOG arrived. It first
 settles the node's submissions of that interval: each one the tip does not
 carry raises COVERAGE_GAP. On a valid chain whose tip the node has not
 pulled, it raises LOG_MISSING and pulls then. It then re-walks the whole
-chain, recomputes the digest of every locally held vector, and triggers
-automated recovery from the other listed holders when a digest disagrees or
-a record is missing. Replica pull and recovery share one holder loop: the
+chain, recomputes the digest of every locally held vector, raises
+REPLICA_PENDING for each copy still owed, and triggers automated recovery
+from the other listed holders when any other digest disagrees or record is
+missing. Replica pull and recovery share one holder loop: the
 first copy that matches the ledger digest, asked for in ledger order,
 overwrites the local one.
 
@@ -27,7 +29,8 @@ the next cycle.
 
 The event log records decisions, not "still fine": each completed validator
 cycle logs one CHECK_OK summary per node (`checked=N intact=M chain_len=L`),
-while FDI_ALARM, RECOVERED and UNRECOVERABLE stay one line per record.
+while FDI_ALARM, RECOVERED, UNRECOVERABLE and REPLICA_PENDING stay one line
+per record.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .ledger import (Block, Chain, LedgerIndex, format_vector_ref, genesis_block
 from .wire import ANSWER_DROPPED, INDEX, REPLICA_REQ
 
 INTACT = "intact"
+REPLICA_PENDING = "replica_pending"
 TAMPERED_RECOVERED = "tampered_recovered"
 TAMPERED_UNRECOVERABLE = "tampered_unrecoverable"
 
@@ -193,6 +197,9 @@ class StorageNode:
         self.pending_submissions: dict[str, str] = {}
         # Hash hex of the last tip whose replicas this node pulled.
         self.pulled = genesis_block().block_hash.hex
+        # digest hex -> ledger index of each replica duty no holder has
+        # delivered yet; ledger facts only, no record digest is kept.
+        self.unpulled: dict[str, LedgerIndex] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -242,16 +249,24 @@ class StorageNode:
         self._pull_replicas(chain.tip)
 
     def _pull_replicas(self, block: Block):
-        """Pull the copies `block` assigns to this node, then mark it pulled."""
+        """Owe the copies `block` assigns to this node, mark it pulled, and
+        fetch every copy still owed."""
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
-                outcome = self._fetch_from_holders(ix)
-                if outcome is not None:
-                    name, minute = outcome.vector.key
-                    self.events.info(self.name, ev.REPLICA_STORED,
-                                     f"replica {name}@{minute} pulled from "
-                                     f"node{outcome.recovered_from}")
+                self.unpulled[ix.vector_digest.hex] = ix
         self.pulled = block.block_hash.hex
+        self._fetch_unpulled()
+
+    def _fetch_unpulled(self):
+        """Ask the holders for each owed copy; a delivered one is owed no more."""
+        for digest_hex, ix in list(self.unpulled.items()):
+            outcome = self._fetch_from_holders(ix)
+            if outcome is not None:
+                del self.unpulled[digest_hex]
+                name, minute = outcome.vector.key
+                self.events.info(self.name, ev.REPLICA_STORED,
+                                 f"replica {name}@{minute} pulled from "
+                                 f"node{outcome.recovered_from}")
 
     def _fetch_from_holders(self, ix: LedgerIndex) -> RecoveryOutcome | None:
         """Ask the other listed holders in ledger order; the first copy that
@@ -324,7 +339,9 @@ class StorageNode:
         """Full-chain audit of this node's holdings, with automated recovery:
         each held record is hashed once per cycle; each duty is one lookup.
         It first settles the interval's submissions, even on a bad chain; on a
-        good one it pulls for a tip whose LOG never came (LOG_MISSING)."""
+        good one it pulls for a tip whose LOG never came (LOG_MISSING), or
+        else asks again for the replicas still owed. A duty still owed is
+        REPLICA_PENDING, not falsified, and is asked for again next cycle."""
         tip = chain.tip
         self._reconcile_submissions(tip)
         bad = verify_chain(chain)
@@ -337,6 +354,8 @@ class StorageNode:
             self.events.alarm(self.name, ev.LOG_MISSING,
                               f"no LOG named tip block {tip.block_hash.hex[:16]}..; pulling now")
             self._pull_replicas(tip)
+        else:
+            self._fetch_unpulled()
         held = {vector_digest(r).hex: r for r in self.historian.records()}
         findings = [self._check_index(ix, held)
                     for block in reversed(chain.blocks) for ix in block.indexes
@@ -362,10 +381,16 @@ class StorageNode:
         self.pending_submissions = {}
 
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
-        """INTACT if `held` (digest hex -> record) has the index's digest at
-        its minute; otherwise alarm and recover, keeping `held` what is stored."""
+        """REPLICA_PENDING for a replica still owed; INTACT if `held` (digest
+        hex -> record) has the index's digest at its minute; otherwise alarm
+        and recover, keeping `held` what is stored."""
         minute = ix.minute
         expected = ix.vector_digest.hex
+        if expected in self.unpulled:
+            self.events.alarm(self.name, ev.REPLICA_PENDING,
+                              f"replica {expected} captured {minute} not yet "
+                              "delivered by any holder; asking again next cycle")
+            return ValidationFinding((None, minute), REPLICA_PENDING)
         record = held.get(expected)
         if record is not None and record.key[1] == minute:
             return ValidationFinding(record.key, INTACT)

@@ -9,9 +9,10 @@ The payload of every frame is a packed envelope: ciphertext_len(4) followed by
 the ciphertext and then the signature bytes. Adversaries sit on links as
 interceptors: pure functions Frame -> Frame (mutate) or None (drop).
 
-The wire carries bytes and decodes nothing. The sender encodes with
-encode_frame, which refuses a frame no honest endpoint sends; an interceptor's
-rewrite goes on the wire as pack_frame writes it, any header included. The
+The wire carries bytes and decodes nothing. A link's delivered frame goes on
+the wire as pack_frame writes it, any header included: an honest frame comes
+from NodeTransport.frame, which writes FRAME_VERSION and a known type, so the
+version and the type are checked once, by decode_frame at the receiver. The
 network hands each delivered frame's bytes to one `(receiver, bytes)`
 callable, and the receiver decodes them in one place,
 Simulation.unpack_frame: a header decode_frame rejects, a type the receiver
@@ -56,7 +57,7 @@ ANSWER_DROPPED = object()
 
 
 class EncodeError(ValueError):
-    """Frame fields out of range at the sender."""
+    """A header field too wide for its slot."""
 
 
 class DecodeError(ValueError):
@@ -83,15 +84,6 @@ def pack_frame(frame: Frame) -> bytes:
     except struct.error as exc:
         raise EncodeError(f"header field out of range: {exc}") from None
     return header + frame.payload
-
-
-def encode_frame(frame: Frame) -> bytes:
-    """Sender-side pack_frame: also refuses a version or type decode_frame rejects."""
-    if frame.version != FRAME_VERSION:
-        raise EncodeError(f"unsupported version {frame.version}")
-    if frame.msg_type not in MSG_TYPES:
-        raise EncodeError(f"unknown msg_type {frame.msg_type}")
-    return pack_frame(frame)
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -179,16 +171,11 @@ class Network:
         self.links[(src, dst)] = Link()
 
     def _transmit(self, link: Link, frame: Frame) -> bytes | None:
-        """The bytes `link` delivers for a sent frame, or None if dropped.
-
-        A frame no honest endpoint sends raises EncodeError here, at the sender.
-        """
-        data = encode_frame(frame)
+        """The bytes `link` delivers for a sent frame, or None if dropped."""
         delivered = link.apply(frame)
         if delivered is None:
             return None
-        if delivered is not frame:
-            data = pack_frame(delivered)
+        data = pack_frame(delivered)
         if self.trace is not None:
             self.trace.append(data)
         return data

@@ -331,3 +331,30 @@ class TestVectorRef:
     def test_lax_stamps_rejected(self, stamp):
         with pytest.raises(ValueError):
             parse_vector_ref(f"{digest(b'vector').hex}|{stamp}".encode("utf-8"))
+
+    @given(st.one_of(
+        st.text(max_size=70),
+        st.text(alphabet="0123456789abcdefABCDEF \t\n\u0663", min_size=62, max_size=66),
+        st.text(alphabet="0123456789abcdef", min_size=63, max_size=65),
+    ))
+    @example("0" * 64)
+    @example("A" * 64)
+    @example("a" * 63 + "F")
+    @example(" " + "a" * 63)
+    @example("a" * 63 + " ")
+    @example("a" * 32 + " " + "a" * 31)
+    @example("a" * 63 + "\n")
+    @example("\u0663" * 64)
+    @example("0" * 63 + "\u0663")
+    @example("a" * 63)
+    @example("a" * 65)
+    @example("a" * 40)
+    def test_digest_field_matches_reference_predicate(self, digest_text):
+        """The digest of a body is read only as lowercase SHA-256 hex: the
+        one check on wire text that becomes a Digest."""
+        body = f"{digest_text}|2020-12-23T17:27".encode("utf-8")
+        if len(digest_text) == 64 and all(c in "0123456789abcdef" for c in digest_text):
+            assert parse_vector_ref(body)[0].hex == digest_text
+        else:
+            with pytest.raises(ValueError):
+                parse_vector_ref(body)

@@ -9,16 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from histchain.config import fmt_minute
-from histchain.envelope import Digest, digest
+from histchain.envelope import digest
 from histchain.ledger import (
     BAD_GENESIS,
     Block,
     EMPTY_INDEXES,
-    EmptyBlockError,
     HASH_MISMATCH,
     LINK_MISMATCH,
     Chain,
-    ChainLinkError,
     DumpFormatError,
     LedgerIndex,
     dump_chain,
@@ -39,10 +37,6 @@ def one_index(payload=b"vector-bytes", replicas=(1, 6, 3), ts=TS):
 
 
 class TestLedgerIndex:
-    def test_replicas_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            one_index(replicas=(1, 6, 6))
-
     def test_origin_kept_first(self):
         ix = one_index(replicas=(4, 2, 5))
         assert ix.replica_ids[0] == 4
@@ -62,6 +56,8 @@ class TestVectorRef:
 
     @pytest.mark.parametrize("body", [
         b"XYZ|2020-12-23T17:27",
+        b"deadbeef|2020-12-23T17:27",
+        ("g" * 64 + "|2020-12-23T17:27").encode(),
         ("AB" * 32 + "|2020-12-23T17:27").encode(),
         ("ab" * 32 + "|2020-12-23 17:27").encode(),
         ("ab" * 32 + "|2020-12-23T17:27|1").encode(),
@@ -86,9 +82,11 @@ class TestMakeBlock:
         assert block.indexes == (one_index(),)
         assert block.prev_block_hash == genesis.block_hash
 
-    def test_empty_refused(self):
-        with pytest.raises(EmptyBlockError):
-            make_block([], genesis_block().block_hash, TS)
+    def test_empty_block_fails_verification(self):
+        chain = Chain()
+        chain.append(make_block([], chain.tip.block_hash, TS))
+        bad = verify_chain(chain)
+        assert bad is not None and (bad.position, bad.reason) == (1, EMPTY_INDEXES)
 
     def test_hash_matches_standalone_recomputation(self):
         # Oracle: rebuild the preimage by hand and hash it with hashlib.
@@ -109,12 +107,11 @@ class TestChainAppend:
         chain.append(make_block([one_index()], chain.tip.block_hash, TS))
         assert len(chain) == 2
 
-    def test_stale_prev_rejected(self):
+    def test_stale_prev_fails_verification(self):
         chain = Chain()
-        stale = make_block([one_index()], digest(b"not the tip"), TS)
-        with pytest.raises(ChainLinkError):
-            chain.append(stale)
-        assert len(chain) == 1
+        chain.append(make_block([one_index()], digest(b"not the tip"), TS))
+        bad = verify_chain(chain)
+        assert bad is not None and (bad.position, bad.reason) == (1, LINK_MISMATCH)
 
     def test_hundred_appends_verify_valid(self):
         chain = build_chain(100)
@@ -224,6 +221,14 @@ class TestChainDump:
         with pytest.raises(DumpFormatError):
             parse_chain_dump(text.replace(old, new, 1))
 
+    def test_rejects_repeated_replica_id(self):
+        chain = Chain()
+        chain.append(make_block([one_index(replicas=(1, 6, 3))], chain.tip.block_hash, TS))
+        text = dump_chain(chain)
+        assert "|1,6,3\n" in text
+        with pytest.raises(DumpFormatError, match="not distinct"):
+            parse_chain_dump(text.replace("|1,6,3\n", "|1,6,6\n"))
+
     @pytest.mark.parametrize("respell", ["0{}", "+{}", " {}", "{}_0"])
     def test_rejects_replica_id_not_in_plain_decimal(self, respell):
         lines = dump_chain(build_chain(2)).splitlines()
@@ -264,18 +269,24 @@ class TestDumpStrictness:
     @example(THREE_BLOCKS.replace("|2,1,3", "|\u0662,1,3", 1))
     @settings(deadline=None, max_examples=400)
     def test_edited_dump_is_rejected_or_round_trips(self, edited):
-        """A parsed dump has one spelling: an edit either fails to parse or
-        is the dump of the chain it parses to. The chain is rebuilt from its
-        values through the checking constructors first, since a parsed index
-        keeps its line's text."""
+        """A parsed dump has one spelling and only values the writer could
+        hold: an edit either fails to parse or is the dump of the chain it
+        parses to, with every digest lowercase SHA-256 hex and every holder
+        list free of repeats. The constructors check neither, so the test
+        does; the chain is rebuilt from its values first, since a parsed
+        index keeps its line's text."""
         try:
             chain = parse_chain_dump(edited)
         except DumpFormatError:
             return
+        indexes = [ix for block in chain.blocks for ix in block.indexes]
+        digests = [ix.vector_digest for ix in indexes] + [
+            d for block in chain.blocks for d in (block.block_hash, block.prev_block_hash)]
+        assert all(re.fullmatch("[0-9a-f]{64}", d.hex) for d in digests)
+        assert all(len(set(ix.replica_ids)) == len(ix.replica_ids) for ix in indexes)
         rebuilt = Chain.from_blocks(
-            Block(tuple(LedgerIndex(Digest(ix.vector_digest.hex), ix.captured_at, ix.replica_ids)
+            Block(tuple(LedgerIndex(ix.vector_digest, ix.captured_at, ix.replica_ids)
                         for ix in block.indexes),
-                  Digest(block.block_hash.hex), Digest(block.prev_block_hash.hex),
-                  block.minted_at)
+                  block.block_hash, block.prev_block_hash, block.minted_at)
             for block in chain.blocks)
         assert dump_chain(rebuilt) == edited

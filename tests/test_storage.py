@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tempfile
 from collections import Counter
 from datetime import datetime, timedelta
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from histchain import events as ev
 from histchain import storage
+from histchain.audit import audit_directory
 from histchain.attacks import flip_body_bytes, run_scenario_a, run_with_interceptors
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
@@ -33,7 +35,7 @@ from histchain.storage import (
     TAMPERED_RECOVERED,
     TAMPERED_UNRECOVERABLE,
 )
-from histchain.wire import INDEX, LOG, MEASUREMENT, REPLICA_REQ
+from histchain.wire import INDEX, LOG, MEASUREMENT, REPLICA_REQ, REPLICA_RESP
 from .helpers import (
     BLOCK_MUTATIONS,
     deliver,
@@ -836,3 +838,75 @@ class TestLogAnnouncement:
         run_with_interceptors(sim, len(fates), windows)
         assert Counter(alarm_codes(sim)) == expected
         assert all(holds_its_replicas(sim, n) for n in NODE_IDS)
+
+
+NODE_LINKS = [(f"node{a}", f"node{b}") for a in NODE_IDS for b in NODE_IDS if a != b]
+REPLICA_FATES = {"drop": lambda frame: None,
+                 "flip": lambda frame: flip_body_bytes(frame.msg_type)(frame)}
+AT_REST_CODES = (ev.FDI_ALARM, ev.RECOVERED, ev.UNRECOVERABLE)
+
+
+def owed(sim, node_id):
+    """Digest hex of each replica the chain assigns `node_id` that it does
+    not hold: with nothing edited at rest, the copies no holder delivered."""
+    held = {vector_digest(r).hex for r in sim.historian(node_id).records()}
+    return [ix.vector_digest.hex for ix in indexes_of(sim)
+            if node_id in ix.replica_ids[1:] and ix.vector_digest.hex not in held]
+
+
+def pending(sim, node_id, interval):
+    """Digest hex of each REPLICA_PENDING `node_id` raised in `interval`."""
+    return [r.detail.split()[1] for r in sim.events.by_code(ev.REPLICA_PENDING, f"node{node_id}")
+            if r.tick // sim.cfg.interval_ticks == interval]
+
+
+def audit_report(sim):
+    """The offline audit's report on the artifacts `sim` writes."""
+    with tempfile.TemporaryDirectory() as outdir:
+        sim.write_artifacts(outdir)
+        return audit_directory(outdir)
+
+
+class TestReplicaPull:
+    """A replica no holder delivers stays owed: each cycle asks for it again
+    and raises REPLICA_PENDING for it, never FDI_ALARM or UNRECOVERABLE,
+    since nothing at rest was edited."""
+
+    def test_flipped_answers_leave_replica_pending_until_pulled(self):
+        """Every replica answer node1 sends in interval 0 has its body flipped."""
+        sim = Simulation(SimConfig(seed=42))
+        run_with_interceptors(sim, 3, {0: [("node1", f"node{n}", flip_body_bytes(REPLICA_RESP))
+                                           for n in NODE_IDS if n != 1]})
+        (ix,) = [ix for ix in sim.chain_module.chain.blocks[1].indexes if ix.replica_ids[0] == 1]
+        holders = [f"node{n}" for n in sorted(ix.replica_ids[1:])]
+        assert holders == ["node3", "node4"]
+        assert [r for r in sim.events.records if r.code in AT_REST_CODES] == []
+        assert [(r.tick, r.actor, r.detail.split()[1])
+                for r in sim.events.by_code(ev.REPLICA_PENDING)] == [
+            (59, holder, ix.vector_digest.hex) for holder in holders]
+        stored = [(r.tick, r.actor, r.detail) for r in sim.events.by_code(ev.REPLICA_STORED)
+                  if r.actor in holders]
+        assert stored[:2] == [(119, holder, "replica Sensor 1@2020-12-23T17:26 pulled from node1")
+                              for holder in holders]
+        assert all(not node.unpulled for node in sim.nodes.values())
+        report = audit_report(sim)
+        assert report.all_intact and len(report.findings) == 18
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(NODE_LINKS),
+                                    st.sampled_from(sorted(REPLICA_FATES))),
+                    min_size=1, max_size=4))
+    def test_pending_is_exactly_what_is_owed(self, fates):
+        """Per interval, each node->node link passes, drops or flips the body
+        of every frame it carries; one clean interval follows."""
+        sim = Simulation(SimConfig(seed=42))
+        windows = {k: [(src, dst, REPLICA_FATES[fate]) for (src, dst), fate in links.items()]
+                   for k, links in enumerate(fates)}
+        for k in range(len(fates) + 1):
+            run_with_interceptors(sim, 1, windows)
+            for n in NODE_IDS:
+                assert sorted(pending(sim, n, k)) == sorted(sim.nodes[n].unpulled) \
+                    == sorted(owed(sim, n))
+        assert all(not node.unpulled for node in sim.nodes.values())
+        assert [r for r in sim.events.records if r.code in AT_REST_CODES] == []
+        assert audit_report(sim).all_intact
