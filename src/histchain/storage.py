@@ -5,20 +5,22 @@ REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
 for. Register stores vectors from the node's PLC and submits their index to
 the block-minting module. The replication handler pulls the copies the
-announced block assigns to this node; a copy no holder delivers stays owed,
-in `unpulled`, and is asked for again at each later pull and cycle. A block is announced in the interval
+announced block assigns to this node. A block is announced in the interval
 it is minted, before any validator cycle, so a LOG must name the tip: any
 other hash raises STALE_LOG and pulls nothing. The validator runs every
 interval, whether or not a block was minted or a LOG arrived. It first
 settles the node's submissions of that interval: each one the tip does not
 carry raises COVERAGE_GAP. On a valid chain whose tip the node has not
 pulled, it raises LOG_MISSING and pulls then. It then re-walks the whole
-chain, recomputes the digest of every locally held vector, raises
-REPLICA_PENDING for each copy still owed, and triggers automated recovery
-from the other listed holders when any other digest disagrees or record is
-missing. Replica pull and recovery share one holder loop: the
-first copy that matches the ledger digest, asked for in ledger order,
-overwrites the local one.
+chain, recomputes the digest of every locally held vector, and raises
+FDI_ALARM and recovers when a digest disagrees or a record is missing.
+
+Pull and recovery are one holder loop, `recover`, over one map, `owed`, of
+the copies a node is owed: replica duties not yet delivered and damaged
+records. The first copy that matches the ledger digest, asked for in ledger
+order, overwrites the local one. A copy no holder delivers stays owed, is
+REPLICA_PENDING at each cycle and is asked for again once per interval; it
+is UNRECOVERABLE only when every other holder answered without one.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
 parsed, each with its canonical bytes: the very line `dump` persists. Each
@@ -172,13 +174,6 @@ class ValidationFinding:
     recovered_from: int | None = None
 
 
-@dataclass
-class RecoveryOutcome:
-    recovered_from: int
-    vector: MeasurementVector
-    previous: MeasurementVector | None
-
-
 class StorageNode:
     """One storage node state machine; processes one message at a time."""
 
@@ -197,9 +192,11 @@ class StorageNode:
         self.pending_submissions: dict[str, str] = {}
         # Hash hex of the last tip whose replicas this node pulled.
         self.pulled = genesis_block().block_hash.hex
-        # digest hex -> ledger index of each replica duty no holder has
-        # delivered yet; ledger facts only, no record digest is kept.
-        self.unpulled: dict[str, LedgerIndex] = {}
+        # digest hex -> (ledger index, damaged) of each copy this node is
+        # owed: a replica duty not yet delivered, or a damaged record. Ledger
+        # facts only; no record digest is kept.
+        self.owed: dict[str, tuple[LedgerIndex, bool]] = {}
+        self.asked_at = -1  # clock tick of the last ask for the owed copies
 
     # -- helpers ----------------------------------------------------------
 
@@ -250,39 +247,58 @@ class StorageNode:
 
     def _pull_replicas(self, block: Block):
         """Owe the copies `block` assigns to this node, mark it pulled, and
-        fetch every copy still owed."""
+        ask for every copy still owed."""
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
-                self.unpulled[ix.vector_digest.hex] = ix
+                self.owed[ix.vector_digest.hex] = (ix, False)
         self.pulled = block.block_hash.hex
-        self._fetch_unpulled()
+        self._ask_owed()
 
-    def _fetch_unpulled(self):
-        """Ask the holders for each owed copy; a delivered one is owed no more."""
-        for digest_hex, ix in list(self.unpulled.items()):
-            outcome = self._fetch_from_holders(ix)
-            if outcome is not None:
-                del self.unpulled[digest_hex]
-                name, minute = outcome.vector.key
-                self.events.info(self.name, ev.REPLICA_STORED,
-                                 f"replica {name}@{minute} pulled from "
-                                 f"node{outcome.recovered_from}")
+    def _ask_owed(self):
+        """Ask for each copy still owed; the cycle skips its ask at this tick."""
+        self.asked_at = self.events.tick
+        for ix, _ in list(self.owed.values()):
+            self.recover(ix)
 
-    def _fetch_from_holders(self, ix: LedgerIndex) -> RecoveryOutcome | None:
-        """Ask the other listed holders in ledger order; the first copy that
-        matches the ledger digest overwrites the local one."""
-        sources = [n for n in ix.replica_ids if n != self.node_id]
-        for source in sources:
+    def recover(self, ix: LedgerIndex
+                ) -> tuple[int, MeasurementVector, MeasurementVector | None] | None:
+        """The one holder loop: ask the other listed holders in ledger order
+        for the copy `ix` names, owed as a damaged record if not yet owed. The
+        first that matches the ledger digest overwrites the local record and
+        is owed no more; returns (holder, copy, record it replaced). None when
+        nothing was restored: UNRECOVERABLE, and owed no more, if every other
+        holder answered without an intact copy; else still owed."""
+        digest_hex = ix.vector_digest.hex
+        damaged = self.owed.setdefault(digest_hex, (ix, True))[1]
+        answered = True
+        for source in (n for n in ix.replica_ids if n != self.node_id):
             vector = self._request_vector(source, ix)
-            if vector is None:
-                continue
-            previous = self.historian.get(vector.key)
-            self.historian.overwrite(vector)
-            return RecoveryOutcome(source, vector, previous)
+            answered = answered and vector is not None
+            if isinstance(vector, MeasurementVector):
+                del self.owed[digest_hex]
+                previous = self.historian.get(vector.key)
+                self.historian.overwrite(vector)
+                name, minute = vector.key
+                if damaged:
+                    before = (f"previous values {list(previous.values)}" if previous
+                              else "record was missing")
+                    self.events.info(self.name, ev.RECOVERED,
+                                     f"{name}@{minute} restored from node{source}; {before}")
+                else:
+                    self.events.info(self.name, ev.REPLICA_STORED,
+                                     f"replica {name}@{minute} pulled from node{source}")
+                return source, vector, previous
+        if answered:
+            del self.owed[digest_hex]
+            self.events.alarm(self.name, ev.UNRECOVERABLE,
+                              f"no intact copy of {digest_hex} reachable; "
+                              "operator intervention required")
         return None
 
-    def _request_vector(self, source: int, ix: LedgerIndex) -> MeasurementVector | None:
-        """Sealed replica request to one holder; verified against the ledger digest."""
+    def _request_vector(self, source: int, ix: LedgerIndex) -> MeasurementVector | bytes | None:
+        """Sealed replica request to one holder: the copy if it matches the
+        ledger digest, NOT_FOUND_MARKER for an authentic answer without it, or
+        None for no usable answer (none came, dropped, or failed to open)."""
         request = format_vector_ref(ix.vector_digest, ix.captured_at)
         response = self.transport.round_trip(
             f"node{source}", REPLICA_REQ, self._seal_to(f"node{source}", request))
@@ -302,20 +318,20 @@ class StorageNode:
         if plaintext == NOT_FOUND_MARKER:
             self.events.info(self.name, ev.REPLICA_NOT_FOUND,
                              f"node{source} holds nothing for {ix.vector_digest.hex}")
-            return None
+            return NOT_FOUND_MARKER
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
             self.events.alarm(self.name, ev.REPLICA_MISMATCH,
                               f"replica answer from node{source} unparseable: {exc}")
-            return None
+            return NOT_FOUND_MARKER
         if vector_digest(vector).hex != ix.vector_digest.hex:
             self.events.alarm(
                 self.name, ev.REPLICA_MISMATCH,
                 f"replica from node{source} hashes to {vector_digest(vector).hex}, "
                 f"ledger says {ix.vector_digest.hex}; discarded",
             )
-            return None
+            return NOT_FOUND_MARKER
         return vector
 
     def serve_replica(self, sender: str, plaintext: bytes):
@@ -340,8 +356,9 @@ class StorageNode:
         each held record is hashed once per cycle; each duty is one lookup.
         It first settles the interval's submissions, even on a bad chain; on a
         good one it pulls for a tip whose LOG never came (LOG_MISSING), or
-        else asks again for the replicas still owed. A duty still owed is
-        REPLICA_PENDING, not falsified, and is asked for again next cycle."""
+        else asks for the copies still owed, unless this interval's LOG pull
+        already has. A duty still owed is REPLICA_PENDING and is asked for
+        again next interval."""
         tip = chain.tip
         self._reconcile_submissions(tip)
         bad = verify_chain(chain)
@@ -354,8 +371,8 @@ class StorageNode:
             self.events.alarm(self.name, ev.LOG_MISSING,
                               f"no LOG named tip block {tip.block_hash.hex[:16]}..; pulling now")
             self._pull_replicas(tip)
-        else:
-            self._fetch_unpulled()
+        elif self.asked_at != self.events.tick:
+            self._ask_owed()
         held = {vector_digest(r).hex: r for r in self.historian.records()}
         findings = [self._check_index(ix, held)
                     for block in reversed(chain.blocks) for ix in block.indexes
@@ -381,44 +398,31 @@ class StorageNode:
         self.pending_submissions = {}
 
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
-        """REPLICA_PENDING for a replica still owed; INTACT if `held` (digest
-        hex -> record) has the index's digest at its minute; otherwise alarm
-        and recover, keeping `held` what is stored."""
+        """INTACT if `held` (digest hex -> record) has the index's digest at
+        its minute; REPLICA_PENDING for a copy still owed; otherwise alarm and
+        recover, keeping `held` what is stored."""
         minute = ix.minute
         expected = ix.vector_digest.hex
-        if expected in self.unpulled:
-            self.events.alarm(self.name, ev.REPLICA_PENDING,
-                              f"replica {expected} captured {minute} not yet "
-                              "delivered by any holder; asking again next cycle")
-            return ValidationFinding((None, minute), REPLICA_PENDING)
-        record = held.get(expected)
-        if record is not None and record.key[1] == minute:
-            return ValidationFinding(record.key, INTACT)
-        self.events.alarm(self.name, ev.FDI_ALARM,
-                          f"no local record for {minute} matches ledger digest "
-                          f"{expected}; data falsified or missing, recovering")
-        outcome = self.recover(ix)
-        if outcome is None:
-            records = self.historian.at_time(minute)
-            name = records[0].sensor_name if len(records) == 1 else None
-            return ValidationFinding((name, minute), TAMPERED_UNRECOVERABLE)
-        if outcome.previous is not None:
-            held.pop(vector_digest(outcome.previous).hex, None)
-        held[expected] = outcome.vector
-        return ValidationFinding((outcome.vector.sensor_name, minute), TAMPERED_RECOVERED,
-                                 recovered_from=outcome.recovered_from)
-
-    def recover(self, ix: LedgerIndex) -> RecoveryOutcome | None:
-        """Pull the vector from the other listed holders in order; overwrite on match."""
-        outcome = self._fetch_from_holders(ix)
-        if outcome is None:
-            self.events.alarm(self.name, ev.UNRECOVERABLE,
-                              f"no intact copy of {ix.vector_digest.hex} reachable; "
-                              "operator intervention required")
-            return None
-        name, minute = outcome.vector.key
-        previous = outcome.previous
-        before = f"previous values {list(previous.values)}" if previous else "record was missing"
-        self.events.info(self.name, ev.RECOVERED,
-                         f"{name}@{minute} restored from node{outcome.recovered_from}; {before}")
-        return outcome
+        if expected not in self.owed:
+            record = held.get(expected)
+            if record is not None and record.key[1] == minute:
+                return ValidationFinding(record.key, INTACT)
+            self.events.alarm(self.name, ev.FDI_ALARM,
+                              f"no local record for {minute} matches ledger digest "
+                              f"{expected}; data falsified or missing, recovering")
+            restored = self.recover(ix)
+            if restored is not None:
+                source, vector, previous = restored
+                if previous is not None:
+                    held.pop(vector_digest(previous).hex, None)
+                held[expected] = vector
+                return ValidationFinding((vector.sensor_name, minute), TAMPERED_RECOVERED,
+                                         recovered_from=source)
+            if expected not in self.owed:
+                records = self.historian.at_time(minute)
+                name = records[0].sensor_name if len(records) == 1 else None
+                return ValidationFinding((name, minute), TAMPERED_UNRECOVERABLE)
+        self.events.alarm(self.name, ev.REPLICA_PENDING,
+                          f"replica {expected} captured {minute} not yet "
+                          "delivered by any holder; asking again next interval")
+        return ValidationFinding((None, minute), REPLICA_PENDING)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import tempfile
 from collections import Counter
 from datetime import datetime, timedelta
@@ -274,17 +275,37 @@ class TestReplication:
         assert vector_digest(holder.historian.get(key)).hex == ix.vector_digest.hex
         assert holder.historian.dump() == dump
 
-    def test_pull_with_no_answer_raises_no_unrecoverable(self):
-        node, keys, _ = standalone_node()
-        for name in ("node2", "node3"):
-            node.directory.register(generate_node_keys(name, random.Random(name)))
+    @pytest.mark.parametrize("damaged, not_found", [(False, ()), (True, ("node2",)),
+                                                    (True, ("node2", "node3"))],
+                             ids=["pull_none_answer", "recovery_one_silent",
+                                  "recovery_none_silent"])
+    def test_unrecoverable_only_if_every_holder_answers(self, damaged, not_found):
+        """node1 pulls its replica of VEC, or recovers its damaged origin
+        record; of the other holders node2 and node3, those in `not_found`
+        answer NotFound and the rest never answer."""
+        node, keys, transport = standalone_node()
+        holders = {name: generate_node_keys(name, random.Random(name))
+                   for name in ("node2", "node3")}
+        for holder in holders.values():
+            node.directory.register(holder)
+        transport.round_trip = lambda dst, msg_type, env: (
+            seal(storage.NOT_FOUND_MARKER, holders[dst], "node1", keys["node1"].enc_pub,
+                 random.Random(dst)) if dst in not_found else None)
         chain = Chain()
-        chain.append(make_block([LedgerIndex(vector_digest(VEC), TS, (2, 1, 3))],
+        chain.append(make_block([LedgerIndex(vector_digest(VEC), TS,
+                                             (1, 2, 3) if damaged else (2, 1, 3))],
                                 chain.tip.block_hash, TS))
+        if damaged:
+            node.historian.put_new(dataclasses.replace(VEC, values=(0,)))
         node.handle_log(chain.tip.block_hash.hex.encode(), chain)
-        assert len(node.historian) == 0
-        assert len(node.events.by_code(ev.REPLICA_NO_RESPONSE, "node1")) == 2
-        assert not node.events.by_code(ev.UNRECOVERABLE)
+        (finding,) = node.validate_cycle(chain)
+        lost = len(not_found) == 2
+        assert [r.code for r in node.events.alarms()] == [
+            *[ev.FDI_ALARM] * damaged, *[ev.REPLICA_NO_RESPONSE] * (2 - len(not_found)),
+            ev.UNRECOVERABLE if lost else ev.REPLICA_PENDING]
+        assert finding.verdict == (TAMPERED_UNRECOVERABLE if lost else storage.REPLICA_PENDING)
+        assert list(node.owed) == ([] if lost else [vector_digest(VEC).hex])
+        assert len(node.historian) == damaged
 
 
 class TestServeReplica:
@@ -302,8 +323,7 @@ class TestServeReplica:
         missing = LedgerIndex(
             vector_digest(MeasurementVector("Sensor 9", TS, (1, 2))),
             datetime(2021, 1, 1, 0, 0), (1, 2, 3))
-        vector = sim.nodes[2]._request_vector(1, missing)
-        assert vector is None
+        assert sim.nodes[2]._request_vector(1, missing) == storage.NOT_FOUND_MARKER
         assert sim.events.by_code(ev.REPLICA_NOT_FOUND, "node2")
 
     def test_authentic_answer_that_is_not_a_record_not_stored(self):
@@ -314,7 +334,7 @@ class TestServeReplica:
         origin.serve_replica = lambda sender, _: origin._seal_to(sender, b"not a record")
         dump = requester.historian.dump()
         records_before = len(sim.events)
-        assert requester._request_vector(origin.node_id, first) is None
+        assert requester._request_vector(origin.node_id, first) == storage.NOT_FOUND_MARKER
         new = sim.events.records[records_before:]
         assert [(r.actor, r.code) for r in new] == [(requester.name, ev.REPLICA_MISMATCH)]
         assert "unparseable" in new[0].detail
@@ -330,7 +350,7 @@ class TestServeReplica:
                      if vector_digest(r).hex == first.vector_digest.hex]
         origin.historian.tamper(record.key, (0, 0))
         records_before = len(sim.events)
-        assert requester._request_vector(origin.node_id, first) is None
+        assert requester._request_vector(origin.node_id, first) == storage.NOT_FOUND_MARKER
         new = sim.events.records[records_before:]
         assert [(r.actor, r.code) for r in new] == [(requester.name, ev.REPLICA_NOT_FOUND)]
 
@@ -844,14 +864,32 @@ NODE_LINKS = [(f"node{a}", f"node{b}") for a in NODE_IDS for b in NODE_IDS if a 
 REPLICA_FATES = {"drop": lambda frame: None,
                  "flip": lambda frame: flip_body_bytes(frame.msg_type)(frame)}
 AT_REST_CODES = (ev.FDI_ALARM, ev.RECOVERED, ev.UNRECOVERABLE)
+EDITS = {"tamper": lambda historian, r: historian.tamper(r.key, [v + 1 for v in r.values]),
+         "delete": lambda historian, r: historian.delete(r.key)}
 
 
-def owed(sim, node_id):
-    """Digest hex of each replica the chain assigns `node_id` that it does
+def held_digests(sim, node_id):
+    return {vector_digest(r).hex for r in sim.historian(node_id).records()}
+
+
+def missing(sim, node_id):
+    """Digest hex of each vector the chain lists `node_id` for that it does
     not hold: with nothing edited at rest, the copies no holder delivered."""
-    held = {vector_digest(r).hex for r in sim.historian(node_id).records()}
-    return [ix.vector_digest.hex for ix in indexes_of(sim)
-            if node_id in ix.replica_ids[1:] and ix.vector_digest.hex not in held]
+    held = held_digests(sim, node_id)
+    return [ix.vector_digest.hex for ix in held_indexes(sim, node_id)
+            if ix.vector_digest.hex not in held]
+
+
+def holders(sim, digest_hex):
+    (ix,) = [ix for ix in indexes_of(sim) if ix.vector_digest.hex == digest_hex]
+    return ix.replica_ids
+
+
+def alarmed(sim, code, interval):
+    """(node id, digest hex) of each `code` alarm raised in `interval`."""
+    return {(int(r.actor[4:]), re.search(r"[0-9a-f]{64}", r.detail)[0])
+            for r in sim.events.by_code(code)
+            if r.tick // sim.cfg.interval_ticks == interval}
 
 
 def pending(sim, node_id, interval):
@@ -868,9 +906,10 @@ def audit_report(sim):
 
 
 class TestReplicaPull:
-    """A replica no holder delivers stays owed: each cycle asks for it again
-    and raises REPLICA_PENDING for it, never FDI_ALARM or UNRECOVERABLE,
-    since nothing at rest was edited."""
+    """A copy no holder delivers stays owed: it is asked for again once per
+    interval and raises REPLICA_PENDING at each cycle. A replica lost on the
+    wire never raises FDI_ALARM or UNRECOVERABLE, and a damaged record is
+    UNRECOVERABLE only when no holder has it intact."""
 
     def test_flipped_answers_leave_replica_pending_until_pulled(self):
         """Every replica answer node1 sends in interval 0 has its body flipped."""
@@ -884,29 +923,80 @@ class TestReplicaPull:
         assert [(r.tick, r.actor, r.detail.split()[1])
                 for r in sim.events.by_code(ev.REPLICA_PENDING)] == [
             (59, holder, ix.vector_digest.hex) for holder in holders]
+        # Each holder asks once: node1's answer fails to open, and the other
+        # holder, which has not pulled yet either, answers NotFound.
+        asked = Counter((r.actor, r.code) for r in sim.events.records if r.tick == 59
+                        and r.code in (ev.REPLICA_MISMATCH, ev.REPLICA_NOT_FOUND))
+        assert asked == {(holder, code): 1 for holder in holders
+                         for code in (ev.REPLICA_MISMATCH, ev.REPLICA_NOT_FOUND)}
         stored = [(r.tick, r.actor, r.detail) for r in sim.events.by_code(ev.REPLICA_STORED)
                   if r.actor in holders]
         assert stored[:2] == [(119, holder, "replica Sensor 1@2020-12-23T17:26 pulled from node1")
                               for holder in holders]
-        assert all(not node.unpulled for node in sim.nodes.values())
+        assert all(not node.owed for node in sim.nodes.values())
         report = audit_report(sim)
         assert report.all_intact and len(report.findings) == 18
 
+    def test_answers_lost_during_recovery_leave_it_pending(self):
+        """node1's Sensor 1@17:26 record is edited after interval 1, and in
+        interval 2 every nodeX->node1 link drops what it carries."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(2)
+        record = sim.historian(1).get(("Sensor 1", "2020-12-23T17:26"))
+        sim.historian(1).tamper(record.key, (0, 0))
+        run_with_interceptors(sim, 2, {2: [(f"node{n}", "node1", lambda frame: None)
+                                           for n in NODE_IDS if n != 1]})
+        digest_hex = vector_digest(record).hex
+        at_rest = [(r.tick, r.actor, r.code) for r in sim.events.records
+                   if r.code in AT_REST_CODES]
+        assert at_rest == [(179, "node1", ev.FDI_ALARM), (239, "node1", ev.RECOVERED)]
+        assert (179, digest_hex) in [(r.tick, r.detail.split()[1])
+                                     for r in sim.events.by_code(ev.REPLICA_PENDING, "node1")]
+        (restored,) = sim.events.by_code(ev.RECOVERED, "node1")
+        assert restored.detail.startswith("Sensor 1@2020-12-23T17:26 restored from node4;")
+        assert sim.historian(1).get(record.key) == record
+        assert all(not node.owed for node in sim.nodes.values())
+        assert audit_report(sim).all_intact
+
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.dictionaries(st.sampled_from(NODE_LINKS),
-                                    st.sampled_from(sorted(REPLICA_FATES))),
+    @given(st.lists(st.tuples(st.dictionaries(st.sampled_from(NODE_LINKS),
+                                              st.sampled_from(sorted(REPLICA_FATES))),
+                              st.lists(st.tuples(st.sampled_from(NODE_IDS), st.integers(0, 99),
+                                                 st.sampled_from(sorted(EDITS))),
+                                       max_size=2)),
                     min_size=1, max_size=4))
     def test_pending_is_exactly_what_is_owed(self, fates):
         """Per interval, each node->node link passes, drops or flips the body
-        of every frame it carries; one clean interval follows."""
+        of every frame it carries, and after it up to two covered records are
+        edited at rest; one clean interval follows. A copy is UNRECOVERABLE
+        only when no holder has it intact, and with nothing edited at rest no
+        at-rest alarm is raised."""
         sim = Simulation(SimConfig(seed=42))
         windows = {k: [(src, dst, REPLICA_FATES[fate]) for (src, dst), fate in links.items()]
-                   for k, links in enumerate(fates)}
+                   for k, (links, _) in enumerate(fates)}
+        edited, lost = set(), set()
         for k in range(len(fates) + 1):
             run_with_interceptors(sim, 1, windows)
+            unrecoverable = alarmed(sim, ev.UNRECOVERABLE, k)
+            lost |= unrecoverable
             for n in NODE_IDS:
-                assert sorted(pending(sim, n, k)) == sorted(sim.nodes[n].unpulled) \
-                    == sorted(owed(sim, n))
-        assert all(not node.unpulled for node in sim.nodes.values())
-        assert [r for r in sim.events.records if r.code in AT_REST_CODES] == []
-        assert audit_report(sim).all_intact
+                owed = sorted(sim.nodes[n].owed)
+                assert sorted(pending(sim, n, k)) == owed
+                assert set(missing(sim, n)) == set(owed) | {d for m, d in unrecoverable if m == n}
+            for _, d in unrecoverable:
+                assert not [n for n in holders(sim, d) if d in held_digests(sim, n)]
+            assert alarmed(sim, ev.FDI_ALARM, k) <= edited | lost
+            for n, pick, edit in fates[k][1] if k < len(fates) else ():
+                duties = {ix.vector_digest.hex for ix in held_indexes(sim, n)}
+                covered = [r for r in sim.historian(n).records()
+                           if vector_digest(r).hex in duties]
+                if covered:
+                    record = covered[pick % len(covered)]
+                    edited.add((n, vector_digest(record).hex))
+                    EDITS[edit](sim.historian(n), record)
+        assert all(not node.owed for node in sim.nodes.values())
+        if not edited:
+            assert [r for r in sim.events.records if r.code in AT_REST_CODES] == []
+        flagged = {(f.node_id, f.expected_digest) for f in audit_report(sim).flagged()}
+        assert flagged == {(n, d) for n in NODE_IDS for d in missing(sim, n)}
+        assert not [n for _, d in flagged for n in holders(sim, d) if d in held_digests(sim, n)]
