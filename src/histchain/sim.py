@@ -2,10 +2,11 @@
 block minter, and the simulated wire, driven tick by tick.
 
 Each interval (one simulated minute) ends with a fixed phase order: PLC vector
-flush, wire delivery, block minting plus announcement and replication, then
-one validator pass per storage node. Identical config and seed reproduce
-byte-identical artifacts. `Simulation.run` is the one interval driver: clean,
-scripted (`scripted`), attacked and benchmarked runs differ only in its hooks.
+flush, wire delivery, block minting plus announcement, then one validator
+pass per storage node, which also pulls the node's replicas. Identical config
+and seed reproduce byte-identical artifacts. `Simulation.run` is the one
+interval driver: clean, scripted (`scripted`), attacked and benchmarked runs
+differ only in its hooks.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ class Simulation:
             self._run_boundary(k, before_boundary, after_boundary)
 
     def _run_boundary(self, interval_index: int, before_boundary, after_boundary):
-        """End-of-interval phases: flush, deliver, mint, announce, replicate, validate."""
+        """End-of-interval phases: flush, deliver, mint, announce, validate and pull."""
         ts = self.interval_ts(interval_index)
         self.events.tick = (interval_index + 1) * self.cfg.interval_ticks - 1
         if before_boundary:

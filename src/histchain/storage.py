@@ -4,23 +4,23 @@ Simulation.intake authenticates and role-checks each MEASUREMENT, LOG and
 REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
 for. Register stores vectors from the node's PLC and submits their index to
-the block-minting module. The replication handler pulls the copies the
-announced block assigns to this node. A block is announced in the interval
-it is minted, before any validator cycle, so a LOG must name the tip: any
-other hash raises STALE_LOG and pulls nothing. The validator runs every
-interval, whether or not a block was minted or a LOG arrived. It first
-settles the node's submissions of that interval: each one the tip does not
-carry raises COVERAGE_GAP. On a valid chain whose tip the node has not
-pulled, it raises LOG_MISSING and pulls then. It then re-walks the whole
-chain, recomputes the digest of every locally held vector, and raises
-FDI_ALARM and recovers when a digest disagrees or a record is missing.
+the block-minting module. The replication handler owes the node the copies
+the announced block assigns to it. A block is announced in the interval it
+is minted, before any validator cycle, so a LOG must name the tip: any other
+hash raises STALE_LOG and owes nothing. The validator runs every interval,
+whether or not a block was minted or a LOG arrived. It first settles the
+node's submissions of that interval: each one the tip does not carry raises
+COVERAGE_GAP. On a valid chain whose tip no LOG named, it raises LOG_MISSING
+and owes the tip's copies then. It then re-walks the whole chain, recomputes
+the digest of every locally held vector, and raises FDI_ALARM when a digest
+disagrees or a record is missing.
 
-Pull and recovery are one holder loop, `recover`, over one map, `owed`, of
-the copies a node is owed: replica duties not yet delivered and damaged
-records. The first copy that matches the ledger digest, asked for in ledger
-order, overwrites the local one. A copy no holder delivers stays owed, is
-REPLICA_PENDING at each cycle and is asked for again once per interval; it
-is UNRECOVERABLE only when every other holder answered without one.
+Pull and recovery are one holder loop, `recover`, that only the duty walk
+calls: once per cycle for each copy newly found damaged or in `owed`, the
+replica duties not yet delivered and damaged records. The first copy that
+matches the ledger digest, asked for in ledger order, overwrites the local
+one. A copy no holder delivers stays owed and REPLICA_PENDING; one every
+other holder answered without is UNRECOVERABLE once and then `lost`.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
 parsed, each with its canonical bytes: the very line `dump` persists. Each
@@ -196,7 +196,7 @@ class StorageNode:
         # owed: a replica duty not yet delivered, or a damaged record. Ledger
         # facts only; no record digest is kept.
         self.owed: dict[str, tuple[LedgerIndex, bool]] = {}
-        self.asked_at = -1  # clock tick of the last ask for the owed copies
+        self.lost: set[str] = set()  # digest hex of copies found UNRECOVERABLE, until held
 
     # -- helpers ----------------------------------------------------------
 
@@ -236,29 +236,22 @@ class StorageNode:
     # -- replication handler ------------------------------------------------
 
     def handle_log(self, plaintext: bytes, chain: Chain):
-        """Pull the replicas of the block the minter announces, which must be
+        """Owe the replicas of the block the minter announces, which must be
         the tip: STALE_LOG for any other hash, known or not."""
         if plaintext != chain.tip.block_hash.hex.encode():
             block_hash = plaintext.decode("ascii", errors="replace")
             self.events.alarm(self.name, ev.STALE_LOG,
                               f"announced block {block_hash[:16]}.. is not the tip; ignored")
             return
-        self._pull_replicas(chain.tip)
+        self._owe_replicas(chain.tip)
 
-    def _pull_replicas(self, block: Block):
-        """Owe the copies `block` assigns to this node, mark it pulled, and
-        ask for every copy still owed."""
+    def _owe_replicas(self, block: Block):
+        """Owe the copies `block` assigns to this node and mark it pulled; the
+        next duty walk asks for them."""
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
                 self.owed[ix.vector_digest.hex] = (ix, False)
         self.pulled = block.block_hash.hex
-        self._ask_owed()
-
-    def _ask_owed(self):
-        """Ask for each copy still owed; the cycle skips its ask at this tick."""
-        self.asked_at = self.events.tick
-        for ix, _ in list(self.owed.values()):
-            self.recover(ix)
 
     def recover(self, ix: LedgerIndex
                 ) -> tuple[int, MeasurementVector, MeasurementVector | None] | None:
@@ -266,8 +259,8 @@ class StorageNode:
         for the copy `ix` names, owed as a damaged record if not yet owed. The
         first that matches the ledger digest overwrites the local record and
         is owed no more; returns (holder, copy, record it replaced). None when
-        nothing was restored: UNRECOVERABLE, and owed no more, if every other
-        holder answered without an intact copy; else still owed."""
+        nothing was restored: UNRECOVERABLE, and moved from owed to lost, if
+        every other holder answered without an intact copy; else still owed."""
         digest_hex = ix.vector_digest.hex
         damaged = self.owed.setdefault(digest_hex, (ix, True))[1]
         answered = True
@@ -290,6 +283,7 @@ class StorageNode:
                 return source, vector, previous
         if answered:
             del self.owed[digest_hex]
+            self.lost.add(digest_hex)
             self.events.alarm(self.name, ev.UNRECOVERABLE,
                               f"no intact copy of {digest_hex} reachable; "
                               "operator intervention required")
@@ -355,10 +349,9 @@ class StorageNode:
         """Full-chain audit of this node's holdings, with automated recovery:
         each held record is hashed once per cycle; each duty is one lookup.
         It first settles the interval's submissions, even on a bad chain; on a
-        good one it pulls for a tip whose LOG never came (LOG_MISSING), or
-        else asks for the copies still owed, unless this interval's LOG pull
-        already has. A duty still owed is REPLICA_PENDING and is asked for
-        again next interval."""
+        good one it owes the copies of a tip whose LOG never came
+        (LOG_MISSING). The walk then gives one finding per duty, newest block
+        first, and is the only place a copy is asked for (`_check_index`)."""
         tip = chain.tip
         self._reconcile_submissions(tip)
         bad = verify_chain(chain)
@@ -370,9 +363,7 @@ class StorageNode:
         if tip.block_hash.hex != self.pulled:
             self.events.alarm(self.name, ev.LOG_MISSING,
                               f"no LOG named tip block {tip.block_hash.hex[:16]}..; pulling now")
-            self._pull_replicas(tip)
-        elif self.asked_at != self.events.tick:
-            self._ask_owed()
+            self._owe_replicas(tip)
         held = {vector_digest(r).hex: r for r in self.historian.records()}
         findings = [self._check_index(ix, held)
                     for block in reversed(chain.blocks) for ix in block.indexes
@@ -399,29 +390,35 @@ class StorageNode:
 
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
         """INTACT if `held` (digest hex -> record) has the index's digest at
-        its minute; REPLICA_PENDING for a copy still owed; otherwise alarm and
-        recover, keeping `held` what is stored."""
+        its minute and it is not owed; a lost copy is TAMPERED_UNRECOVERABLE
+        unasked. Else alarm if newly damaged and ask once, keeping `held` what
+        is stored: INTACT for a pull, TAMPERED_RECOVERED for a restore."""
         minute = ix.minute
         expected = ix.vector_digest.hex
-        if expected not in self.owed:
-            record = held.get(expected)
-            if record is not None and record.key[1] == minute:
-                return ValidationFinding(record.key, INTACT)
-            self.events.alarm(self.name, ev.FDI_ALARM,
-                              f"no local record for {minute} matches ledger digest "
-                              f"{expected}; data falsified or missing, recovering")
+        record = held.get(expected)
+        owed = self.owed.get(expected)
+        if owed is None and record is not None and record.key[1] == minute:
+            self.lost.discard(expected)
+            return ValidationFinding(record.key, INTACT)
+        if expected not in self.lost:
+            if owed is None:
+                self.events.alarm(self.name, ev.FDI_ALARM,
+                                  f"no local record for {minute} matches ledger digest "
+                                  f"{expected}; data falsified or missing, recovering")
             restored = self.recover(ix)
             if restored is not None:
                 source, vector, previous = restored
                 if previous is not None:
                     held.pop(vector_digest(previous).hex, None)
                 held[expected] = vector
+                if owed is not None and not owed[1]:  # a replica duty delivered
+                    return ValidationFinding(vector.key, INTACT)
                 return ValidationFinding((vector.sensor_name, minute), TAMPERED_RECOVERED,
                                          recovered_from=source)
-            if expected not in self.owed:
-                records = self.historian.at_time(minute)
-                name = records[0].sensor_name if len(records) == 1 else None
-                return ValidationFinding((name, minute), TAMPERED_UNRECOVERABLE)
+        if expected in self.lost:
+            records = self.historian.at_time(minute)
+            name = records[0].sensor_name if len(records) == 1 else None
+            return ValidationFinding((name, minute), TAMPERED_UNRECOVERABLE)
         self.events.alarm(self.name, ev.REPLICA_PENDING,
                           f"replica {expected} captured {minute} not yet "
                           "delivered by any holder; asking again next interval")

@@ -10,7 +10,7 @@ import histchain
 
 AUDIT = Path(histchain.__file__).parent / "audit.py"
 VALIDATOR_PARTS = {"StorageNode", "validate_cycle", "_check_index", "recover",
-                   "ValidationFinding", "owed", "asked_at", "_ask_owed"}
+                   "ValidationFinding", "owed", "lost"}
 
 
 def storage_imports(tree: ast.Module) -> list[str]:

@@ -9,7 +9,7 @@ from datetime import datetime, timedelta
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from histchain import events as ev
 from histchain import storage
@@ -267,11 +267,13 @@ class TestReplication:
         dump = holder.historian.dump()
         stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
         holder.handle_log(announcement, chain)
+        holder.validate_cycle(chain)
         assert holder.historian.dump() == dump
         assert len(sim.events.by_code(ev.REPLICA_STORED, holder.name)) > stored_before
 
         holder.historian.tamper(key, (99,))
         holder.handle_log(announcement, chain)
+        holder.validate_cycle(chain)
         assert vector_digest(holder.historian.get(key)).hex == ix.vector_digest.hex
         assert holder.historian.dump() == dump
 
@@ -305,6 +307,7 @@ class TestReplication:
             ev.UNRECOVERABLE if lost else ev.REPLICA_PENDING]
         assert finding.verdict == (TAMPERED_UNRECOVERABLE if lost else storage.REPLICA_PENDING)
         assert list(node.owed) == ([] if lost else [vector_digest(VEC).hex])
+        assert node.lost == ({vector_digest(VEC).hex} if lost else set())
         assert len(node.historian) == damaged
 
 
@@ -579,27 +582,43 @@ class TestDigestLookup:
 
     def test_every_held_record_hashed_once_per_cycle(self, monkeypatch):
         """Scenario A's uncovered Sensor 9 row shares its minute with a
-        covered Sensor 1 record; it is hashed all the same."""
-        hashed, cycles = [], []
+        covered Sensor 1 record; it is hashed all the same. Hashes taken
+        while the walk asks for a copy (the answer, and the holder serving
+        it) are counted apart, and every replica the cycle pulls is hashed
+        there as it arrives."""
+        hashed, asked, asking, cycles = [], [], [], []
         digest, validate = storage.vector_digest, StorageNode.validate_cycle
+        recover = StorageNode.recover
 
         def counting(vector):
-            hashed.append(vector.key)
+            (asked if asking else hashed).append(vector.key)
             return digest(vector)
+
+        def asking_for(node, ix):
+            asking.append(ix)
+            try:
+                return recover(node, ix)
+            finally:
+                asking.pop()
 
         def watched(node, chain):
             held = sorted(r.key for r in node.historian.records())
             hashed.clear()
+            asked.clear()
             findings = validate(node, chain)
-            cycles.append((node.node_id, held, sorted(hashed)))
+            pulled = sorted(r.key for r in node.historian.records() if r.key not in held)
+            cycles.append((node.node_id, held, sorted(hashed), pulled))
+            assert set(pulled) <= set(asked)
             return findings
 
         monkeypatch.setattr(storage, "vector_digest", counting)
+        monkeypatch.setattr(StorageNode, "recover", asking_for)
         monkeypatch.setattr(StorageNode, "validate_cycle", watched)
         assert run_scenario_a(uncovered=True).passed
-        node_id, held, _ = cycles[-1]
+        node_id, held, _, _ = cycles[-1]
         assert node_id == 1 and "Sensor 9" in {name for name, _ in held}
-        assert [got for _, _, got in cycles] == [held for _, held, _ in cycles]
+        assert [got for _, _, got, _ in cycles] == [held for _, held, _, _ in cycles]
+        assert any(pulled for *_, pulled in cycles)
 
     def test_digest_held_under_another_minute_is_not_intact(self):
         sim = scripted_sim()
@@ -868,6 +887,18 @@ EDITS = {"tamper": lambda historian, r: historian.tamper(r.key, [v + 1 for v in 
          "delete": lambda historian, r: historian.delete(r.key)}
 
 
+def count_asks(sim):
+    """Count each `recover` call of every node in `sim` by (node id, digest
+    hex, clock tick); a tick names one interval's boundary."""
+    asks = Counter()
+    for node in sim.nodes.values():
+        def counted(ix, node=node, recover=node.recover):
+            asks[(node.node_id, ix.vector_digest.hex, node.events.tick)] += 1
+            return recover(ix)
+        node.recover = counted
+    return asks
+
+
 def held_digests(sim, node_id):
     return {vector_digest(r).hex for r in sim.historian(node_id).records()}
 
@@ -906,10 +937,10 @@ def audit_report(sim):
 
 
 class TestReplicaPull:
-    """A copy no holder delivers stays owed: it is asked for again once per
-    interval and raises REPLICA_PENDING at each cycle. A replica lost on the
-    wire never raises FDI_ALARM or UNRECOVERABLE, and a damaged record is
-    UNRECOVERABLE only when no holder has it intact."""
+    """A copy no holder delivers stays owed: the duty walk asks for it again
+    once per interval and raises REPLICA_PENDING at each cycle. A replica
+    lost on the wire never raises FDI_ALARM or UNRECOVERABLE, and a damaged
+    record is UNRECOVERABLE only when no holder has it intact, and only once."""
 
     def test_flipped_answers_leave_replica_pending_until_pulled(self):
         """Every replica answer node1 sends in interval 0 has its body flipped."""
@@ -958,31 +989,76 @@ class TestReplicaPull:
         assert all(not node.owed for node in sim.nodes.values())
         assert audit_report(sim).all_intact
 
+    def test_lost_copy_named_once(self):
+        """node1's answers to node3 and node4 are dropped in interval 0, so
+        neither gets its Sensor 1@17:26 replica; node1's record is then
+        edited, and two clean intervals follow. The copy is lost at all
+        three holders: each names it once, and no later cycle asks for it
+        until the record is held again."""
+        sim = Simulation(SimConfig(seed=42))
+        run_with_interceptors(sim, 1, {0: [("node1", "node3", lambda frame: None),
+                                           ("node1", "node4", lambda frame: None)]})
+        record = sim.historian(1).get(("Sensor 1", "2020-12-23T17:26"))
+        digest_hex = vector_digest(record).hex
+        sim.historian(1).tamper(record.key, (0, 0))
+        asks = count_asks(sim)
+        sim.run(2)
+        named = [(r.tick, r.actor, r.code) for r in sim.events.alarms()
+                 if r.tick > 59 and digest_hex in r.detail]
+        assert named == [(119, "node1", ev.FDI_ALARM), (119, "node1", ev.UNRECOVERABLE),
+                         (119, "node3", ev.UNRECOVERABLE), (119, "node4", ev.UNRECOVERABLE)]
+        assert [r for r in sim.events.records if r.tick == 179 and digest_hex in r.detail] == []
+        assert sorted(key for key in asks if key[1] == digest_hex) == [
+            (n, digest_hex, 119) for n in (1, 3, 4)]
+        for n in (1, 3, 4):
+            before = len(sim.events)
+            findings = sim.nodes[n].validate_cycle(sim.chain_module.chain)
+            assert [f.verdict for f in findings if f.key[1] == record.key[1]
+                    and f.verdict != INTACT] == [TAMPERED_UNRECOVERABLE]
+            assert [r.code for r in sim.events.records[before:]] == [ev.CHECK_OK]
+            assert sim.nodes[n].lost == {digest_hex} and not sim.nodes[n].owed
+        sim.historian(1).overwrite(record)  # an operator puts the record back
+        findings = sim.nodes[1].validate_cycle(sim.chain_module.chain)
+        assert all(f.verdict == INTACT for f in findings)
+        assert not sim.nodes[1].lost
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.dictionaries(st.sampled_from(NODE_LINKS),
                                               st.sampled_from(sorted(REPLICA_FATES))),
                               st.lists(st.tuples(st.sampled_from(NODE_IDS), st.integers(0, 99),
                                                  st.sampled_from(sorted(EDITS))),
-                                       max_size=2)),
+                                       max_size=2),
+                              st.booleans()),
                     min_size=1, max_size=4))
+    @example([({("node1", "node3"): "flip", ("node1", "node4"): "flip"}, [], False),
+              ({}, [], True)])
+    @example([({("node1", "node3"): "drop", ("node1", "node4"): "drop"}, [(1, 0, "tamper")],
+               False), ({}, [], False)])
     def test_pending_is_exactly_what_is_owed(self, fates):
         """Per interval, each node->node link passes, drops or flips the body
-        of every frame it carries, and after it up to two covered records are
-        edited at rest; one clean interval follows. A copy is UNRECOVERABLE
-        only when no holder has it intact, and with nothing edited at rest no
-        at-rest alarm is raised."""
+        of every frame it carries, every INDEX may be dropped so that no
+        block is minted and no LOG comes, and after it up to two covered
+        records are edited at rest; one clean interval follows. Each copy is
+        asked for at most once per interval, and a duty not held is owed or
+        lost. A copy is UNRECOVERABLE only when no holder has it intact, and
+        only once; with nothing edited at rest no at-rest alarm is raised."""
         sim = Simulation(SimConfig(seed=42))
         windows = {k: [(src, dst, REPLICA_FATES[fate]) for (src, dst), fate in links.items()]
-                   for k, (links, _) in enumerate(fates)}
+                   + [(f"node{n}", "chain", lambda frame: None) for n in NODE_IDS if unminted]
+                   for k, (links, _, unminted) in enumerate(fates)}
+        asks = count_asks(sim)
         edited, lost = set(), set()
         for k in range(len(fates) + 1):
             run_with_interceptors(sim, 1, windows)
+            assert max(asks.values(), default=0) <= 1
             unrecoverable = alarmed(sim, ev.UNRECOVERABLE, k)
+            assert not unrecoverable & lost
             lost |= unrecoverable
             for n in NODE_IDS:
                 owed = sorted(sim.nodes[n].owed)
                 assert sorted(pending(sim, n, k)) == owed
-                assert set(missing(sim, n)) == set(owed) | {d for m, d in unrecoverable if m == n}
+                assert set(missing(sim, n)) == set(owed) | sim.nodes[n].lost
+                assert sim.nodes[n].lost == {d for m, d in lost if m == n}
             for _, d in unrecoverable:
                 assert not [n for n in holders(sim, d) if d in held_digests(sim, n)]
             assert alarmed(sim, ev.FDI_ALARM, k) <= edited | lost
