@@ -160,12 +160,12 @@ def run_scenario_a(cfg: SimConfig | None = None, corrupt: int = 1,
          for plc, values in TABLE1_ROWS]))
     sent = [MeasurementVector(PLC_SENSOR_NAMES[plc], sim.interval_ts(k), values)
             for k, (plc, values) in enumerate(TABLE1_ROWS)]
-    ledger = {ix.vector_digest.hex: ix
+    ledger = {ix.vector_digest: ix
               for block in sim.chain_module.chain.blocks for ix in block.indexes}
 
     node = sim.nodes[TARGET_NODE]
     rows = [(r.sensor_name, r.key[1], r.values) for r in node.historian.records()]
-    listed = [v for v in sent if TARGET_NODE in ledger[vector_digest(v).hex].replica_ids]
+    listed = [v for v in sent if TARGET_NODE in ledger[vector_digest(v)].replica_ids]
     report.check("historian1_holds_expected_rows",
                  node.historian.records() == listed, f"rows={rows}")
 
@@ -174,7 +174,7 @@ def run_scenario_a(cfg: SimConfig | None = None, corrupt: int = 1,
         target = MeasurementVector("Sensor 9", target.captured_at, target.values)
         node.historian.overwrite(target)
     key = target.key
-    ix = ledger.get(vector_digest(target).hex)
+    ix = ledger.get(vector_digest(target))
     holders = ix.replica_ids if ix else (TARGET_NODE,)
     for i in holders[:corrupt]:
         sim.nodes[i].historian.tamper(key, FORGED_VALUES)
@@ -283,7 +283,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
 
     rec1 = sim.historian(1).get(("Sensor 1", minute))
     rec2 = sim.historian(2).get(("Sensor 2", minute))
-    suppressed_digest = vector_digest(rec1).hex if rec1 else None
+    suppressed_digest = vector_digest(rec1) if rec1 else None
     report.note("suppressed_digest", suppressed_digest)
 
     if attack_node2_too:
@@ -295,8 +295,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
                      f"blocks={len(attacked_blocks)}")
         report.check("block_carries_node2_index",
                      bool(attacked_blocks) and rec2 is not None
-                     and attacked_blocks[0].indexes[0].vector_digest.hex
-                     == vector_digest(rec2).hex)
+                     and attacked_blocks[0].indexes[0].vector_digest == vector_digest(rec2))
         report.check("rejection_alarmed",
                      len(sim.events.by_code(ev.INDEX_REJECTED, "chain")) == 1)
         lo = MITM_INTERVAL * cfg.interval_ticks
@@ -312,7 +311,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
     next_minute = fmt_minute(sim.interval_ts(MITM_INTERVAL + 1))
     next_rec = sim.historian(1).get(("Sensor 1", next_minute))
     report.check("next_interval_indexed_normally",
-                 next_rec is not None and vector_digest(next_rec).hex in chain_text,
+                 next_rec is not None and vector_digest(next_rec) in chain_text,
                  "vector captured after the attack reaches the ledger")
     return report.finish(outdir)
 

@@ -114,14 +114,14 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
                  else Historian.load(node_id, text, bad_lines, parsed))
         report.malformed.extend((node_id, lineno) for lineno in bad_lines)
         duties = duties_of[node_id]
-        held = {vector_digest(record).hex: record for record in store.records()}
+        held = {vector_digest(record): record for record in store.records()}
         used: set = set()
         findings: list[AuditFinding | None] = []
         missed: list[int] = []
         # Exact digest matches first, so a tampered record can never steal the
         # verdict of an intact one sharing the same minute.
         for ix in duties:
-            expected = ix.vector_digest.hex
+            expected = ix.vector_digest
             record = held.get(expected)
             if record is not None and record.key[1] == ix.minute and record.key not in used:
                 used.add(record.key)
@@ -131,12 +131,12 @@ def audit_artifacts(chain_text: str, historian_texts: dict[int, str]) -> AuditRe
                 findings.append(None)
         for pos in missed:
             ix = duties[pos]
-            expected = ix.vector_digest.hex
+            expected = ix.vector_digest
             stray = next((r for r in store.at_time(ix.minute) if r.key not in used), None)
             if stray is not None:
                 used.add(stray.key)
                 findings[pos] = AuditFinding(node_id, stray.key, expected,
-                                             vector_digest(stray).hex, MISMATCH)
+                                             vector_digest(stray), MISMATCH)
             else:
                 findings[pos] = AuditFinding(node_id, (None, ix.minute), expected, None, MISSING)
         report.findings.extend(findings)

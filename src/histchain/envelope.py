@@ -43,8 +43,8 @@ A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
 in plain decimal. A MeasurementVector builds these bytes once, on
 construction, and keeps them as `canonical`: they are what a Historian dump
 writes and what vector_digest hashes, so the validator hashes exactly the
-bytes at rest. vector_digest recomputes SHA-256 on every call; nothing caches
-a digest. parse_canonical is strict: it accepts exactly the bytes a vector's
+bytes at rest. vector_digest recomputes the SHA-256 str Digest per call; nothing
+caches one. parse_canonical is strict: it accepts exactly the bytes a vector's
 `canonical` holds, so one record has one spelling and one digest. It reads a
 record with one full-line match that admits only that spelling, and the
 vector it returns keeps the input bytes as `canonical`. A sensor name holds
@@ -114,13 +114,17 @@ class AuthError(Exception):
         self.rebuilt = rebuilt
 
 
-@dataclass(frozen=True, slots=True)
-class Digest:
-    """Lowercase hex SHA-256 fingerprint. The constructor checks nothing:
-    hashlib writes lowercase hex, and the hex of text from outside is checked
-    where it enters, by ledger.parse_vector_ref and the chain-dump patterns."""
+class Digest(str):
+    """Lowercase hex SHA-256 fingerprint, formatted, compared and hashed as
+    that text. It checks nothing: hashlib writes lowercase hex, and outside
+    text is checked where it enters, by ledger.parse_vector_ref and the
+    chain-dump patterns. `hex` is kept only for the benchmark's reads."""
 
-    hex: str
+    __slots__ = ()
+
+    @property
+    def hex(self) -> str:
+        return str(self)
 
 
 def digest(data: bytes) -> Digest:
@@ -304,7 +308,7 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     body = Cipher(ChaCha20(sym_key, body_nonce), mode=None).encryptor().update(plaintext)
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
 
-    claimed = digest(plaintext).hex.encode("ascii")
+    claimed = digest(plaintext).encode("ascii")
     signature = claimed + _sign(sender.sig_priv, claimed)
     return SignedEnvelope(sender.node_id, recipient_id, ciphertext, signature)
 
@@ -328,7 +332,7 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
         raise AuthError(AuthError.DECRYPT_FAILED, f"key unwrap failed: {exc}") from None
     plaintext = Cipher(ChaCha20(sym_key, body_nonce), mode=None).decryptor().update(body)
 
-    rebuilt = digest(plaintext).hex
+    rebuilt = digest(plaintext)
     claimed_bytes = env.signature[:-SIG_LEN]
     sig = env.signature[-SIG_LEN:]
     claimed = claimed_bytes.decode("ascii", errors="replace")

@@ -24,7 +24,7 @@ block preimage and the dump read it. parse_chain_dump matches each line once
 against one full-line pattern for its kind, which checks the digests and the
 numbers, so a parsed index takes its minute and its line from the dump text
 without formatting either again. verify_chain still re-hashes the preimage of
-every block of a parsed chain.
+every block of a parsed chain. A Digest is a str of its hex, used as it is.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class LedgerIndex:
         minute = fmt_minute(self.captured_at)
         ids = ",".join(map(str, self.replica_ids))
         object.__setattr__(self, "minute", minute)
-        object.__setattr__(self, "line", f"{self.vector_digest.hex}|{minute}|{ids}")
+        object.__setattr__(self, "line", f"{self.vector_digest}|{minute}|{ids}")
 
     @classmethod
     def _parsed(cls, vector_digest: Digest, captured_at: datetime, ids: tuple[int, ...],
@@ -94,7 +94,7 @@ _SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 def format_vector_ref(vector_digest: Digest, captured_at: datetime) -> bytes:
     """`digest hex|ISO minute`: the body of an INDEX submission and of a REPLICA_REQ."""
-    return f"{vector_digest.hex}|{fmt_minute(captured_at)}".encode("ascii")
+    return f"{vector_digest}|{fmt_minute(captured_at)}".encode("ascii")
 
 
 def parse_vector_ref(body: bytes) -> tuple[Digest, datetime]:
@@ -111,8 +111,8 @@ def serialize_indexes(indexes) -> str:
     return "\n".join([ix.line for ix in indexes])
 
 
-def block_preimage(prev_hash_hex: str, indexes, minted_at: datetime) -> bytes:
-    return f"{prev_hash_hex}\n{serialize_indexes(indexes)}\n{fmt_minute(minted_at)}".encode("utf-8")
+def block_preimage(prev_hash: str, indexes, minted_at: datetime) -> bytes:
+    return f"{prev_hash}\n{serialize_indexes(indexes)}\n{fmt_minute(minted_at)}".encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,14 +127,12 @@ def make_block(indexes, prev_hash: Digest, minted_at: datetime) -> Block:
     """Mint a block over `indexes`; pure function of its inputs. The minter
     passes a non-empty list; verify_chain flags a block without one."""
     indexes = tuple(indexes)
-    block_hash = digest(block_preimage(prev_hash.hex, indexes, minted_at))
+    block_hash = digest(block_preimage(prev_hash, indexes, minted_at))
     return Block(indexes, block_hash, prev_hash, minted_at)
 
 
 def genesis_block() -> Block:
-    prev = Digest("0" * 64)
-    block_hash = digest(block_preimage(prev.hex, (), GENESIS_MINTED_AT))
-    return Block((), block_hash, prev, GENESIS_MINTED_AT)
+    return make_block((), Digest("0" * 64), GENESIS_MINTED_AT)
 
 
 class Chain:
@@ -192,13 +190,13 @@ def verify_chain(chain: Chain) -> FirstBadBlock | None:
         return FirstBadBlock(0, BAD_GENESIS)
     for pos in range(max(start, 1), len(blocks)):
         block = blocks[pos]
-        if block.prev_block_hash.hex != blocks[pos - 1].block_hash.hex:
+        if block.prev_block_hash != blocks[pos - 1].block_hash:
             return FirstBadBlock(pos, LINK_MISMATCH)
         if not block.indexes:
             return FirstBadBlock(pos, EMPTY_INDEXES)
         recomputed = digest(
-            block_preimage(block.prev_block_hash.hex, block.indexes, block.minted_at))
-        if recomputed.hex != block.block_hash.hex:
+            block_preimage(block.prev_block_hash, block.indexes, block.minted_at))
+        if recomputed != block.block_hash:
             return FirstBadBlock(pos, HASH_MISMATCH)
     chain._verified = blocks
     return None
@@ -211,7 +209,7 @@ def chain_lines(chain: Chain) -> Iterator[str]:
     """The chain dump's lines one at a time, each ending in `\n`."""
     for pos, block in enumerate(chain.blocks):
         yield (f"block|{pos}|{fmt_minute(block.minted_at)}"
-               f"|{block.block_hash.hex}|{block.prev_block_hash.hex}\n")
+               f"|{block.block_hash}|{block.prev_block_hash}\n")
         for ix in block.indexes:
             yield f"index|{ix.line}\n"
 

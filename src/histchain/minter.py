@@ -41,7 +41,7 @@ class ChainModule:
         self.replication_factor = replication_factor
         self.chain = Chain()
         self.buffer: list[LedgerIndex] = []
-        # Hex of every digest buffered or minted: each is indexed once.
+        # Every digest buffered or minted: each is indexed once.
         self.indexed: set[str] = set()
 
     def collect(self, sender: str, plaintext: bytes) -> bool:
@@ -56,18 +56,17 @@ class ChainModule:
             self.events.alarm("chain", ev.INDEX_REJECTED,
                               f"index from {sender} authentic but malformed")
             return False
-        digest_hex = vector_digest.hex
-        if digest_hex in self.indexed:
+        if vector_digest in self.indexed:
             self.events.alarm("chain", ev.INDEX_REJECTED,
-                              f"index from {sender} repeats {digest_hex}, "
+                              f"index from {sender} repeats {vector_digest}, "
                               "already buffered or minted; dropped")
             return False
-        self.indexed.add(digest_hex)
+        self.indexed.add(vector_digest)
         self.buffer.append(LedgerIndex(
             vector_digest, captured_at,
             draw_replicas(origin, self.n_storage_nodes, self.replication_factor, self.rng)))
         self.events.info("chain", ev.INDEX_ACCEPTED,
-                         f"index from {sender} verified: {digest_hex}")
+                         f"index from {sender} verified: {vector_digest}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:
@@ -81,10 +80,10 @@ class ChainModule:
         block = make_block(indexes, self.chain.tip.block_hash, minted_at)
         self.chain.append(block)
         self.events.info("chain", ev.BLOCK_MINTED,
-                         f"hash={block.block_hash.hex} n_indexes={len(indexes)}")
+                         f"hash={block.block_hash} n_indexes={len(indexes)}")
         for i in range(1, self.n_storage_nodes + 1):
             name = f"node{i}"
             self.transport.send(name, LOG, seal(
-                block.block_hash.hex.encode("ascii"), self.keys, name,
+                block.block_hash.encode("ascii"), self.keys, name,
                 self.directory.enc_pub(name), self.crypto_rng))
         return block

@@ -187,16 +187,16 @@ class StorageNode:
         self.events = event_log
         self.rng = rng
         self.historian = Historian(node_id)
-        # digest hex -> capture minute for vectors submitted since the last
+        # digest -> capture minute for vectors submitted since the last
         # validator cycle, which settles them against the tip it checks.
         self.pending_submissions: dict[str, str] = {}
-        # Hash hex of the last tip whose replicas this node pulled.
-        self.pulled = genesis_block().block_hash.hex
-        # digest hex -> (ledger index, damaged) of each copy this node is
+        # Hash of the last tip whose replicas this node pulled.
+        self.pulled = genesis_block().block_hash
+        # digest -> (ledger index, damaged) of each copy this node is
         # owed: a replica duty not yet delivered, or a damaged record. Ledger
         # facts only; no record digest is kept.
         self.owed: dict[str, tuple[LedgerIndex, bool]] = {}
-        self.lost: set[str] = set()  # digest hex of copies found UNRECOVERABLE, until held
+        self.lost: set[str] = set()  # digests of copies found UNRECOVERABLE, until held
 
     # -- helpers ----------------------------------------------------------
 
@@ -225,11 +225,11 @@ class StorageNode:
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
         self.events.info(self.name, ev.MSG_AUTHENTIC,
-                         f"vector from {sender} verified; digest={fingerprint.hex}")
+                         f"vector from {sender} verified; digest={fingerprint}")
         name, minute = vector.key
         self.events.info(self.name, ev.STORED,
                          f"stored {name}@{minute}; replication pending")
-        self.pending_submissions[fingerprint.hex] = minute
+        self.pending_submissions[fingerprint] = minute
         self.transport.send("chain", INDEX, self._seal_to(
             "chain", format_vector_ref(fingerprint, vector.captured_at)))
 
@@ -238,7 +238,7 @@ class StorageNode:
     def handle_log(self, plaintext: bytes, chain: Chain):
         """Owe the replicas of the block the minter announces, which must be
         the tip: STALE_LOG for any other hash, known or not."""
-        if plaintext != chain.tip.block_hash.hex.encode():
+        if plaintext != chain.tip.block_hash.encode():
             block_hash = plaintext.decode("ascii", errors="replace")
             self.events.alarm(self.name, ev.STALE_LOG,
                               f"announced block {block_hash[:16]}.. is not the tip; ignored")
@@ -250,8 +250,8 @@ class StorageNode:
         next duty walk asks for them."""
         for ix in block.indexes:
             if self.node_id in ix.replica_ids[1:]:
-                self.owed[ix.vector_digest.hex] = (ix, False)
-        self.pulled = block.block_hash.hex
+                self.owed[ix.vector_digest] = (ix, False)
+        self.pulled = block.block_hash
 
     def recover(self, ix: LedgerIndex
                 ) -> tuple[int, MeasurementVector, MeasurementVector | None] | None:
@@ -261,14 +261,14 @@ class StorageNode:
         is owed no more; returns (holder, copy, record it replaced). None when
         nothing was restored: UNRECOVERABLE, and moved from owed to lost, if
         every other holder answered without an intact copy; else still owed."""
-        digest_hex = ix.vector_digest.hex
-        damaged = self.owed.setdefault(digest_hex, (ix, True))[1]
+        wanted = ix.vector_digest
+        damaged = self.owed.setdefault(wanted, (ix, True))[1]
         answered = True
         for source in (n for n in ix.replica_ids if n != self.node_id):
             vector = self._request_vector(source, ix)
             answered = answered and vector is not None
             if isinstance(vector, MeasurementVector):
-                del self.owed[digest_hex]
+                del self.owed[wanted]
                 previous = self.historian.get(vector.key)
                 self.historian.overwrite(vector)
                 name, minute = vector.key
@@ -282,10 +282,10 @@ class StorageNode:
                                      f"replica {name}@{minute} pulled from node{source}")
                 return source, vector, previous
         if answered:
-            del self.owed[digest_hex]
-            self.lost.add(digest_hex)
+            del self.owed[wanted]
+            self.lost.add(wanted)
             self.events.alarm(self.name, ev.UNRECOVERABLE,
-                              f"no intact copy of {digest_hex} reachable; "
+                              f"no intact copy of {wanted} reachable; "
                               "operator intervention required")
         return None
 
@@ -298,7 +298,7 @@ class StorageNode:
             f"node{source}", REPLICA_REQ, self._seal_to(f"node{source}", request))
         if response is None:
             self.events.alarm(self.name, ev.REPLICA_NO_RESPONSE,
-                              f"node{source} did not answer for {ix.vector_digest.hex}")
+                              f"node{source} did not answer for {ix.vector_digest}")
             return None
         if response is ANSWER_DROPPED:  # already alarmed as MALFORMED_PAYLOAD
             return None
@@ -311,7 +311,7 @@ class StorageNode:
             return None
         if plaintext == NOT_FOUND_MARKER:
             self.events.info(self.name, ev.REPLICA_NOT_FOUND,
-                             f"node{source} holds nothing for {ix.vector_digest.hex}")
+                             f"node{source} holds nothing for {ix.vector_digest}")
             return NOT_FOUND_MARKER
         try:
             vector = parse_canonical(plaintext)
@@ -319,12 +319,11 @@ class StorageNode:
             self.events.alarm(self.name, ev.REPLICA_MISMATCH,
                               f"replica answer from node{source} unparseable: {exc}")
             return NOT_FOUND_MARKER
-        if vector_digest(vector).hex != ix.vector_digest.hex:
-            self.events.alarm(
-                self.name, ev.REPLICA_MISMATCH,
-                f"replica from node{source} hashes to {vector_digest(vector).hex}, "
-                f"ledger says {ix.vector_digest.hex}; discarded",
-            )
+        rebuilt = vector_digest(vector)
+        if rebuilt != ix.vector_digest:
+            self.events.alarm(self.name, ev.REPLICA_MISMATCH,
+                              f"replica from node{source} hashes to {rebuilt}, "
+                              f"ledger says {ix.vector_digest}; discarded")
             return NOT_FOUND_MARKER
         return vector
 
@@ -360,11 +359,11 @@ class StorageNode:
                               f"chain fails verification at block {bad.position} "
                               f"({bad.reason}); validation aborted")
             return []
-        if tip.block_hash.hex != self.pulled:
+        if tip.block_hash != self.pulled:
             self.events.alarm(self.name, ev.LOG_MISSING,
-                              f"no LOG named tip block {tip.block_hash.hex[:16]}..; pulling now")
+                              f"no LOG named tip block {tip.block_hash[:16]}..; pulling now")
             self._owe_replicas(tip)
-        held = {vector_digest(r).hex: r for r in self.historian.records()}
+        held = {vector_digest(r): r for r in self.historian.records()}
         findings = [self._check_index(ix, held)
                     for block in reversed(chain.blocks) for ix in block.indexes
                     if self.node_id in ix.replica_ids]
@@ -378,7 +377,7 @@ class StorageNode:
         """COVERAGE_GAP for each pending submission `tip` does not carry; all
         are settled, since the minter mints an interval's indexes in that
         interval's block, the tip at its cycles, or not at all."""
-        minted = {ix.vector_digest.hex for ix in tip.indexes}
+        minted = {ix.vector_digest for ix in tip.indexes}
         for digest_hex, minute in self.pending_submissions.items():
             if digest_hex not in minted:
                 self.events.alarm(
@@ -389,12 +388,12 @@ class StorageNode:
         self.pending_submissions = {}
 
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
-        """INTACT if `held` (digest hex -> record) has the index's digest at
+        """INTACT if `held` (digest -> record) has the index's digest at
         its minute and it is not owed; a lost copy is TAMPERED_UNRECOVERABLE
         unasked. Else alarm if newly damaged and ask once, keeping `held` what
         is stored: INTACT for a pull, TAMPERED_RECOVERED for a restore."""
         minute = ix.minute
-        expected = ix.vector_digest.hex
+        expected = ix.vector_digest
         record = held.get(expected)
         owed = self.owed.get(expected)
         if owed is None and record is not None and record.key[1] == minute:
@@ -409,7 +408,7 @@ class StorageNode:
             if restored is not None:
                 source, vector, previous = restored
                 if previous is not None:
-                    held.pop(vector_digest(previous).hex, None)
+                    held.pop(vector_digest(previous), None)
                 held[expected] = vector
                 if owed is not None and not owed[1]:  # a replica duty delivered
                     return ValidationFinding(vector.key, INTACT)

@@ -37,7 +37,7 @@ def build_chain(n_blocks: int, indexes_per_block: int = 2, seed: int = 0) -> Cha
 
 def _mutate_index(ix: LedgerIndex, kind: str) -> LedgerIndex:
     if kind == "digest":
-        return dataclasses.replace(ix, vector_digest=Digest(flip_hex_char(ix.vector_digest.hex)))
+        return dataclasses.replace(ix, vector_digest=Digest(flip_hex_char(ix.vector_digest)))
     if kind == "captured_at":
         return dataclasses.replace(ix, captured_at=ix.captured_at + timedelta(minutes=1))
     if kind == "replica_ids":
@@ -57,10 +57,10 @@ def mutate_block(block: Block, kind: str) -> Block:
         return dataclasses.replace(block, minted_at=block.minted_at + timedelta(minutes=1))
     if kind == "block_hash":
         return dataclasses.replace(
-            block, block_hash=Digest(flip_hex_char(block.block_hash.hex)))
+            block, block_hash=Digest(flip_hex_char(block.block_hash)))
     if kind == "prev_block_hash":
         return dataclasses.replace(
-            block, prev_block_hash=Digest(flip_hex_char(block.prev_block_hash.hex)))
+            block, prev_block_hash=Digest(flip_hex_char(block.prev_block_hash)))
     if kind.startswith("index_"):
         if not block.indexes:
             raise ValueError("block has no indexes to mutate")

@@ -150,7 +150,7 @@ def test_criterion_5_recovery_matrix():
         if outcome is not None:
             recovered_trials += 1
             stored = sim.historian(invoking).get(key)
-            assert vector_digest(stored).hex == ix.vector_digest.hex
+            assert vector_digest(stored) == ix.vector_digest
         for nid in holders:  # reset for the next trial
             sim.historian(nid).tamper(key, original)
     assert 0 < recovered_trials < 500

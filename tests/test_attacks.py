@@ -77,9 +77,9 @@ def target_holders(report):
     """The ledger's holders of scenario A's target, interval 1's Sensor 1 row."""
     sim = report.sim
     digest = vector_digest(MeasurementVector(
-        "Sensor 1", sim.interval_ts(1), TABLE1_ROWS[1][1])).hex
+        "Sensor 1", sim.interval_ts(1), TABLE1_ROWS[1][1]))
     return next(ix.replica_ids for block in sim.chain_module.chain.blocks
-                for ix in block.indexes if ix.vector_digest.hex == digest)
+                for ix in block.indexes if ix.vector_digest == digest)
 
 
 def check_first_two_corrupt(report):

@@ -95,7 +95,7 @@ class TestMalformedLines:
         sim.write_artifacts(tmp_path)
         hist = tmp_path / "historian1.txt"
         lines = hist.read_text().splitlines()
-        held = vector_digest(parse_canonical(lines[0].encode())).hex
+        held = vector_digest(parse_canonical(lines[0].encode()))
         lines[0] = edit(lines[0])
         hist.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
@@ -220,7 +220,7 @@ class TestAuditDirectory:
         duties = [ix for block in sim.chain_module.chain.blocks for ix in block.indexes
                   if 3 in ix.replica_ids]
         assert [(f.node_id, f.verdict, f.expected_digest) for f in report.flagged()] \
-            == [(3, MISSING, ix.vector_digest.hex) for ix in duties]
+            == [(3, MISSING, ix.vector_digest) for ix in duties]
 
     def test_no_dump_at_all_raises(self, tmp_path):
         sim, _, _ = clean_artifacts(minutes=2)
@@ -343,13 +343,13 @@ class TestMatcherEdges:
         moved = LedgerIndex(first.vector_digest, later, first.replica_ids)
         edited = rehashed(chain_text, 1, lambda indexes: (moved, *indexes[1:]))
         (line,) = [line for line in historians[first.replica_ids[0]].splitlines()
-                   if hashlib.sha256(line.encode()).hexdigest() == first.vector_digest.hex]
+                   if hashlib.sha256(line.encode()).hexdigest() == first.vector_digest]
 
         report = audit_artifacts(edited, historians)
         assert report.chain_issue is None
         holders = sorted(first.replica_ids)
         assert [(f.node_id, f.verdict, f.expected_digest) for f in report.flagged()] \
-            == [(node_id, MISSING, first.vector_digest.hex) for node_id in holders]
+            == [(node_id, MISSING, first.vector_digest) for node_id in holders]
         key = tuple(line.split("|")[:2])
         assert report.uncovered == [(node_id, key) for node_id in holders]
 
@@ -364,7 +364,7 @@ class TestMatcherEdges:
         assert report.chain_issue is None and report.uncovered == []
         for node_id in repeated.replica_ids:
             verdicts = [f.verdict for f in report.findings if f.node_id == node_id
-                        and f.expected_digest == repeated.vector_digest.hex]
+                        and f.expected_digest == repeated.vector_digest]
             assert verdicts == [INTACT, MISSING]
         assert len(report.flagged()) == len(repeated.replica_ids)
 

@@ -320,7 +320,7 @@ class TestVectorRef:
     @example("2020-12-23T17:26Z")
     @example("2020-12-23T17:26+00:00")
     def test_parses_only_what_format_writes(self, stamp):
-        body = f"{digest(b'vector').hex}|{stamp}".encode("utf-8")
+        body = f"{digest(b'vector')}|{stamp}".encode("utf-8")
         try:
             parsed = parse_vector_ref(body)
         except ValueError:
@@ -330,7 +330,7 @@ class TestVectorRef:
     @pytest.mark.parametrize("stamp", LAX_STAMPS)
     def test_lax_stamps_rejected(self, stamp):
         with pytest.raises(ValueError):
-            parse_vector_ref(f"{digest(b'vector').hex}|{stamp}".encode("utf-8"))
+            parse_vector_ref(f"{digest(b'vector')}|{stamp}".encode("utf-8"))
 
     @given(st.one_of(
         st.text(max_size=70),
@@ -354,7 +354,7 @@ class TestVectorRef:
         one check on wire text that becomes a Digest."""
         body = f"{digest_text}|2020-12-23T17:27".encode("utf-8")
         if len(digest_text) == 64 and all(c in "0123456789abcdef" for c in digest_text):
-            assert parse_vector_ref(body)[0].hex == digest_text
+            assert parse_vector_ref(body)[0] == digest_text
         else:
             with pytest.raises(ValueError):
                 parse_vector_ref(body)

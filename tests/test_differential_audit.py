@@ -57,7 +57,7 @@ def test_audit_flags_what_the_next_validator_cycle_flags(seed, minutes, data):
             uncovered.add((node_id, row.key))
             continue
         ix = data.draw(st.sampled_from(indexes))
-        digest_hex = ix.vector_digest.hex
+        digest_hex = ix.vector_digest
         if edit == "several":
             holders = data.draw(st.lists(st.sampled_from(ix.replica_ids), min_size=2,
                                          max_size=len(ix.replica_ids), unique=True))
@@ -82,7 +82,7 @@ def test_audit_flags_what_the_next_validator_cycle_flags(seed, minutes, data):
     assert set(report.uncovered) == uncovered
 
     intact_at = {(f.node_id, f.expected_digest) for f in report.findings if f.verdict == INTACT}
-    holders_of = {ix.vector_digest.hex: ix.replica_ids for ix in indexes}
+    holders_of = {ix.vector_digest: ix.replica_ids for ix in indexes}
     recoverable = {(node_id, d) for node_id, d in damaged
                    if any((h, d) in intact_at for h in holders_of[d] if h != node_id)}
 

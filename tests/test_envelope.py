@@ -91,17 +91,17 @@ class TestCanonicalForm:
 
 class TestDigest:
     def test_empty_input_matches_published_vector(self):
-        assert digest(b"").hex == SHA256_EMPTY
+        assert digest(b"") == SHA256_EMPTY
 
     def test_matches_hashlib_oracle(self):
         data = b"Sensor 1|2020-12-23T17:27|6,7,7,6,7,7,6,7,7,6"
-        assert digest(data).hex == hashlib.sha256(data).hexdigest()
+        assert digest(data) == hashlib.sha256(data).hexdigest()
 
     def test_deterministic(self):
         assert digest(b"abc") == digest(b"abc")
 
     def test_configurable_hash_length(self):
-        assert len(digest(b"abc").hex) == 64
+        assert len(digest(b"abc")) == 64
 
     @given(st.binary(min_size=1, max_size=200), st.data())
     def test_bit_flip_changes_digest(self, data, draw):
@@ -143,7 +143,7 @@ class TestSealOpen:
         with pytest.raises(AuthError) as exc:
             open_envelope(tampered, recipient, sender.sig_pub)
         assert exc.value.kind == AuthError.DIGEST_MISMATCH
-        assert exc.value.claimed == digest(plaintext).hex
+        assert exc.value.claimed == digest(plaintext)
         assert exc.value.rebuilt is not None
         assert exc.value.rebuilt != exc.value.claimed
 
@@ -189,7 +189,7 @@ class TestSealOpen:
                    random.Random(7))
         plaintext = open_envelope(env, recipient, sender.sig_pub)
         oracle = hashlib.sha256(canonical_serialize(vector)).hexdigest()
-        assert vector_digest(parse_canonical(plaintext)).hex == oracle
+        assert vector_digest(parse_canonical(plaintext)) == oracle
 
     @settings(deadline=None, max_examples=50)
     @given(st.binary(min_size=0, max_size=400))
@@ -271,7 +271,7 @@ class TestSignatureMemo:
 
     def test_swapped_claimed_digest_rejected_after_genuine_open(self):
         sender, recipient, env = self.opened_genuine()
-        other = digest(b"another payload").hex.encode("ascii")
+        other = digest(b"another payload").encode("ascii")
         swapped = with_signature(env, other + env.signature[-SIG_LEN:])
         self.assert_rejected_and_not_cached(swapped, recipient, sender.sig_pub)
 
@@ -284,8 +284,8 @@ class TestSignatureMemo:
             with pytest.raises(AuthError) as exc:
                 open_envelope(with_signature(env, other.signature), recipient, sender.sig_pub)
             assert exc.value.kind == AuthError.DIGEST_MISMATCH
-            assert exc.value.claimed == digest(b"another payload").hex
-            assert exc.value.rebuilt == digest(b"payload").hex
+            assert exc.value.claimed == digest(b"another payload")
+            assert exc.value.rebuilt == digest(b"payload")
 
     def test_other_endpoints_key_rejected_after_genuine_open(self):
         _, recipient, env = self.opened_genuine()
@@ -298,7 +298,7 @@ class TestSignatureMemo:
         first = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))
         again = seal(b"payload", sender, "node2", recipient.enc_pub, random.Random(6))
         assert envelope._sign.cache_info().hits == 1
-        claimed = digest(b"payload").hex.encode("ascii")
+        claimed = digest(b"payload").encode("ascii")
         assert first.signature == again.signature == claimed + sender.sig_priv.sign(claimed)
 
     def test_caches_have_a_fixed_bound(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from histchain.config import fmt_minute
-from histchain.envelope import digest
+from histchain.envelope import MeasurementVector, digest, vector_digest
 from histchain.ledger import (
     BAD_GENESIS,
     Block,
@@ -36,6 +36,36 @@ def one_index(payload=b"vector-bytes", replicas=(1, 6, 3), ts=TS):
     return LedgerIndex(digest(payload), ts, tuple(replicas))
 
 
+def each_digest_source():
+    """(source, digest) from every place a Digest is built: the two hashes,
+    the wire body reader, a parsed chain dump and the genesis block."""
+    vector = MeasurementVector("Sensor 1", TS, (6, 7, 7))
+    parsed = parse_chain_dump(dump_chain(build_chain(1, indexes_per_block=1)))
+    block = parsed.blocks[1]
+    return [
+        ("digest", digest(b"vector-bytes")),
+        ("vector_digest", vector_digest(vector)),
+        ("parse_vector_ref", parse_vector_ref(format_vector_ref(digest(b"x"), TS))[0]),
+        ("parse_chain_dump.block_hash", block.block_hash),
+        ("parse_chain_dump.prev_block_hash", block.prev_block_hash),
+        ("parse_chain_dump.vector_digest", block.indexes[0].vector_digest),
+        ("genesis_block.block_hash", genesis_block().block_hash),
+        ("genesis_block.prev_block_hash", genesis_block().prev_block_hash),
+    ]
+
+
+class TestDigestContract:
+    """A digest reads as its lowercase hex text every way a caller reads
+    it: as itself, through str() or an f-string, or through `.hex`."""
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in each_digest_source()])
+    def test_reads_as_its_hex_text(self, d):
+        assert str(d) == f"{d}" == d.hex == d
+        assert re.fullmatch("[0-9a-f]{64}", str(d))
+        assert hash(d) == hash(d.hex)
+        assert type(d.hex) is str
+
+
 class TestLedgerIndex:
     def test_origin_kept_first(self):
         ix = one_index(replicas=(4, 2, 5))
@@ -43,7 +73,7 @@ class TestLedgerIndex:
 
     def test_line_format(self):
         ix = one_index()
-        assert ix.line == f"{digest(b'vector-bytes').hex}|2020-12-23T03:24|1,6,3"
+        assert ix.line == f"{digest(b'vector-bytes')}|2020-12-23T03:24|1,6,3"
 
 
 class TestVectorRef:
@@ -51,7 +81,7 @@ class TestVectorRef:
         d = digest(b"vector")
         ts = datetime(2020, 12, 23, 17, 27)
         body = format_vector_ref(d, ts)
-        assert body == f"{d.hex}|2020-12-23T17:27".encode("ascii")
+        assert body == f"{d}|2020-12-23T17:27".encode("ascii")
         assert parse_vector_ref(body) == (d, ts)
 
     @pytest.mark.parametrize("body", [
@@ -94,11 +124,11 @@ class TestMakeBlock:
         ix = one_index()
         block = make_block([ix], genesis.block_hash, TS)
         preimage = (
-            f"{genesis.block_hash.hex}\n"
-            f"{ix.vector_digest.hex}|{fmt_minute(TS)}|1,6,3\n"
+            f"{genesis.block_hash}\n"
+            f"{ix.vector_digest}|{fmt_minute(TS)}|1,6,3\n"
             f"{fmt_minute(TS)}"
         ).encode()
-        assert block.block_hash.hex == hashlib.sha256(preimage).hexdigest()
+        assert block.block_hash == hashlib.sha256(preimage).hexdigest()
 
 
 class TestChainAppend:
@@ -282,7 +312,7 @@ class TestDumpStrictness:
         indexes = [ix for block in chain.blocks for ix in block.indexes]
         digests = [ix.vector_digest for ix in indexes] + [
             d for block in chain.blocks for d in (block.block_hash, block.prev_block_hash)]
-        assert all(re.fullmatch("[0-9a-f]{64}", d.hex) for d in digests)
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
         assert all(len(set(ix.replica_ids)) == len(ix.replica_ids) for ix in indexes)
         rebuilt = Chain.from_blocks(
             Block(tuple(LedgerIndex(ix.vector_digest, ix.captured_at, ix.replica_ids)

@@ -54,7 +54,7 @@ def make_module(n_nodes=6, seed=0):
 def submission(origin=2, ts="2020-12-23T03:24"):
     """(sender, plaintext) of storage node `origin`'s INDEX for its vector."""
     vec = MeasurementVector(f"Sensor {origin}", TS, (7, 6, 6, 7))
-    return f"node{origin}", f"{vector_digest(vec).hex}|{ts}".encode()
+    return f"node{origin}", f"{vector_digest(vec)}|{ts}".encode()
 
 
 def submission_env(keys, origin=2):
@@ -144,7 +144,7 @@ class TestCloseInterval:
         module.close_interval(TS)
         rejected_vec = MeasurementVector("Sensor 1", TS, (7, 6, 6, 7))
         text = dump_chain(module.chain)
-        assert vector_digest(rejected_vec).hex not in text
+        assert vector_digest(rejected_vec) not in text
 
     def test_fixed_seed_reproducible_assignments(self):
         draws = []
@@ -169,7 +169,7 @@ class TestBroadcastLog:
         assert len(set(ciphertexts)) == len(ciphertexts)
         for name, _, env in sent:
             plaintext = open_envelope(env, keys[name], keys["chain"].sig_pub)
-            assert plaintext.decode() == block.block_hash.hex
+            assert plaintext.decode() == block.block_hash
 
     def test_cross_node_open_fails(self):
         module, keys = make_module()
@@ -196,7 +196,7 @@ class TestDrawReplicas:
 
 
 def chain_digests(sim):
-    return [ix.vector_digest.hex for block in sim.chain_module.chain.blocks
+    return [ix.vector_digest for block in sim.chain_module.chain.blocks
             for ix in block.indexes]
 
 

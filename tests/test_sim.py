@@ -74,7 +74,7 @@ class TestClosedLoopRun:
         sim.run(4)
         stored_events = [r for r in sim.events.records if r.code == ev.STORED]
         index_digests = [
-            ix.vector_digest.hex
+            ix.vector_digest
             for b in sim.chain_module.chain.blocks for ix in b.indexes
         ]
         assert len(index_digests) == len(stored_events)
@@ -82,7 +82,7 @@ class TestClosedLoopRun:
         for node in (1, 2):
             for record in sim.historian(node).records():
                 if record.sensor_name == f"Sensor {node}":  # origin copies
-                    assert index_digests.count(vector_digest(record).hex) == 1
+                    assert index_digests.count(vector_digest(record)) == 1
 
 
 def count_calls(monkeypatch, fn, *modules):

@@ -83,7 +83,7 @@ class TestRegister:
     def test_authentic_vector_stored_and_indexed(self):
         node, keys, transport = standalone_node()
         node.register("plc1", canonical_serialize(VEC))
-        assert node.pending_submissions == {vector_digest(VEC).hex: "2020-12-23T17:27"}
+        assert node.pending_submissions == {vector_digest(VEC): "2020-12-23T17:27"}
         assert len(node.historian) == 1
         record = node.historian.get(("Sensor 1", "2020-12-23T17:27"))
         assert record.values == VEC.values
@@ -95,7 +95,7 @@ class TestRegister:
         assert dst == "chain"
         plaintext = open_envelope(env, keys["chain"], keys["node1"].sig_pub)
         digest_hex, minute = plaintext.decode().split("|")
-        assert digest_hex == vector_digest(VEC).hex
+        assert digest_hex == vector_digest(VEC)
         assert minute == "2020-12-23T17:27"
 
     def test_tampered_envelope_rejected_nothing_stored(self):
@@ -200,7 +200,7 @@ class TestReplication:
             minute = fmt_minute(ix.captured_at)
             holders = [
                 nid for nid, node in sim.nodes.items()
-                if any(vector_digest(r).hex == ix.vector_digest.hex
+                if any(vector_digest(r) == ix.vector_digest
                        for r in node.historian.at_time(minute))
             ]
             assert sorted(holders) == sorted(ix.replica_ids)
@@ -211,13 +211,13 @@ class TestReplication:
             for nid in sim.nodes:
                 if nid not in ix.replica_ids:
                     records = sim.nodes[nid].historian.at_time(fmt_minute(ix.captured_at))
-                    assert all(vector_digest(r).hex != ix.vector_digest.hex for r in records)
+                    assert all(vector_digest(r) != ix.vector_digest for r in records)
 
     def test_corrupted_log_announcement_ignored_with_alarm(self):
         """The intake's one alarm is all that happens: nothing is pulled."""
         sim = scripted_sim()
         tip = sim.chain_module.chain.tip.block_hash
-        env = seal(tip.hex.encode(), sim.keystore["chain"], "node3",
+        env = seal(tip.encode(), sim.keystore["chain"], "node3",
                    sim.keystore["node3"].enc_pub, random.Random(8))
         records_before = len(sim.events)
         deliver(sim, "chain", "node3", LOG, flip_body(env, 0x40))
@@ -250,7 +250,7 @@ class TestReplication:
         assert mismatches, "corrupted replica answers must raise alarms"
         for nid in ix.replica_ids[1:]:
             records = sim.nodes[nid].historian.at_time(fmt_minute(ix.captured_at))
-            assert all(vector_digest(r).hex != ix.vector_digest.hex for r in records) or \
+            assert all(vector_digest(r) != ix.vector_digest for r in records) or \
                 sim.events.by_code(ev.REPLICA_STORED, f"node{nid}")
 
     def test_pull_keeps_intact_copy_and_replaces_tampered_one(self):
@@ -260,9 +260,9 @@ class TestReplication:
         ix = block.indexes[0]
         holder = sim.nodes[ix.replica_ids[1]]
         (record,) = [r for r in holder.historian.at_time(fmt_minute(ix.captured_at))
-                     if vector_digest(r).hex == ix.vector_digest.hex]
+                     if vector_digest(r) == ix.vector_digest]
         key = record.key
-        announcement = block.block_hash.hex.encode()
+        announcement = block.block_hash.encode()
 
         dump = holder.historian.dump()
         stored_before = len(sim.events.by_code(ev.REPLICA_STORED, holder.name))
@@ -274,7 +274,7 @@ class TestReplication:
         holder.historian.tamper(key, (99,))
         holder.handle_log(announcement, chain)
         holder.validate_cycle(chain)
-        assert vector_digest(holder.historian.get(key)).hex == ix.vector_digest.hex
+        assert vector_digest(holder.historian.get(key)) == ix.vector_digest
         assert holder.historian.dump() == dump
 
     @pytest.mark.parametrize("damaged, not_found", [(False, ()), (True, ("node2",)),
@@ -299,15 +299,15 @@ class TestReplication:
                                 chain.tip.block_hash, TS))
         if damaged:
             node.historian.put_new(dataclasses.replace(VEC, values=(0,)))
-        node.handle_log(chain.tip.block_hash.hex.encode(), chain)
+        node.handle_log(chain.tip.block_hash.encode(), chain)
         (finding,) = node.validate_cycle(chain)
         lost = len(not_found) == 2
         assert [r.code for r in node.events.alarms()] == [
             *[ev.FDI_ALARM] * damaged, *[ev.REPLICA_NO_RESPONSE] * (2 - len(not_found)),
             ev.UNRECOVERABLE if lost else ev.REPLICA_PENDING]
         assert finding.verdict == (TAMPERED_UNRECOVERABLE if lost else storage.REPLICA_PENDING)
-        assert list(node.owed) == ([] if lost else [vector_digest(VEC).hex])
-        assert node.lost == ({vector_digest(VEC).hex} if lost else set())
+        assert list(node.owed) == ([] if lost else [vector_digest(VEC)])
+        assert node.lost == ({vector_digest(VEC)} if lost else set())
         assert len(node.historian) == damaged
 
 
@@ -319,7 +319,7 @@ class TestServeReplica:
         requester = sim.nodes[first.replica_ids[1]]
         vector = requester._request_vector(origin.node_id, first)
         assert vector is not None
-        assert vector_digest(vector).hex == first.vector_digest.hex
+        assert vector_digest(vector) == first.vector_digest
 
     def test_absent_key_not_found(self):
         sim = scripted_sim()
@@ -350,7 +350,7 @@ class TestServeReplica:
         (first, *_) = indexes_of(sim)
         origin, requester = (sim.nodes[n] for n in first.replica_ids[:2])
         (record,) = [r for r in origin.historian.at_time(first.minute)
-                     if vector_digest(r).hex == first.vector_digest.hex]
+                     if vector_digest(r) == first.vector_digest]
         origin.historian.tamper(record.key, (0, 0))
         records_before = len(sim.events)
         assert requester._request_vector(origin.node_id, first) == storage.NOT_FOUND_MARKER
@@ -494,7 +494,7 @@ class TestCheckSummary:
         ix = sim.chain_module.chain.blocks[2].indexes[0]
         node = sim.nodes[ix.replica_ids[1]]
         (record,) = [r for r in node.historian.at_time(ix.minute)
-                     if vector_digest(r).hex == ix.vector_digest.hex]
+                     if vector_digest(r) == ix.vector_digest]
         node.historian.tamper(record.key, [v + 1 for v in record.values])
         before = len(sim.events)
         sim.run(1)
@@ -545,7 +545,7 @@ class TestIncrementalVerification:
         chain = sim.chain_module.chain
         block = make_block(chain.tip.indexes, chain.tip.block_hash, chain.tip.minted_at)
         chain.blocks.append(dataclasses.replace(
-            block, block_hash=Digest(flip_hex_char(block.block_hash.hex))))
+            block, block_hash=Digest(flip_hex_char(block.block_hash))))
         assert sim.nodes[1].validate_cycle(chain) == []
         assert sim.events.by_code(ev.CHAIN_INVALID, "node1")
 
@@ -555,7 +555,7 @@ class TestIncrementalVerification:
         held = held_indexes(sim, 1)
         ix = held[0]
         record = next(r for r in node.historian.at_time(fmt_minute(ix.captured_at))
-                      if vector_digest(r).hex == ix.vector_digest.hex)
+                      if vector_digest(r) == ix.vector_digest)
         node.historian.tamper(record.key, [v + 1 for v in record.values])
 
         calls = []
@@ -628,7 +628,7 @@ class TestDigestLookup:
         moved = LedgerIndex(vector_digest(first), last.captured_at, (1, 2, 3))
         chain.append(make_block([moved], chain.tip.block_hash,
                                 chain.tip.minted_at + timedelta(minutes=1)))
-        sim.nodes[1].handle_log(chain.tip.block_hash.hex.encode(), chain)
+        sim.nodes[1].handle_log(chain.tip.block_hash.encode(), chain)
         findings = sim.nodes[1].validate_cycle(chain)
         assert findings[0].key[1] == last.key[1]
         assert findings[0].verdict == TAMPERED_UNRECOVERABLE
@@ -643,11 +643,11 @@ class TestDigestLookup:
         originals = node.historian.records()[:2]
         for record in originals:
             node.historian.tamper(record.key, (0, 0))
-        tampered = {vector_digest(r).hex for r in originals}
+        tampered = {vector_digest(r) for r in originals}
         before = len(sim.events)
         findings = node.validate_cycle(sim.chain_module.chain)
         expected = [
-            (INTACT, None) if ix.vector_digest.hex not in tampered
+            (INTACT, None) if ix.vector_digest not in tampered
             else (TAMPERED_RECOVERED, ix.replica_ids[1])
             for ix in duties
         ]
@@ -666,7 +666,7 @@ class TestDigestLookup:
         chain = sim.chain_module.chain
         record = sim.historian(1).records()[0]
         (old,) = [ix for ix in indexes_of(sim)
-                  if ix.vector_digest.hex == vector_digest(record).hex]
+                  if ix.vector_digest == vector_digest(record)]
         other = next(n for n in range(2, 7) if n not in old.replica_ids)
         forged = MeasurementVector(record.sensor_name, record.captured_at, (2, 1))
         sim.historian(other).overwrite(forged)
@@ -686,7 +686,7 @@ class TestDigestLookup:
         chain = sim.chain_module.chain
         record = sim.historian(1).records()[0]
         (old,) = [ix for ix in indexes_of(sim)
-                  if ix.vector_digest.hex == vector_digest(record).hex]
+                  if ix.vector_digest == vector_digest(record)]
         chain.append(make_block([old], chain.tip.block_hash,
                                 chain.tip.minted_at + timedelta(minutes=1)))
         sim.historian(1).tamper(record.key, (0, 0))
@@ -715,7 +715,7 @@ def registered(sim, node_id):
     """Digest hex of each vector `node_id` registered from its PLC, by interval."""
     records = {r.key[1]: r for r in sim.historian(node_id).records()
                if r.sensor_name == ORIGIN_SENSOR[node_id]}
-    return [vector_digest(records[fmt_minute(sim.interval_ts(k))]).hex
+    return [vector_digest(records[fmt_minute(sim.interval_ts(k))])
             for k in range(sim.intervals_run)]
 
 
@@ -726,7 +726,7 @@ def coverage_gaps(sim, node_id):
 
 
 def minted_digests(sim):
-    return {ix.vector_digest.hex for ix in indexes_of(sim)}
+    return {ix.vector_digest for ix in indexes_of(sim)}
 
 
 class TestSubmissionSettlement:
@@ -814,8 +814,8 @@ def alarm_codes(sim):
 
 def holds_its_replicas(sim, node_id):
     """True when `node_id` holds every vector the chain lists it for."""
-    held = {vector_digest(r).hex for r in sim.historian(node_id).records()}
-    return all(ix.vector_digest.hex in held
+    held = {vector_digest(r) for r in sim.historian(node_id).records()}
+    return all(ix.vector_digest in held
                for ix in held_indexes(sim, node_id))
 
 
@@ -893,26 +893,26 @@ def count_asks(sim):
     asks = Counter()
     for node in sim.nodes.values():
         def counted(ix, node=node, recover=node.recover):
-            asks[(node.node_id, ix.vector_digest.hex, node.events.tick)] += 1
+            asks[(node.node_id, ix.vector_digest, node.events.tick)] += 1
             return recover(ix)
         node.recover = counted
     return asks
 
 
 def held_digests(sim, node_id):
-    return {vector_digest(r).hex for r in sim.historian(node_id).records()}
+    return {vector_digest(r) for r in sim.historian(node_id).records()}
 
 
 def missing(sim, node_id):
     """Digest hex of each vector the chain lists `node_id` for that it does
     not hold: with nothing edited at rest, the copies no holder delivered."""
     held = held_digests(sim, node_id)
-    return [ix.vector_digest.hex for ix in held_indexes(sim, node_id)
-            if ix.vector_digest.hex not in held]
+    return [ix.vector_digest for ix in held_indexes(sim, node_id)
+            if ix.vector_digest not in held]
 
 
 def holders(sim, digest_hex):
-    (ix,) = [ix for ix in indexes_of(sim) if ix.vector_digest.hex == digest_hex]
+    (ix,) = [ix for ix in indexes_of(sim) if ix.vector_digest == digest_hex]
     return ix.replica_ids
 
 
@@ -953,7 +953,7 @@ class TestReplicaPull:
         assert [r for r in sim.events.records if r.code in AT_REST_CODES] == []
         assert [(r.tick, r.actor, r.detail.split()[1])
                 for r in sim.events.by_code(ev.REPLICA_PENDING)] == [
-            (59, holder, ix.vector_digest.hex) for holder in holders]
+            (59, holder, ix.vector_digest) for holder in holders]
         # Each holder asks once: node1's answer fails to open, and the other
         # holder, which has not pulled yet either, answers NotFound.
         asked = Counter((r.actor, r.code) for r in sim.events.records if r.tick == 59
@@ -977,7 +977,7 @@ class TestReplicaPull:
         sim.historian(1).tamper(record.key, (0, 0))
         run_with_interceptors(sim, 2, {2: [(f"node{n}", "node1", lambda frame: None)
                                            for n in NODE_IDS if n != 1]})
-        digest_hex = vector_digest(record).hex
+        digest_hex = vector_digest(record)
         at_rest = [(r.tick, r.actor, r.code) for r in sim.events.records
                    if r.code in AT_REST_CODES]
         assert at_rest == [(179, "node1", ev.FDI_ALARM), (239, "node1", ev.RECOVERED)]
@@ -999,7 +999,7 @@ class TestReplicaPull:
         run_with_interceptors(sim, 1, {0: [("node1", "node3", lambda frame: None),
                                            ("node1", "node4", lambda frame: None)]})
         record = sim.historian(1).get(("Sensor 1", "2020-12-23T17:26"))
-        digest_hex = vector_digest(record).hex
+        digest_hex = vector_digest(record)
         sim.historian(1).tamper(record.key, (0, 0))
         asks = count_asks(sim)
         sim.run(2)
@@ -1021,6 +1021,39 @@ class TestReplicaPull:
         findings = sim.nodes[1].validate_cycle(sim.chain_module.chain)
         assert all(f.verdict == INTACT for f in findings)
         assert not sim.nodes[1].lost
+
+    @pytest.mark.parametrize("kind", BLOCK_MUTATIONS)
+    def test_owed_copies_wait_out_an_invalid_chain(self, kind):
+        """Block 1 is replaced in place after interval 1 and put back after
+        interval 2, so interval 2's LOG owes block 3's copies on a chain that
+        fails verification. That cycle asks for nothing and keeps them owed;
+        the next one, on the restored chain, pulls them."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(2)
+        chain = sim.chain_module.chain
+        original = chain.blocks[1]
+        chain.blocks[1] = mutate_block(original, kind)
+        sent = []
+        handles = [sim.install_interceptor(src, dst, lambda frame: sent.append(frame) or frame)
+                   for src, dst in NODE_LINKS]
+        sim.run(1)
+        for handle in handles:
+            sim.remove_interceptor(handle)
+        assert alarm_codes(sim) == [(2, f"node{n}", ev.CHAIN_INVALID) for n in NODE_IDS]
+        assert [frame for frame in sent if frame.msg_type == REPLICA_REQ] == []
+        owed = {n: {ix.vector_digest: (ix, False) for ix in chain.blocks[3].indexes
+                    if n in ix.replica_ids[1:]} for n in NODE_IDS}
+        assert any(owed.values())
+        assert {n: sim.nodes[n].owed for n in NODE_IDS} == owed
+        chain.blocks[1] = original
+        sim.run(1)
+        assert alarm_codes(sim)[len(NODE_IDS):] == []
+        stored = {(r.actor, r.detail.split("@")[1].split()[0])
+                  for r in sim.events.by_code(ev.REPLICA_STORED) if r.tick == 239}
+        assert stored == {(f"node{n}", ix.minute) for b in chain.blocks[3:]
+                          for ix in b.indexes for n in ix.replica_ids[1:]}
+        assert all(not node.owed for node in sim.nodes.values())
+        assert all(holds_its_replicas(sim, n) for n in NODE_IDS)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.dictionaries(st.sampled_from(NODE_LINKS),
@@ -1063,12 +1096,12 @@ class TestReplicaPull:
                 assert not [n for n in holders(sim, d) if d in held_digests(sim, n)]
             assert alarmed(sim, ev.FDI_ALARM, k) <= edited | lost
             for n, pick, edit in fates[k][1] if k < len(fates) else ():
-                duties = {ix.vector_digest.hex for ix in held_indexes(sim, n)}
+                duties = {ix.vector_digest for ix in held_indexes(sim, n)}
                 covered = [r for r in sim.historian(n).records()
-                           if vector_digest(r).hex in duties]
+                           if vector_digest(r) in duties]
                 if covered:
                     record = covered[pick % len(covered)]
-                    edited.add((n, vector_digest(record).hex))
+                    edited.add((n, vector_digest(record)))
                     EDITS[edit](sim.historian(n), record)
         assert all(not node.owed for node in sim.nodes.values())
         if not edited:
