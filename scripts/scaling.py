@@ -5,18 +5,24 @@ the time to audit its artifacts, as simulated minutes grow.
     python3 scripts/scaling.py                        # m = 10, 160, 640, 1440
     python3 scripts/scaling.py --minutes 10 160 --out /tmp/scaling.json
 
-Each size runs `Simulation(SimConfig(seed=42)).run(m)` in a fresh Python
+Each run of `Simulation(SimConfig(seed=42)).run(m)` is made in a fresh Python
 process, so one run's heap never inflates the next one's peak RSS. `wall_s`
 covers `run` alone: no import, no set-up, no artifact writing. The process
 then writes the artifacts to a temporary directory, and `audit_s` is the time
-`audit_directory` takes on them. The table goes to BENCH_scaling.json at the
-repo root unless --out says otherwise.
+`audit_directory` takes on them.
+
+Every size is run REPEATS times, the sizes interleaved (all sizes once, then
+again), so a drift of the host's speed spreads over every size instead of
+landing on one. A row records the median `wall_s` and `audit_s` with their
+[min, max] over the repeats, and the median peak RSS. The table goes to
+BENCH_scaling.json at the repo root unless --out says otherwise.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +32,7 @@ import histchain
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_MINUTES = (10, 160, 640, 1440)
 SEED = 42
+REPEATS = 3
 
 CHILD_CODE = """\
 import json, resource, sys, tempfile
@@ -59,6 +66,20 @@ def measure(minutes: int) -> dict:
     return json.loads(out)
 
 
+def summarize(minutes: int, rows: list[dict]) -> dict:
+    """One size's row: the median of each time with its [min, max], and the
+    median peak RSS; every run of a size logs the same events."""
+    (events,) = {row["events"] for row in rows}
+    summary = {"minutes": minutes}
+    for key in ("wall_s", "audit_s"):
+        values = [row[key] for row in rows]
+        summary[key] = statistics.median(values)
+        summary[f"{key}_range"] = [min(values), max(values)]
+    summary["peak_rss_mb"] = statistics.median(row["peak_rss_mb"] for row in rows)
+    summary["events"] = events
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -66,15 +87,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
     args = parser.parse_args(argv)
 
-    runs = []
-    for minutes in args.minutes:
-        row = measure(minutes)
-        print(f"m={minutes}: {row['wall_s']} s, {row['peak_rss_mb']} MB peak RSS, "
-              f"{row['events']} events, audit {row['audit_s']} s", flush=True)
-        runs.append(row)
+    samples = {minutes: [] for minutes in args.minutes}
+    for repeat in range(REPEATS):
+        for minutes in args.minutes:
+            row = measure(minutes)
+            print(f"m={minutes} ({repeat + 1}/{REPEATS}): {row['wall_s']} s, "
+                  f"{row['peak_rss_mb']} MB peak RSS, {row['events']} events, "
+                  f"audit {row['audit_s']} s", flush=True)
+            samples[minutes].append(row)
+    runs = [summarize(minutes, rows) for minutes, rows in samples.items()]
     record = {
-        "run": f"Simulation(SimConfig(seed={SEED})).run(m), one fresh process per m; "
-               "audit_s: audit_directory on that run's artifacts",
+        "run": f"Simulation(SimConfig(seed={SEED})).run(m), {REPEATS} fresh processes "
+               "per m, sizes interleaved; each time is the median [min, max] of its "
+               "runs; audit_s: audit_directory on that run's artifacts",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "runs": runs,

@@ -1,5 +1,5 @@
 """Deterministic two-tank control-system simulator with a hash-chained
-historian ledger, replicated storage nodes, and scripted tampering scenarios."""
+historian ledger, replicated storage nodes, and planned attack scenarios."""
 
 __version__ = "0.1.0"
 

@@ -16,10 +16,11 @@ Three scenarios:
 
 Interceptors touch only the encrypted body region of the payload, never the
 frame header, mirroring an attacker who rewrites just the sensor-reading
-bytes. A passive variant records traffic without modifying it. Scenario A
-sends its Table 1 vectors through Simulation.run with sim.scripted and reads
-its minutes, record and holders from that run; B and C put their
-interceptors on a link for one interval with `run_with_interceptors`.
+bytes. A passive variant records traffic without modifying it. Each
+scenario attacks its run with one `run_plan`: A's plan sends its Table 1
+vectors and ends in its at-rest edit, and A reads its minutes, record and
+holders from that run; B's and C's put an interceptor on one link for one
+interval.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import events as ev
 from .config import SimConfig, fmt_minute
 from .envelope import CIPHER_HEADER_LEN, MeasurementVector, vector_digest
 from .ledger import dump_chain
-from .sim import PLC_SENSOR_NAMES, Simulation, scripted
+from .sim import PLC_SENSOR_NAMES, Simulation
 from .storage import INTACT, TAMPERED_RECOVERED, TAMPERED_UNRECOVERABLE, ValidationFinding
 from .wire import INDEX, MEASUREMENT, Frame, pack_envelope, unpack_envelope
 
@@ -89,13 +90,11 @@ class ScenarioReport:
 
     def to_text(self) -> str:
         lines = [f"scenario|{self.scenario_id}", f"seed|{self.sim.cfg.seed}",
-                 f"result|{'PASS' if self.passed else 'FAIL'}"]
-        for a in self.assertions:
-            lines.append(f"assert|{a.name}|{'PASS' if a.passed else 'FAIL'}|{a.detail}")
-        for key, value in self.notes:
-            lines.append(f"note|{key}|{value}")
-        for record in self.sim.events.records:
-            lines.append(f"event|{record.line()}")
+                 f"result|{'PASS' if self.passed else 'FAIL'}",
+                 *(f"assert|{a.name}|{'PASS' if a.passed else 'FAIL'}|{a.detail}"
+                   for a in self.assertions),
+                 *(f"note|{key}|{value}" for key, value in self.notes),
+                 *(f"event|{record.line()}" for record in self.sim.events.records)]
         return "".join(line + "\n" for line in lines)
 
     def finish(self, outdir) -> ScenarioReport:
@@ -126,19 +125,28 @@ def flip_body_bytes(msg_type: int):
     return interceptor
 
 
-def run_with_interceptors(sim: Simulation, minutes: int, windows):
-    """Run `minutes` plant intervals with each (src, dst, fn) of windows[k] on
-    its link from before interval k's boundary until after it; `windows` maps
-    an interval index to a list of (src, dst, fn)."""
-    def install(sim_, k):
-        for src, dst, fn in windows.get(k, ()):
-            sim_.install_interceptor(src, dst, fn)
+def run_plan(sim: Simulation, minutes: int, plan):
+    """Run `minutes` intervals attacked by `plan`, which maps an interval
+    index to its steps: a {plc: values} dict, whose PLCs send those values
+    (None: nothing) in place of their readings at the interval's flush; a
+    (src, dst, fn) window, fn on that link from before the interval's boundary
+    until after it; or an at-rest edit, called as edit(sim) after the boundary."""
+    def before(sim_, k):
+        for step in plan.get(k, ()):
+            if isinstance(step, dict):
+                for name, values in step.items():
+                    sim_.plcs[name].buffer = list(values or ())
+            elif isinstance(step, tuple):
+                sim_.install_interceptor(*step)
 
-    def remove(sim_, k):
-        for src, dst, _ in windows.get(k, ()):
-            sim_.remove_interceptor((src, dst))
+    def after(sim_, k):
+        for step in plan.get(k, ()):
+            if isinstance(step, tuple):
+                sim_.remove_interceptor(step[:2])
+            elif callable(step):
+                step(sim_)
 
-    sim.run(minutes, install, remove)
+    sim.run(minutes, before, after)
 
 
 # -- scenario A: at-rest manipulation inside a Historian ----------------------
@@ -146,41 +154,45 @@ def run_with_interceptors(sim: Simulation, minutes: int, windows):
 
 def run_scenario_a(cfg: SimConfig | None = None, corrupt: int = 1,
                    uncovered: bool = False, outdir=None) -> ScenarioReport:
-    """Forge interval 1's Sensor 1 record at its first `corrupt` holders in
-    ledger order (node1 first), then run node1's validator once; with
-    `uncovered`, forge instead a Sensor 9 row that only node1 holds and no
-    ledger index covers."""
+    """Send the Table 1 rows, then forge interval 1's Sensor 1 record at its
+    first `corrupt` holders in ledger order (node1 first) and run node1's
+    validator once; with `uncovered`, forge instead a Sensor 9 row that only
+    node1 holds and no ledger index covers."""
     if corrupt < 1:
         raise ValueError(f"corrupt must be at least 1, got {corrupt}")
     cfg = cfg or SimConfig(seed=SCENARIO_A_SEED)
     sim = Simulation(cfg)
     report = ScenarioReport("A_historian_tamper", sim)
-    sim.run(len(TABLE1_ROWS), scripted(
-        [{name: values if name == plc else None for name in sim.plcs}
-         for plc, values in TABLE1_ROWS]))
+    node = sim.nodes[TARGET_NODE]
     sent = [MeasurementVector(PLC_SENSOR_NAMES[plc], sim.interval_ts(k), values)
             for k, (plc, values) in enumerate(TABLE1_ROWS)]
-    ledger = {ix.vector_digest: ix
-              for block in sim.chain_module.chain.blocks for ix in block.indexes}
-
-    node = sim.nodes[TARGET_NODE]
-    rows = [(r.sensor_name, r.key[1], r.values) for r in node.historian.records()]
-    listed = [v for v in sent if TARGET_NODE in ledger[vector_digest(v)].replica_ids]
-    report.check("historian1_holds_expected_rows",
-                 node.historian.records() == listed, f"rows={rows}")
-
-    target = sent[1]
-    if uncovered:
-        target = MeasurementVector("Sensor 9", target.captured_at, target.values)
-        node.historian.overwrite(target)
+    target = (MeasurementVector("Sensor 9", sent[1].captured_at, sent[1].values)
+              if uncovered else sent[1])
     key = target.key
-    ix = ledger.get(vector_digest(target))
-    holders = ix.replica_ids if ix else (TARGET_NODE,)
-    for i in holders[:corrupt]:
-        sim.nodes[i].historian.tamper(key, FORGED_VALUES)
-    report.note("ledger_coverage", "covered" if ix else "outside ledger coverage")
+    ix = holders = None
 
-    report.attacked_dumps = {i: n.historian.dump() for i, n in sim.nodes.items()}
+    def tamper(sim_):
+        """Check node1's rows, forge the target, and keep every dump as edited."""
+        nonlocal ix, holders
+        ledger = {x.vector_digest: x
+                  for block in sim_.chain_module.chain.blocks for x in block.indexes}
+        rows = [(r.sensor_name, r.key[1], r.values) for r in node.historian.records()]
+        listed = [v for v in sent if TARGET_NODE in ledger[vector_digest(v)].replica_ids]
+        report.check("historian1_holds_expected_rows",
+                     node.historian.records() == listed, f"rows={rows}")
+        if uncovered:
+            node.historian.overwrite(target)
+        ix = ledger.get(vector_digest(target))
+        holders = ix.replica_ids if ix else (TARGET_NODE,)
+        for i in holders[:corrupt]:
+            sim_.nodes[i].historian.tamper(key, FORGED_VALUES)
+        report.attacked_dumps = {i: n.historian.dump() for i, n in sim_.nodes.items()}
+
+    plan = {k: [{name: values if name == plc else None for name in sim.plcs}]
+            for k, (plc, values) in enumerate(TABLE1_ROWS)}
+    plan[len(TABLE1_ROWS) - 1].append(tamper)
+    run_plan(sim, len(TABLE1_ROWS), plan)
+    report.note("ledger_coverage", "covered" if ix else "outside ledger coverage")
 
     findings = report.findings = node.validate_cycle(sim.chain_module.chain)
     flagged = [f for f in findings if f.verdict != INTACT]
@@ -221,8 +233,7 @@ def run_scenario_b(cfg: SimConfig | None = None, passive: bool = False,
                    outdir=None) -> ScenarioReport:
     cfg = cfg or SimConfig(seed=SCENARIO_B_SEED)
     sim = Simulation(cfg)
-    report = ScenarioReport(
-        "B_mitm_plc_storage" + ("_passive" if passive else ""), sim)
+    report = ScenarioReport("B_mitm_plc_storage" + ("_passive" if passive else ""), sim)
     tapped: list[Frame] = []
 
     def tap(frame: Frame) -> Frame:
@@ -230,7 +241,7 @@ def run_scenario_b(cfg: SimConfig | None = None, passive: bool = False,
         return frame
 
     fn = tap if passive else flip_body_bytes(MEASUREMENT)
-    run_with_interceptors(sim, MITM_MINUTES, {MITM_INTERVAL: [("plc1", "node1", fn)]})
+    run_plan(sim, MITM_MINUTES, {MITM_INTERVAL: [("plc1", "node1", fn)]})
 
     # node1's STORED events are the rows it registered from plc1; a replica
     # it pulls in the same interval is not one.
@@ -254,12 +265,11 @@ def run_scenario_b(cfg: SimConfig | None = None, passive: bool = False,
         report.check("storage_resumes_next_interval",
                      grew.get(MITM_INTERVAL + 1, 0) >= 1,
                      f"new rows={grew.get(MITM_INTERVAL + 1)}")
-        clean = [k for k in grew if k != MITM_INTERVAL]
         report.check("no_alarms_outside_attack",
                      all(r.tick // cfg.interval_ticks == MITM_INTERVAL
                          for r in sim.events.alarms()),
                      "all alarms fall in the attacked interval")
-        report.note("clean_intervals", ",".join(str(k) for k in clean))
+        report.note("clean_intervals", ",".join(str(k) for k in grew if k != MITM_INTERVAL))
     return report.finish(outdir)
 
 
@@ -272,7 +282,7 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
     sim = Simulation(cfg)
     report = ScenarioReport("C_mitm_storage_chain", sim)
     senders = ("node1", "node2") if attack_node2_too else ("node1",)
-    run_with_interceptors(sim, MITM_MINUTES, {
+    run_plan(sim, MITM_MINUTES, {
         MITM_INTERVAL: [(src, "chain", flip_body_bytes(INDEX)) for src in senders]})
 
     ts = sim.interval_ts(MITM_INTERVAL)
@@ -298,10 +308,8 @@ def run_scenario_c(cfg: SimConfig | None = None, attack_node2_too: bool = False,
                      and attacked_blocks[0].indexes[0].vector_digest == vector_digest(rec2))
         report.check("rejection_alarmed",
                      len(sim.events.by_code(ev.INDEX_REJECTED, "chain")) == 1)
-        lo = MITM_INTERVAL * cfg.interval_ticks
-        hi = lo + cfg.interval_ticks
         report.check("node2_index_accepted_that_interval",
-                     any(lo <= r.tick < hi and "node2" in r.detail
+                     any(r.tick // cfg.interval_ticks == MITM_INTERVAL and "node2" in r.detail
                          for r in sim.events.by_code(ev.INDEX_ACCEPTED, "chain")))
     report.check("suppressed_digest_absent_from_chain",
                  suppressed_digest is not None and suppressed_digest not in chain_text)

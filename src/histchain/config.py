@@ -12,6 +12,7 @@ An ISO minute is `YYYY-MM-DDTHH:MM` (MINUTE_FMT) for a naive datetime.
 fmt_minute writes it, and parse_minute is strict: it accepts exactly the
 strings fmt_minute writes, so no second spelling of a minute (seconds, a
 space, the basic format, a zone, unpadded fields, non-ASCII digits) parses.
+The record and chain-dump patterns build on MINUTE_PATTERN and DECIMAL_PATTERN.
 """
 
 from __future__ import annotations
@@ -19,11 +20,18 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import ClassVar
 
 MINUTE_FMT = "%Y-%m-%dT%H:%M"
+# MINUTE_FMT as text: ASCII digits, hour 00-23 (so no Python reads `T24:00` as
+# the next midnight); fromisoformat checks the rest. A decimal has no sign, `_`
+# or leading zero.
+MINUTE_PATTERN = "[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}"
+DECIMAL_PATTERN = "(?:0|[1-9][0-9]*)"
+_MINUTE = re.compile(MINUTE_PATTERN)
 
 # The one storage node each PLC ships its vectors to; that node accepts a
 # MEASUREMENT from no other sender.
@@ -40,15 +48,13 @@ def fmt_minute(ts: datetime) -> str:
 
 
 def parse_minute(text: str) -> datetime:
-    """Inverse of fmt_minute; raises ConfigError unless fmt_minute of the
-    result gives `text` back."""
+    """Inverse of fmt_minute; raises ConfigError unless fmt_minute wrote `text`."""
     try:
-        ts = datetime.fromisoformat(text)
+        if _MINUTE.fullmatch(text):
+            return datetime.fromisoformat(text)
     except ValueError:
-        ts = None
-    if ts is None or ts.tzinfo is not None or fmt_minute(ts) != text:
-        raise ConfigError(f"bad minute timestamp {text!r}: expected {MINUTE_FMT}")
-    return ts
+        pass
+    raise ConfigError(f"bad minute timestamp {text!r}: expected {MINUTE_FMT}")
 
 
 @dataclass
@@ -76,10 +82,8 @@ class SimConfig:
             raise ConfigError(
                 f"n_storage_nodes {self.n_storage_nodes} must be between 2 and 100")
         if not (1 <= self.replication_factor <= self.n_storage_nodes):
-            raise ConfigError(
-                f"replication_factor {self.replication_factor} must be between 1 "
-                f"and n_storage_nodes ({self.n_storage_nodes})"
-            )
+            raise ConfigError(f"replication_factor {self.replication_factor} must be between "
+                              f"1 and n_storage_nodes ({self.n_storage_nodes})")
         for name in ("capacity", "flow_rate_a1", "flow_rate_a2", "flow_rate_a3"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # false for NaN as well
@@ -88,6 +92,9 @@ class SimConfig:
             raise ConfigError("setpoint_low must be < setpoint_high")
         if not (0 <= self.setpoint_low and self.setpoint_high <= self.capacity):
             raise ConfigError("setpoints must lie within [0, capacity]")
+        start = self.start_time
+        if start.tzinfo is not None or start.second or start.microsecond:
+            raise ConfigError(f"start_time {start} must be a naive whole minute")
         return self
 
     def interval_start(self, interval_index: int) -> datetime:

@@ -76,7 +76,7 @@ from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .config import fmt_minute
+from .config import DECIMAL_PATTERN, MINUTE_PATTERN, fmt_minute
 
 EPH_PUB_LEN = 32
 WRAP_NONCE_LEN = 12
@@ -178,14 +178,12 @@ def canonical_serialize(vector: MeasurementVector) -> bytes:
 def _canonical_record_pattern() -> re.Pattern:
     """Full-line pattern of a record in the one spelling a vector's
     `canonical` holds: a name with no `|` and nothing str.splitlines breaks
-    on, a minute in ASCII digits with its hour in 00-23 (so no Python version
-    can read `T24:00` as the next midnight; fromisoformat checks the date),
-    and values in plain ASCII decimal. Compiled on the first parse, not at
+    on, a config.MINUTE_PATTERN minute (fromisoformat checks the date), and
+    config.DECIMAL_PATTERN values. Compiled on the first parse, not at
     import, like the chain-dump patterns."""
     name = r"[^|\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+"
-    minute = "[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}"
-    decimal = "(?:0|[1-9][0-9]*)"
-    return re.compile(rf"({name})\|({minute})\|({decimal}(?:,{decimal})*)")
+    decimal = DECIMAL_PATTERN
+    return re.compile(rf"({name})\|({MINUTE_PATTERN})\|({decimal}(?:,{decimal})*)")
 
 
 def parse_canonical(data: bytes) -> MeasurementVector:

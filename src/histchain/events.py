@@ -80,11 +80,8 @@ class EventLog:
         return [r for r in self.records if r.severity == ALARM]
 
     def by_code(self, code: str, actor: str | None = None) -> list[EventRecord]:
-        return [
-            r
-            for r in self.records
-            if r.code == code and (actor is None or r.actor == actor)
-        ]
+        return [r for r in self.records
+                if r.code == code and (actor is None or r.actor == actor)]
 
     def __len__(self) -> int:
         return len(self.records)

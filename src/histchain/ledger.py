@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .config import fmt_minute, parse_minute
+from .config import DECIMAL_PATTERN, MINUTE_PATTERN, fmt_minute, parse_minute
 from .envelope import Digest, digest
 
 GENESIS_MINTED_AT = datetime(1970, 1, 1, 0, 0)
@@ -221,13 +221,13 @@ def dump_chain(chain: Chain) -> str:
 @functools.cache
 def _dump_line_patterns() -> tuple[re.Pattern, re.Pattern]:
     """Full-line patterns of a block line and an index line in the one
-    spelling dump_chain writes: lowercase SHA-256 hex, and positions and
-    replica ids in plain ASCII decimal (config.parse_minute checks minutes).
-    Compiled on the first parse, so a run that reads no dump never pays."""
-    decimal = "(?:0|[1-9][0-9]*)"
-    hex64 = _SHA256_HEX.pattern
-    return (re.compile(rf"block\|({decimal})\|([^|]*)\|({hex64})\|({hex64})"),
-            re.compile(rf"index\|({hex64})\|([^|]*)\|({decimal}(?:,{decimal})*)"))
+    spelling dump_chain writes: lowercase SHA-256 hex, config.MINUTE_PATTERN
+    minutes (config.parse_minute checks the date), and positions and replica
+    ids as config.DECIMAL_PATTERN. Compiled on the first parse, so a run
+    that reads no dump never pays."""
+    decimal, minute, hex64 = DECIMAL_PATTERN, MINUTE_PATTERN, _SHA256_HEX.pattern
+    return (re.compile(rf"block\|({decimal})\|({minute})\|({hex64})\|({hex64})"),
+            re.compile(rf"index\|({hex64})\|({minute})\|({decimal}(?:,{decimal})*)"))
 
 
 def _parse_holders(text: str) -> tuple[int, ...]:

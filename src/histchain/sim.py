@@ -5,7 +5,7 @@ Each interval (one simulated minute) ends with a fixed phase order: PLC vector
 flush, wire delivery, block minting plus announcement, then one validator
 pass per storage node, which also pulls the node's replicas. Identical config
 and seed reproduce byte-identical artifacts. `Simulation.run` is the one
-interval driver: clean, scripted (`scripted`), attacked and benchmarked runs
+interval driver: clean, attacked (`attacks.run_plan`) and benchmarked runs
 differ only in its hooks.
 """
 
@@ -107,17 +107,6 @@ class PlcEndpoint:
             env = seal(vector.canonical, self.keys, self.target,
                        self.directory.enc_pub(self.target), self.rng)
             self.transport.send(self.target, MEASUREMENT, env)
-
-
-def scripted(script):
-    """A before_boundary hook: in the j-th interval of its run, each PLC that
-    script[j] names sends those values (None: nothing) in place of its readings."""
-    entries = iter(script)
-
-    def hook(sim, k):
-        for name, values in next(entries).items():
-            sim.plcs[name].buffer = list(values or ())
-    return hook
 
 
 class Simulation:

@@ -34,7 +34,7 @@ import pytest
 from scipy.stats import chisquare
 
 from histchain import events as ev
-from histchain.attacks import run_scenario_a, run_scenario_b, run_scenario_c
+from histchain.attacks import run_plan, run_scenario_a, run_scenario_b, run_scenario_c
 from histchain.audit import audit_artifacts
 from histchain.cli import main
 from histchain.config import SimConfig, fmt_minute
@@ -47,7 +47,7 @@ from histchain.envelope import (
 )
 from histchain.ledger import dump_chain, verify_chain
 from histchain.minter import draw_replicas
-from histchain.sim import Simulation, scripted
+from histchain.sim import Simulation
 from histchain.storage import TAMPERED_RECOVERED
 from .helpers import BLOCK_MUTATIONS, build_chain, mutated_chain
 
@@ -129,7 +129,7 @@ def test_criterion_4_detection_completeness():
 
 def test_criterion_5_recovery_matrix():
     sim = Simulation(SimConfig(seed=17))
-    sim.run(1, scripted([{"plc1": [6, 7, 7, 6], "plc2": None}]))
+    run_plan(sim, 1, {0: [{"plc1": [6, 7, 7, 6], "plc2": None}]})
     (ix,) = [i for b in sim.chain_module.chain.blocks for i in b.indexes]
     minute = fmt_minute(ix.captured_at)
     key = ("Sensor 1", minute)

@@ -10,10 +10,10 @@ from histchain.attacks import (
     FORGED_VALUES,
     TABLE1_ROWS,
     ScenarioReport,
+    run_plan,
     run_scenario_a,
     run_scenario_b,
     run_scenario_c,
-    run_with_interceptors,
 )
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import SIG_LEN, MeasurementVector, vector_digest
@@ -37,7 +37,7 @@ def test_attack_window_covers_only_its_intervals():
     windows = {1: [("plc1", "node1", count)], 3: [("plc1", "node1", count)]}
     after = []
     for _ in range(4):
-        run_with_interceptors(sim, 1, windows)
+        run_plan(sim, 1, windows)
         after.append(sim.network.links[("plc1", "node1")].interceptor)
     assert seen == [1, 3]
     assert after == [None] * 4
@@ -56,7 +56,7 @@ def test_wire_bytes_cannot_split_an_event_line(tmp_path):
         return Frame(frame.version, frame.msg_type, frame.sender_id,
                      frame.recipient_id, payload)
 
-    run_with_interceptors(sim, 2, {1: [("plc1", "node1", rewrite_claimed_digest)]})
+    run_plan(sim, 2, {1: [("plc1", "node1", rewrite_claimed_digest)]})
     records = sim.events.records
     assert any("forged line" in r.detail
                for r in sim.events.by_code(ev.DIGEST_MISMATCH, "node1"))

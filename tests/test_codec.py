@@ -15,7 +15,7 @@ from histchain.envelope import (
     digest,
     parse_canonical,
 )
-from histchain.ledger import format_vector_ref, parse_vector_ref
+from histchain.ledger import format_vector_ref, parse_chain_dump, parse_vector_ref
 from histchain.storage import Historian
 
 NAIVE = st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31, 23, 59))
@@ -88,6 +88,55 @@ class TestMinute:
     def test_lax_stamps_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_minute(text)
+
+
+def written_by_fmt_minute(text: str) -> bool:
+    """Whether fmt_minute writes `text` for some naive datetime: the oracle
+    reads it with strptime, a parser none of the codecs use."""
+    try:
+        return fmt_minute(datetime.strptime(text, MINUTE_FMT)) == text
+    except ValueError:
+        return False
+
+
+def accepts(parse, data) -> bool:
+    try:
+        parse(data)
+    except ValueError:  # ConfigError, SerializationError and DumpFormatError too
+        return False
+    return True
+
+
+# One edit of a minute fmt_minute writes: a character replaced, dropped or
+# added, from digits (ASCII and not), separators, zone and line characters.
+EDIT_CHARS = st.sampled_from(list("0123456789-T:+Z |\n") + ["٣", "00", "24", "60"])
+EDITED_MINUTES = st.builds(
+    lambda text, at, new, cut: text[:at] + new + text[at + cut:],
+    MINUTES.map(fmt_minute), st.integers(0, 16), st.one_of(st.just(""), EDIT_CHARS),
+    st.integers(0, 1))
+
+
+class TestMinuteAgreement:
+    @given(st.one_of(MINUTES.map(fmt_minute), EDITED_MINUTES, STAMPS))
+    @example("2020-12-23T24:00")
+    @example("2020-02-30T00:00")
+    @example("2020-12-23T17:60")
+    @example("0000-01-01T00:00")
+    def test_every_reader_takes_exactly_the_minutes_fmt_minute_writes(self, text):
+        """parse_minute, parse_canonical, parse_vector_ref and parse_chain_dump
+        accept a minute exactly when fmt_minute writes it."""
+        hex64 = "ab" * 32
+        readers = {
+            parse_minute: text,
+            parse_canonical: f"Sensor 1|{text}|1,2".encode(),
+            parse_vector_ref: f"{hex64}|{text}".encode(),
+            parse_chain_dump: f"block|0|{text}|{hex64}|{hex64}\nindex|{hex64}|{text}|1,2\n",
+        }
+        written = written_by_fmt_minute(text)
+        assert {parse.__name__: accepts(parse, data) for parse, data in readers.items()} \
+            == dict.fromkeys((parse.__name__ for parse in readers), written)
+        if written:
+            assert parse_minute(text) == datetime.strptime(text, MINUTE_FMT)
 
 
 class TestRecord:

@@ -1,7 +1,8 @@
 """Differential at-rest fuzz: the offline audit against the storage validator.
 
-A short seeded run, then drawn at-rest edits through the Historian's own
-mutators: value edits, deletes, rows no ledger index covers, and one record
+A short seeded run whose plan ends in drawn at-rest edits through the
+Historian's own mutators (`attacks.run_plan`, the runner every scenario
+uses): value edits, deletes, rows no ledger index covers, and one record
 edited at several of its holders. The audit of the edited dumps must flag
 exactly the duties the edits damaged, and exactly what each node's next
 validator cycle flags; a flagged record is recovered exactly when another
@@ -18,6 +19,7 @@ from datetime import timedelta
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from histchain.attacks import run_plan
 from histchain.audit import INTACT, audit_artifacts
 from histchain.config import SimConfig
 from histchain.envelope import MeasurementVector
@@ -34,46 +36,56 @@ def line_digests(dump: str) -> dict[str, tuple[str, str]]:
             for line in dump.splitlines()}
 
 
+def draw_edits(data, damaged, uncovered):
+    """An at-rest plan step: drawn edits through each Historian's own
+    mutators, noted in `damaged` as (node id, ledger digest hex) and in
+    `uncovered` as (node id, key)."""
+    def edit(sim):
+        stores = {node_id: node.historian for node_id, node in sim.nodes.items()}
+        chain = sim.chain_module.chain
+        indexes = [ix for block in chain.blocks for ix in block.indexes]
+        key_of = {d: key for store in stores.values()
+                  for d, key in line_digests(store.dump()).items()}
+        for kind in data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=6)):
+            if kind == "uncovered":
+                node_id = data.draw(st.sampled_from(sorted(stores)))
+                name = data.draw(st.sampled_from(["Sensor 1", "Sensor 2", "Sensor 9"]))
+                at = chain.tip.minted_at + timedelta(minutes=data.draw(st.integers(1, 3)))
+                row = MeasurementVector(name, at, (data.draw(st.integers(0, 9)), 0))
+                stores[node_id].overwrite(row)
+                uncovered.add((node_id, row.key))
+                continue
+            ix = data.draw(st.sampled_from(indexes))
+            digest_hex = ix.vector_digest
+            if kind == "several":
+                holders = data.draw(st.lists(st.sampled_from(ix.replica_ids), min_size=2,
+                                             max_size=len(ix.replica_ids), unique=True))
+            else:
+                holders = [data.draw(st.sampled_from(ix.replica_ids))]
+            bump = data.draw(st.integers(1, 3))
+            key = key_of[digest_hex]
+            for node_id in holders:
+                record = stores[node_id].get(key)
+                if record is None:
+                    continue
+                if kind == "delete":
+                    stores[node_id].delete(key)
+                else:
+                    stores[node_id].tamper(key, tuple(v + bump for v in record.values))
+                damaged.add((node_id, digest_hex))
+    return edit
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**16), minutes=st.integers(1, 6), data=st.data())
 def test_audit_flags_what_the_next_validator_cycle_flags(seed, minutes, data):
     sim = Simulation(SimConfig(seed=seed))
-    sim.run(minutes)
+    damaged: set[tuple[int, str]] = set()
+    uncovered: set[tuple[int, tuple[str, str]]] = set()
+    run_plan(sim, minutes, {minutes - 1: [draw_edits(data, damaged, uncovered)]})
     chain = sim.chain_module.chain
     stores = {node_id: node.historian for node_id, node in sim.nodes.items()}
     indexes = [ix for block in chain.blocks for ix in block.indexes]
-    key_of = {d: key for store in stores.values() for d, key in line_digests(store.dump()).items()}
-    after_run = chain.tip.minted_at
-
-    damaged: set[tuple[int, str]] = set()      # (node id, ledger digest hex)
-    uncovered: set[tuple[int, tuple[str, str]]] = set()
-    for edit in data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=6)):
-        if edit == "uncovered":
-            node_id = data.draw(st.sampled_from(sorted(stores)))
-            name = data.draw(st.sampled_from(["Sensor 1", "Sensor 2", "Sensor 9"]))
-            at = after_run + timedelta(minutes=data.draw(st.integers(1, 3)))
-            row = MeasurementVector(name, at, (data.draw(st.integers(0, 9)), 0))
-            stores[node_id].overwrite(row)
-            uncovered.add((node_id, row.key))
-            continue
-        ix = data.draw(st.sampled_from(indexes))
-        digest_hex = ix.vector_digest
-        if edit == "several":
-            holders = data.draw(st.lists(st.sampled_from(ix.replica_ids), min_size=2,
-                                         max_size=len(ix.replica_ids), unique=True))
-        else:
-            holders = [data.draw(st.sampled_from(ix.replica_ids))]
-        bump = data.draw(st.integers(1, 3))
-        key = key_of[digest_hex]
-        for node_id in holders:
-            record = stores[node_id].get(key)
-            if record is None:
-                continue
-            if edit == "delete":
-                stores[node_id].delete(key)
-            else:
-                stores[node_id].tamper(key, tuple(v + bump for v in record.values))
-            damaged.add((node_id, digest_hex))
 
     report = audit_artifacts(dump_chain(chain), {n: s.dump() for n, s in stores.items()})
     assert report.chain_issue is None and report.malformed == []

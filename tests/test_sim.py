@@ -2,18 +2,18 @@
 
 import dataclasses
 import random
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 
 from histchain import envelope, minter, sim as sim_module, storage
 from histchain import events as ev
-from histchain.attacks import run_with_interceptors
+from histchain.attacks import run_plan
 from histchain.config import ConfigError, SimConfig, load_config, parse_config_file
 from histchain.envelope import MeasurementVector, generate_node_keys, seal, vector_digest
 from histchain.ledger import dump_chain
 from histchain.minter import ChainModule
-from histchain.sim import Simulation, scripted
+from histchain.sim import Simulation
 from histchain.storage import StorageNode
 from histchain.wire import (
     INDEX,
@@ -49,11 +49,9 @@ class TestClosedLoopRun:
 
     def test_silent_interval_mints_no_block(self):
         sim = Simulation(SimConfig(seed=42))
-        sim.run(3, scripted([
-            {"plc1": [2, 5], "plc2": None},
-            {"plc1": None, "plc2": None},
-            {"plc1": [3, 4], "plc2": None},
-        ]))
+        run_plan(sim, 3, {0: [{"plc1": [2, 5], "plc2": None}],
+                          1: [{"plc1": None, "plc2": None}],
+                          2: [{"plc1": [3, 4], "plc2": None}]})
         assert len(sim.chain_module.chain) == 3
         assert len(sim.events.by_code(ev.NO_BLOCK, "chain")) == 1
 
@@ -61,7 +59,7 @@ class TestClosedLoopRun:
         plant_run = Simulation(SimConfig(seed=42))
         plant_run.run(1)
         sim = Simulation(SimConfig(seed=42))
-        sim.run(1, scripted([{"plc1": [2, 5]}]))
+        run_plan(sim, 1, {0: [{"plc1": [2, 5]}]})
         assert [r.values for r in sim.historian(1).records()
                 if r.sensor_name == "Sensor 1"] == [(2, 5)]
         assert sim.historian(2).get(("Sensor 2", "2020-12-23T17:26")).values == \
@@ -147,7 +145,7 @@ class TestMalformedFrames:
     def test_receiver_alarms_drops_and_next_interval_is_normal(self, src, dst, interceptor):
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
-        run_with_interceptors(sim, 3, {1: [(src, dst, interceptor)]})
+        run_plan(sim, 3, {1: [(src, dst, interceptor)]})
         malformed = sim.events.by_code(ev.MALFORMED_PAYLOAD)
         assert [r.actor for r in malformed] == [dst]
         assert all(r.tick // cfg.interval_ticks == 1 for r in sim.events.alarms())
@@ -165,7 +163,7 @@ class TestMalformedFrames:
     def test_rewritten_header_alarms_once_and_drops(self, trace, field, value, offset):
         cfg = SimConfig(seed=42, trace_wire=trace)
         sim = Simulation(cfg)
-        run_with_interceptors(sim, 3, {1: [
+        run_plan(sim, 3, {1: [
             ("plc1", "node1", lambda f: dataclasses.replace(f, **{field: value}))]})
         alarms = sim.events.alarms()
         assert [(r.actor, r.code) for r in alarms] == [("node1", ev.MALFORMED_PAYLOAD)]
@@ -212,7 +210,7 @@ class TestMalformedFrames:
         cfg = SimConfig(seed=42)
         sim = Simulation(cfg)
         wire_id = sim.registry.wire_id(claimed)
-        run_with_interceptors(sim, 3, {1: [
+        run_plan(sim, 3, {1: [
             (src, dst, lambda f: dataclasses.replace(f, sender_id=wire_id))]})
         alarms = sim.events.alarms()
         # A refused LOG is a lost one: the node's next cycle names it.
@@ -270,8 +268,8 @@ class TestMisaddressedFrames:
             return unpacked
 
         sim.unpack_frame = record
-        run_with_interceptors(sim, 3, {1: [(src, dst, readdress(src, dst))
-                                           for src, dst in links]})
+        run_plan(sim, 3, {1: [(src, dst, readdress(src, dst))
+                              for src, dst in links]})
         assert moved and sorted(gated) == sorted((dst, True) for dst, _ in moved.values())
         dropped = [(r.actor, r.detail.split("dropped: ")[1])
                    for r in sim.events.by_code(ev.MALFORMED_PAYLOAD)]
@@ -397,7 +395,7 @@ class TestRetypeSweep:
             counts["changed"] += frame.msg_type != msg_type
             return dataclasses.replace(frame, msg_type=msg_type)
 
-        run_with_interceptors(sim, 3, {1: [(src, dst, retype)]})
+        run_plan(sim, 3, {1: [(src, dst, retype)]})
         assert sim.intervals_run == 3 and counts["sent"] > 0
         code = ev.ROLE_VIOLATION if (src, dst, msg_type) in ROLE_REFUSED \
             else ev.MALFORMED_PAYLOAD
@@ -415,7 +413,7 @@ class TestRetypeSweep:
         """The src->dst link carries src's requests to dst and src's answers
         to dst's requests; with both dropped, each end reports the other."""
         sim = Simulation(SimConfig(seed=42))
-        run_with_interceptors(sim, 3, {1: [(src, dst, lambda f: None)]})
+        run_plan(sim, 3, {1: [(src, dst, lambda f: None)]})
         unanswered = {(r.actor, r.detail.split()[0])
                       for r in sim.events.by_code(ev.REPLICA_NO_RESPONSE)}
         assert unanswered == {(src, dst), (dst, src)}
@@ -466,8 +464,8 @@ class TestRunFootprint:
             return dataclasses.replace(frame, payload=frame.payload[::-1])
 
         sim.unpack_frame = record
-        run_with_interceptors(sim, 3, {1: [("plc1", "node1", reverse_payload),
-                                           ("node2", "chain", lambda f: None)]})
+        run_plan(sim, 3, {1: [("plc1", "node1", reverse_payload),
+                              ("node2", "chain", lambda f: None)]})
         assert sim.events.by_code(ev.REPLICA_STORED) and handed
         assert sorted(map(id, sim.network.trace)) == sorted(map(id, handed))
 
@@ -516,6 +514,17 @@ class TestConfig:
         sim.run(1)
         assert len(sim.chain_module.chain) == 2
         assert not sim.events.alarms()
+
+    @pytest.mark.parametrize("start", [
+        datetime(2020, 1, 1, 0, 0, 30),
+        datetime(2020, 1, 1, 0, 0, 0, 1),
+        datetime(2020, 1, 1, tzinfo=timezone.utc),
+    ])
+    def test_start_time_must_be_a_naive_whole_minute(self, start):
+        """Every vector is stamped from start_time, so a start the record
+        codec cannot write is refused before the run, not in its first flush."""
+        with pytest.raises(ConfigError, match="start_time .* must be a naive whole minute"):
+            Simulation(SimConfig(start_time=start))
 
     def test_setpoints_must_be_ordered(self):
         with pytest.raises(ConfigError):

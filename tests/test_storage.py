@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from histchain import events as ev
 from histchain import storage
 from histchain.audit import audit_directory
-from histchain.attacks import flip_body_bytes, run_scenario_a, run_with_interceptors
+from histchain.attacks import flip_body_bytes, run_plan, run_scenario_a
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
     Digest,
@@ -28,7 +28,7 @@ from histchain.envelope import (
 )
 from histchain.events import EventLog
 from histchain.ledger import Chain, LedgerIndex, make_block
-from histchain.sim import Simulation, scripted
+from histchain.sim import Simulation
 from histchain.storage import (
     INTACT,
     Historian,
@@ -180,12 +180,10 @@ class TestHistorian:
         assert len(historian.at_time("2020-12-23T17:27")) == 2
 
 
-def scripted_sim(seed=17):
+def planned_sim(seed=17):
     sim = Simulation(SimConfig(seed=seed))
-    sim.run(2, scripted([
-        {"plc1": [2, 5], "plc2": [9, 9]},
-        {"plc1": [6, 7, 7, 6], "plc2": [4, 4, 5]},
-    ]))
+    run_plan(sim, 2, {0: [{"plc1": [2, 5], "plc2": [9, 9]}],
+                      1: [{"plc1": [6, 7, 7, 6], "plc2": [4, 4, 5]}]})
     return sim
 
 
@@ -195,7 +193,7 @@ def indexes_of(sim):
 
 class TestReplication:
     def test_every_vector_on_exactly_listed_nodes(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         for ix in indexes_of(sim):
             minute = fmt_minute(ix.captured_at)
             holders = [
@@ -206,7 +204,7 @@ class TestReplication:
             assert sorted(holders) == sorted(ix.replica_ids)
 
     def test_unlisted_node_takes_no_copy(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         for ix in indexes_of(sim):
             for nid in sim.nodes:
                 if nid not in ix.replica_ids:
@@ -215,7 +213,7 @@ class TestReplication:
 
     def test_corrupted_log_announcement_ignored_with_alarm(self):
         """The intake's one alarm is all that happens: nothing is pulled."""
-        sim = scripted_sim()
+        sim = planned_sim()
         tip = sim.chain_module.chain.tip.block_hash
         env = seal(tip.encode(), sim.keystore["chain"], "node3",
                    sim.keystore["node3"].enc_pub, random.Random(8))
@@ -225,7 +223,7 @@ class TestReplication:
         assert [(r.actor, r.code) for r in new] == [("node3", ev.DIGEST_MISMATCH)]
 
     def test_log_naming_unknown_block_alarms_and_pulls_nothing(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         node = sim.nodes[3]
         dump = node.historian.dump()
         records_before = len(sim.events)
@@ -243,7 +241,7 @@ class TestReplication:
         sim = Simulation(SimConfig(seed=17))
         for nid in range(2, 7):
             sim.install_interceptor("node1", f"node{nid}", flip_body_bytes(REPLICA_RESP))
-        sim.run(1, scripted([{"plc1": [2, 5], "plc2": None}]))
+        run_plan(sim, 1, {0: [{"plc1": [2, 5], "plc2": None}]})
         (ix,) = indexes_of(sim)
         assert ix.replica_ids[0] == 1
         mismatches = [r for r in sim.events.records if r.code == ev.REPLICA_MISMATCH]
@@ -254,7 +252,7 @@ class TestReplication:
                 sim.events.by_code(ev.REPLICA_STORED, f"node{nid}")
 
     def test_pull_keeps_intact_copy_and_replaces_tampered_one(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         chain = sim.chain_module.chain
         block = chain.tip
         ix = block.indexes[0]
@@ -313,7 +311,7 @@ class TestReplication:
 
 class TestServeReplica:
     def test_present_key_served_sealed(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         (first, *_) = indexes_of(sim)
         origin = sim.nodes[first.replica_ids[0]]
         requester = sim.nodes[first.replica_ids[1]]
@@ -322,7 +320,7 @@ class TestServeReplica:
         assert vector_digest(vector) == first.vector_digest
 
     def test_absent_key_not_found(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         missing = LedgerIndex(
             vector_digest(MeasurementVector("Sensor 9", TS, (1, 2))),
             datetime(2021, 1, 1, 0, 0), (1, 2, 3))
@@ -330,7 +328,7 @@ class TestServeReplica:
         assert sim.events.by_code(ev.REPLICA_NOT_FOUND, "node2")
 
     def test_authentic_answer_that_is_not_a_record_not_stored(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         (first, *_) = indexes_of(sim)
         origin = sim.nodes[first.replica_ids[0]]
         requester = sim.nodes[first.replica_ids[1]]
@@ -346,7 +344,7 @@ class TestServeReplica:
     def test_holder_with_a_tampered_copy_answers_not_found(self):
         """Only the exact digest asked for is answered: a tampered copy is
         its holder's validator's to catch, not an alarm against that holder."""
-        sim = scripted_sim()
+        sim = planned_sim()
         (first, *_) = indexes_of(sim)
         origin, requester = (sim.nodes[n] for n in first.replica_ids[:2])
         (record,) = [r for r in origin.historian.at_time(first.minute)
@@ -358,7 +356,7 @@ class TestServeReplica:
         assert [(r.actor, r.code) for r in new] == [(requester.name, ev.REPLICA_NOT_FOUND)]
 
     def test_mangled_request_no_data_leaves(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         env = seal(b"junk-request", sim.keystore["plc1"], "node1",
                    sim.keystore["node1"].enc_pub, random.Random(6))
         assert deliver(sim, "plc1", "node1", REPLICA_REQ, flip_body(env, 0xAA)) is None
@@ -377,13 +375,13 @@ class TestServeReplica:
 
 class TestValidateAndRecover:
     def test_clean_store_all_intact(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         for node in sim.nodes.values():
             findings = node.validate_cycle(sim.chain_module.chain)
             assert all(f.verdict == "intact" for f in findings)
 
     def test_tampered_record_detected_and_recovered(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         key = ("Sensor 1", "2020-12-23T17:26")
         original = sim.historian(1).get(key).values
         sim.historian(1).tamper(key, (2, 1))
@@ -396,7 +394,7 @@ class TestValidateAndRecover:
         assert sim.events.by_code(ev.RECOVERED, "node1")
 
     def test_deleted_record_recovered_via_replica_pull(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         key = ("Sensor 1", "2020-12-23T17:26")
         original = sim.historian(1).get(key).values
         sim.historian(1).delete(key)
@@ -406,7 +404,7 @@ class TestValidateAndRecover:
         assert sim.historian(1).get(key).values == original
 
     def test_recovery_order_skips_corrupt_holder(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         key = ("Sensor 1", "2020-12-23T17:26")
         target = next(ix for ix in indexes_of(sim)
                       if fmt_minute(ix.captured_at) == key[1]
@@ -420,7 +418,7 @@ class TestValidateAndRecover:
         assert flagged[0].recovered_from == third
 
     def test_all_copies_corrupt_unrecoverable(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         key = ("Sensor 1", "2020-12-23T17:26")
         target = next(ix for ix in indexes_of(sim)
                       if fmt_minute(ix.captured_at) == key[1]
@@ -433,14 +431,14 @@ class TestValidateAndRecover:
         assert sim.events.by_code(ev.UNRECOVERABLE, "node1")
 
     def test_invalid_chain_aborts_cycle(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         broken = mutated_chain(sim.chain_module.chain, 1, "index_digest")
         findings = sim.nodes[1].validate_cycle(broken)
         assert findings == []
         assert sim.events.by_code(ev.CHAIN_INVALID, "node1")
 
     def test_no_false_alarms_without_adversary(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         before = len(sim.events.alarms())
         for node in sim.nodes.values():
             node.validate_cycle(sim.chain_module.chain)
@@ -508,7 +506,7 @@ class TestCheckSummary:
         assert cycle[-1].detail == self.summary(held, held - 1, 7)
 
     def test_aborted_cycle_logs_no_summary(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         broken = mutated_chain(sim.chain_module.chain, 1, "index_digest")
         before = len(sim.events.by_code(ev.CHECK_OK, "node1"))
         assert sim.nodes[1].validate_cycle(broken) == []
@@ -523,7 +521,7 @@ class TestIncrementalVerification:
     """A cycle that already verified the live chain must still catch later edits."""
 
     def validated_sim(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         for node in sim.nodes.values():
             assert len(node.validate_cycle(sim.chain_module.chain)) == \
                 len(held_indexes(sim, node.node_id))
@@ -621,7 +619,7 @@ class TestDigestLookup:
         assert any(pulled for *_, pulled in cycles)
 
     def test_digest_held_under_another_minute_is_not_intact(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         chain = sim.chain_module.chain
         first, *_, last = sim.historian(1).records()
         assert first.key[1] != last.key[1]
@@ -636,7 +634,7 @@ class TestDigestLookup:
         assert [r.code for r in sim.events.alarms() if r.actor == "node1"][0] == ev.FDI_ALARM
 
     def test_two_tampered_records_both_recovered(self):
-        sim = scripted_sim()
+        sim = planned_sim()
         node = sim.nodes[1]
         duties = [ix for b in reversed(sim.chain_module.chain.blocks) for ix in b.indexes
                   if 1 in ix.replica_ids]
@@ -662,7 +660,7 @@ class TestDigestLookup:
         """A newer index for other values of a held record's key restores
         them over it; the older index for the replaced record then misses and
         is restored in turn, as a fresh look at the store would show."""
-        sim = scripted_sim()
+        sim = planned_sim()
         chain = sim.chain_module.chain
         record = sim.historian(1).records()[0]
         (old,) = [ix for ix in indexes_of(sim)
@@ -682,7 +680,7 @@ class TestDigestLookup:
     def test_record_restored_earlier_in_the_cycle_is_held(self):
         """A chain that lists one digest twice: the newer index restores the
         record, and the older one finds it."""
-        sim = scripted_sim()
+        sim = planned_sim()
         chain = sim.chain_module.chain
         record = sim.historian(1).records()[0]
         (old,) = [ix for ix in indexes_of(sim)
@@ -704,10 +702,10 @@ INDEX_FATES = {"pass": None, "drop": lambda frame: None, "flip": flip_body_bytes
 
 
 def run_settling(sim, windows, minutes):
-    """Run `minutes` intervals through run_with_interceptors, one at a time;
+    """Run `minutes` intervals through run_plan, one at a time;
     after each, no node has a submission left pending."""
     for _ in range(minutes):
-        run_with_interceptors(sim, 1, windows)
+        run_plan(sim, 1, windows)
         assert [n.pending_submissions for n in sim.nodes.values()] == [{}] * len(sim.nodes)
 
 
@@ -828,8 +826,8 @@ class TestLogAnnouncement:
         """Node3's interval-0 LOG is put back in place of its interval-2 one."""
         sim = Simulation(SimConfig(seed=42))
         kept = []
-        run_with_interceptors(sim, 3, {0: [("chain", "node3", log_fate("pass", kept))],
-                                       2: [("chain", "node3", log_fate("replay", kept))]})
+        run_plan(sim, 3, {0: [("chain", "node3", log_fate("pass", kept))],
+                          2: [("chain", "node3", log_fate("replay", kept))]})
         assert alarm_codes(sim) == [(2, "node3", ev.STALE_LOG), (2, "node3", ev.LOG_MISSING)]
         assert sim.events.alarms()[0].tick == 179
         assert not [r for r in sim.events.by_code(ev.REPLICA_STORED, "node3") if r.tick == 179]
@@ -837,7 +835,7 @@ class TestLogAnnouncement:
 
     def test_dropped_log_is_named_missing_and_its_replica_pulled(self):
         sim = Simulation(SimConfig(seed=42))
-        run_with_interceptors(sim, 3, {1: [("chain", "node1", lambda frame: None)]})
+        run_plan(sim, 3, {1: [("chain", "node1", lambda frame: None)]})
         alarms = sim.events.alarms()
         assert [(r.tick, r.actor, r.code) for r in alarms] == [(119, "node1", ev.LOG_MISSING)]
         pulled = [r.detail for r in sim.events.by_code(ev.REPLICA_STORED, "node1")
@@ -853,8 +851,8 @@ class TestLogAnnouncement:
         idle = [n for n in NODE_IDS if n not in duties]
         assert idle
         sim = Simulation(SimConfig(seed=42))
-        run_with_interceptors(sim, 3, {1: [("chain", f"node{n}", lambda frame: None)
-                                           for n in idle]})
+        run_plan(sim, 3, {1: [("chain", f"node{n}", lambda frame: None)
+                              for n in idle]})
         assert alarm_codes(sim) == [(1, f"node{n}", ev.LOG_MISSING) for n in idle]
 
     @settings(max_examples=60, deadline=None)
@@ -874,7 +872,7 @@ class TestLogAnnouncement:
                     expected[(k, f"node{n}", ev.STALE_LOG)] += 1
                 if fate != "pass":
                     expected[(k, f"node{n}", ev.LOG_MISSING)] += 1
-        run_with_interceptors(sim, len(fates), windows)
+        run_plan(sim, len(fates), windows)
         assert Counter(alarm_codes(sim)) == expected
         assert all(holds_its_replicas(sim, n) for n in NODE_IDS)
 
@@ -945,8 +943,8 @@ class TestReplicaPull:
     def test_flipped_answers_leave_replica_pending_until_pulled(self):
         """Every replica answer node1 sends in interval 0 has its body flipped."""
         sim = Simulation(SimConfig(seed=42))
-        run_with_interceptors(sim, 3, {0: [("node1", f"node{n}", flip_body_bytes(REPLICA_RESP))
-                                           for n in NODE_IDS if n != 1]})
+        run_plan(sim, 3, {0: [("node1", f"node{n}", flip_body_bytes(REPLICA_RESP))
+                              for n in NODE_IDS if n != 1]})
         (ix,) = [ix for ix in sim.chain_module.chain.blocks[1].indexes if ix.replica_ids[0] == 1]
         holders = [f"node{n}" for n in sorted(ix.replica_ids[1:])]
         assert holders == ["node3", "node4"]
@@ -975,8 +973,8 @@ class TestReplicaPull:
         sim.run(2)
         record = sim.historian(1).get(("Sensor 1", "2020-12-23T17:26"))
         sim.historian(1).tamper(record.key, (0, 0))
-        run_with_interceptors(sim, 2, {2: [(f"node{n}", "node1", lambda frame: None)
-                                           for n in NODE_IDS if n != 1]})
+        run_plan(sim, 2, {2: [(f"node{n}", "node1", lambda frame: None)
+                              for n in NODE_IDS if n != 1]})
         digest_hex = vector_digest(record)
         at_rest = [(r.tick, r.actor, r.code) for r in sim.events.records
                    if r.code in AT_REST_CODES]
@@ -996,8 +994,8 @@ class TestReplicaPull:
         three holders: each names it once, and no later cycle asks for it
         until the record is held again."""
         sim = Simulation(SimConfig(seed=42))
-        run_with_interceptors(sim, 1, {0: [("node1", "node3", lambda frame: None),
-                                           ("node1", "node4", lambda frame: None)]})
+        run_plan(sim, 1, {0: [("node1", "node3", lambda frame: None),
+                              ("node1", "node4", lambda frame: None)]})
         record = sim.historian(1).get(("Sensor 1", "2020-12-23T17:26"))
         digest_hex = vector_digest(record)
         sim.historian(1).tamper(record.key, (0, 0))
@@ -1082,7 +1080,7 @@ class TestReplicaPull:
         asks = count_asks(sim)
         edited, lost = set(), set()
         for k in range(len(fates) + 1):
-            run_with_interceptors(sim, 1, windows)
+            run_plan(sim, 1, windows)
             assert max(asks.values(), default=0) <= 1
             unrecoverable = alarmed(sim, ev.UNRECOVERABLE, k)
             assert not unrecoverable & lost
