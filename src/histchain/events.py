@@ -9,11 +9,9 @@ ALARM = "ALARM"
 
 # Informational codes.
 CHECK_OK = "CHECK_OK"
-MSG_AUTHENTIC = "MSG_AUTHENTIC"
 STORED = "STORED"
 REPLICA_STORED = "REPLICA_STORED"
 REPLICA_NOT_FOUND = "REPLICA_NOT_FOUND"
-INDEX_ACCEPTED = "INDEX_ACCEPTED"
 BLOCK_MINTED = "BLOCK_MINTED"
 NO_BLOCK = "NO_BLOCK"
 RECOVERED = "RECOVERED"
@@ -30,6 +28,7 @@ UNRECOVERABLE = "UNRECOVERABLE"
 CHAIN_INVALID = "CHAIN_INVALID"
 STALE_LOG = "STALE_LOG"
 LOG_MISSING = "LOG_MISSING"
+MISSING_VECTOR = "MISSING_VECTOR"
 REPLICA_PENDING = "REPLICA_PENDING"
 COVERAGE_GAP = "COVERAGE_GAP"
 REPLICA_MISMATCH = "REPLICA_MISMATCH"

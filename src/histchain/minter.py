@@ -4,6 +4,10 @@ submission is accepted; mints a block of the interval's buffer when it is not
 empty; and announces the new tip to every storage node under its own key. Each
 INDEX reaches `collect` through Simulation.intake, which authenticates it and
 checks that a storage node sent it.
+
+An accepted index logs nothing of its own: it always lands in the block the
+same interval mints, which logs BLOCK_MINTED, and chain.txt lists it with its
+origin first. Only a refused one raises INDEX_REJECTED.
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ class ChainModule:
         self.buffer.append(LedgerIndex(
             vector_digest, captured_at,
             draw_replicas(origin, self.n_storage_nodes, self.replication_factor, self.rng)))
-        self.events.info("chain", ev.INDEX_ACCEPTED,
-                         f"index from {sender} verified: {vector_digest}")
         return True
 
     def close_interval(self, minted_at: datetime) -> Block | None:

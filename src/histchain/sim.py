@@ -285,14 +285,23 @@ class Simulation:
             self._run_boundary(k, before_boundary, after_boundary)
 
     def _run_boundary(self, interval_index: int, before_boundary, after_boundary):
-        """End-of-interval phases: flush, deliver, mint, announce, validate and pull."""
+        """End-of-interval phases: flush, deliver, mint, announce, validate and
+        pull. A node whose PLC's link carried no frame by the end of delivery
+        raises MISSING_VECTOR; a frame that arrived and was refused has
+        already raised its own alarm."""
         ts = self.interval_ts(interval_index)
         self.events.tick = (interval_index + 1) * self.cfg.interval_ticks - 1
         if before_boundary:
             before_boundary(self, interval_index)
+        carried = {key: self.network.links[key].carried for key in PLC_TARGET_NODE.items()}
         for plc in self.plcs.values():
             plc.flush(ts)
         self.network.pump(self._deliver)
+        for (plc, node), before in carried.items():
+            if self.network.links[plc, node].carried == before:
+                self.events.alarm(node, ev.MISSING_VECTOR,
+                                  f"no measurement from {plc} arrived this interval; "
+                                  "nothing to store or index")
         if self.chain_module.close_interval(ts) is not None:
             self.network.pump(self._deliver)
         for node in self.nodes.values():

@@ -3,11 +3,13 @@
 Simulation.intake authenticates and role-checks each MEASUREMENT, LOG and
 REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
-for. Register stores vectors from the node's PLC and submits their index to
-the block-minting module. The replication handler owes the node the copies
-the announced block assigns to it. A block is announced in the interval it
-is minted, before any validator cycle, so a LOG must name the tip: any other
-hash raises STALE_LOG and owes nothing. The validator runs every interval,
+for. Register stores a vector from the node's PLC, logs one STORED line that
+names the sender and the digest, and submits the index to the block-minting
+module. A node whose PLC sent nothing that arrived in an interval raises
+MISSING_VECTOR there (Simulation._run_boundary). The replication handler owes
+the node the copies the announced block assigns to it. A block is announced
+in the interval it is minted, before any validator cycle, so a LOG must name
+the tip: any other hash raises STALE_LOG and owes nothing. The validator runs every interval,
 whether or not a block was minted or a LOG arrived. It first settles the
 node's submissions of that interval: each one the tip does not carry raises
 COVERAGE_GAP. On a valid chain whose tip no LOG named, it raises LOG_MISSING
@@ -224,11 +226,9 @@ class StorageNode:
         # Independent recomputation over the canonical form, which embeds the
         # sensor name and capture time alongside the values.
         fingerprint = vector_digest(vector)
-        self.events.info(self.name, ev.MSG_AUTHENTIC,
-                         f"vector from {sender} verified; digest={fingerprint}")
         name, minute = vector.key
         self.events.info(self.name, ev.STORED,
-                         f"stored {name}@{minute}; replication pending")
+                         f"stored {name}@{minute} from {sender}; digest={fingerprint}")
         self.pending_submissions[fingerprint] = minute
         self.transport.send("chain", INDEX, self._seal_to(
             "chain", format_vector_ref(fingerprint, vector.captured_at)))
@@ -253,14 +253,13 @@ class StorageNode:
                 self.owed[ix.vector_digest] = (ix, False)
         self.pulled = block.block_hash
 
-    def recover(self, ix: LedgerIndex
-                ) -> tuple[int, MeasurementVector, MeasurementVector | None] | None:
+    def recover(self, ix: LedgerIndex) -> tuple[int, MeasurementVector] | None:
         """The one holder loop: ask the other listed holders in ledger order
         for the copy `ix` names, owed as a damaged record if not yet owed. The
         first that matches the ledger digest overwrites the local record and
-        is owed no more; returns (holder, copy, record it replaced). None when
-        nothing was restored: UNRECOVERABLE, and moved from owed to lost, if
-        every other holder answered without an intact copy; else still owed."""
+        is owed no more; returns (holder, copy). None when nothing was
+        restored: UNRECOVERABLE, and moved from owed to lost, if every other
+        holder answered without an intact copy; else still owed."""
         wanted = ix.vector_digest
         damaged = self.owed.setdefault(wanted, (ix, True))[1]
         answered = True
@@ -280,7 +279,7 @@ class StorageNode:
                 else:
                     self.events.info(self.name, ev.REPLICA_STORED,
                                      f"replica {name}@{minute} pulled from node{source}")
-                return source, vector, previous
+                return source, vector
         if answered:
             del self.owed[wanted]
             self.lost.add(wanted)
@@ -390,8 +389,10 @@ class StorageNode:
     def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
         """INTACT if `held` (digest -> record) has the index's digest at
         its minute and it is not owed; a lost copy is TAMPERED_UNRECOVERABLE
-        unasked. Else alarm if newly damaged and ask once, keeping `held` what
-        is stored: INTACT for a pull, TAMPERED_RECOVERED for a restore."""
+        unasked. Else alarm if newly damaged and ask once: INTACT for a pull,
+        TAMPERED_RECOVERED for a restore. No later duty of the walk reads
+        what a restore replaced or stored, since the minter indexes a digest
+        once and a digest fixes its record's key, so `held` is left as is."""
         minute = ix.minute
         expected = ix.vector_digest
         record = held.get(expected)
@@ -406,10 +407,7 @@ class StorageNode:
                                   f"{expected}; data falsified or missing, recovering")
             restored = self.recover(ix)
             if restored is not None:
-                source, vector, previous = restored
-                if previous is not None:
-                    held.pop(vector_digest(previous), None)
-                held[expected] = vector
+                source, vector = restored
                 if owed is not None and not owed[1]:  # a replica duty delivered
                     return ValidationFinding(vector.key, INTACT)
                 return ValidationFinding((vector.sensor_name, minute), TAMPERED_RECOVERED,

@@ -137,12 +137,15 @@ Interceptor = Callable[[Frame], Optional[Frame]]
 
 
 class Link:
-    """One directed link between two endpoints; at most one interceptor."""
+    """One directed link between two endpoints; at most one interceptor.
+    `carried` counts the frames it has put on the wire, interceptor's
+    rewrites included and its drops not."""
 
-    __slots__ = ("interceptor",)
+    __slots__ = ("interceptor", "carried")
 
     def __init__(self):
         self.interceptor: Interceptor | None = None
+        self.carried = 0
 
     def apply(self, frame: Frame) -> Frame | None:
         if self.interceptor is None:
@@ -176,6 +179,7 @@ class Network:
         if delivered is None:
             return None
         data = pack_frame(delivered)
+        link.carried += 1
         if self.trace is not None:
             self.trace.append(data)
         return data

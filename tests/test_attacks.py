@@ -10,13 +10,15 @@ from histchain.attacks import (
     FORGED_VALUES,
     TABLE1_ROWS,
     ScenarioReport,
+    cycles_to_alarm,
     run_plan,
     run_scenario_a,
     run_scenario_b,
     run_scenario_c,
 )
-from histchain.config import SimConfig, fmt_minute
+from histchain.config import PLC_TARGET_NODE, SimConfig, fmt_minute
 from histchain.envelope import SIG_LEN, MeasurementVector, vector_digest
+from histchain.events import EventRecord
 from histchain.sim import Simulation
 from histchain.storage import INTACT
 from histchain.wire import Frame
@@ -98,12 +100,27 @@ def check_all_corrupt(report):
     assert report.sim.events.by_code(ev.UNRECOVERABLE, "node1")
 
 
+def silent_plc_alarms(report):
+    """(interval, node, code) of each alarm scenario A raises with no edit
+    detected: one MISSING_VECTOR per interval, at the node whose PLC sent
+    nothing."""
+    return [(k, node, ev.MISSING_VECTOR)
+            for k, (sender, _) in enumerate(TABLE1_ROWS)
+            for plc, node in PLC_TARGET_NODE.items() if plc != sender]
+
+
+def interval_alarms(report):
+    ticks = report.sim.cfg.interval_ticks
+    return [(r.tick // ticks, r.actor, r.code) for r in report.sim.events.alarms()]
+
+
 def check_uncovered(report):
     assert report.passed, report.to_text()
     assert ("ledger_coverage", "outside ledger coverage") in report.notes
     assert forged_line(report, "Sensor 9") in report.attacked_dumps[1]
     assert all(f.verdict == INTACT for f in report.findings)
-    assert report.sim.events.alarms() == []
+    assert interval_alarms(report) == silent_plc_alarms(report)
+    assert not any(key == "detection_latency_cycles" for key, _ in report.notes)
 
 
 class TestScenarioA:
@@ -171,6 +188,45 @@ class TestScenarioA:
         assert log.by_code(ev.FDI_ALARM, "node1")
         assert log.by_code(ev.RECOVERED, "node1")
 
+    def test_silent_plc_missing_each_interval(self):
+        """Each interval one PLC sends nothing, and its node names the
+        missing vector in that interval; the edit adds only node1's
+        FDI_ALARM, in the validator cycle after the run."""
+        report = run_scenario_a()
+        last = len(TABLE1_ROWS) - 1
+        assert interval_alarms(report) == [*silent_plc_alarms(report),
+                                           (last, "node1", ev.FDI_ALARM)]
+
+    @pytest.mark.parametrize("corrupt", [1, 2, 3])
+    def test_detection_latency_counts_node1_cycles(self, corrupt):
+        """The note is node1's validator cycles from the edit through the
+        first FDI_ALARM naming the edited digest, read off the run's events.
+        The edit follows the run's last cycles, one per Table 1 row."""
+        report = run_scenario_a(corrupt=corrupt)
+        sim = report.sim
+        digest = vector_digest(MeasurementVector(
+            "Sensor 1", sim.interval_ts(1), TABLE1_ROWS[1][1]))
+        node1 = [r for r in sim.events.records if r.actor == "node1"]
+        alarm = next(i for i, r in enumerate(node1)
+                     if r.code == ev.FDI_ALARM and digest in r.detail)
+        through_alarm = sum(r.code == ev.CHECK_OK for r in node1[:alarm]) + 1
+        latency = through_alarm - len(TABLE1_ROWS)
+        assert latency == 1
+        assert ("detection_latency_cycles", str(latency)) in report.notes
+
+
+def test_cycles_to_alarm_counts_each_ended_cycle():
+    """A cycle ends in CHECK_OK or CHAIN_INVALID; other actors' records and
+    alarms for other digests do not count."""
+    def rec(actor, code, detail=""):
+        return EventRecord(0, actor, "", code, detail)
+    records = [rec("node1", ev.CHAIN_INVALID), rec("node2", ev.CHECK_OK),
+               rec("node1", ev.FDI_ALARM, "digest bb"), rec("node1", ev.CHECK_OK),
+               rec("node1", ev.FDI_ALARM, "digest aa"), rec("node1", ev.CHECK_OK)]
+    assert cycles_to_alarm(records, "node1", "aa") == 3
+    assert cycles_to_alarm(records, "node1", "bb") == 2
+    assert cycles_to_alarm(records, "node2", "aa") is None
+
 
 class TestScenarioB:
     def test_default_rejects_and_resumes(self):
@@ -193,8 +249,9 @@ class TestScenarioB:
         report = run_scenario_b()
         log = report.sim.events
         assert log.by_code(ev.DIGEST_MISMATCH, "node1")
-        assert log.by_code(ev.MSG_AUTHENTIC, "node1")
-        assert log.by_code(ev.STORED, "node1")
+        stored = log.by_code(ev.STORED, "node1")
+        assert stored and all(" from plc1; digest=" in r.detail for r in stored)
+        assert not log.by_code(ev.MISSING_VECTOR)
 
     def test_passes_for_any_seed(self):
         """At some of these seeds node1 pulls a replica in the attacked
@@ -222,7 +279,6 @@ class TestScenarioC:
         report = run_scenario_c()
         log = report.sim.events
         assert log.by_code(ev.INDEX_REJECTED, "chain")
-        assert log.by_code(ev.INDEX_ACCEPTED, "chain")
         assert log.by_code(ev.BLOCK_MINTED, "chain")
         assert log.by_code(ev.COVERAGE_GAP, "node1")
 

@@ -19,7 +19,7 @@ from histchain.storage import Historian
 
 RUN_10_MINUTES_SEED_42 = {
     "chain.txt": "4af0bde2da52c028535719f8def80f462327e959d7ec2a0b14b234225582848a",
-    "events.log": "eb5ad28f70d9fce5dbc605f5d1c9d9e50d23c77b283b4dc7b5250e8b95bceaf4",
+    "events.log": "6ea69ee8de4d7b2a0fa9addd25cce611869571e58d1b5024d2871d86d5d7e844",
     "historian1.txt": "3df3449816925666776527b69e6360ec256c96602502ec987f24ba0f8cb6a3bd",
     "historian2.txt": "352b75f9cb955f9de898b0ce542601e4ae7054369f5ad9464777aabbeba4a012",
     "historian3.txt": "fecaaad35263aea688e7bf498fc645b555975a9155e0c9b88d9acdff0f651a3b",
@@ -48,7 +48,7 @@ AUDIT_10_MINUTES_SEED_42 = "94faefe4f4bc4bcfaf8dc24d997959120c56c85047de8bcb05fd
 
 SCENARIO_A = {
     "chain.txt": "4497b1093af43b3b05ebdbc2e7a597a34a5680511f43bcbb487a3b5b4e261d69",
-    "events.log": "89ad7fb92ec1734c9baaf64e94898a3134f76bd429eec4dc3691ce5d0f7dc73d",
+    "events.log": "b29508abfaa562038c1a5fa86aafcd192a461c4483fa0f00b359f7778dc539b1",
     "historian1.tampered.txt": "25443ec8e3839243dcbc816b135337f01211e88699141b63d16d0c5163216237",
     "historian1.txt": "74f2455e9f1dc56c44a3d98ff18dffdd843d4dde71caa56dd2a9cd28218762b5",
     "historian2.tampered.txt": "014d9bbd4afd1a48694fdf570c950e18a5e84f6818d83adf34aa72873ca26c3b",
@@ -61,31 +61,31 @@ SCENARIO_A = {
     "historian5.txt": "30080f02ca2eea358c446e0858974a1c637c12f5f4f0414edc7ad20c7ce1962b",
     "historian6.tampered.txt": "ef51cb135934151c021aaaf334ba30d2a74b8cf6b879b2c06ffc6dcbccbd66e9",
     "historian6.txt": "ef51cb135934151c021aaaf334ba30d2a74b8cf6b879b2c06ffc6dcbccbd66e9",
-    "scenario_report.txt": "e48d3114961c22fdce3109c68ab7544028d8e14b00da3f75951ac24ca69d0047",
+    "scenario_report.txt": "bb899448b00078cf2403d83ae10c2636d7dc4d3eefb962498666c956e6305505",
 }
 
 SCENARIO_B = {
     "chain.txt": "d5897002b4482bbead09fd5ccff2bd6e304ede2026db120ec4285fd90d49f005",
-    "events.log": "038e20b25ee7ceda8f62e433705031d7c9f93d2d0eeab8d6a224c1bc3d403f6b",
+    "events.log": "2a88e8374dadd265aed59791af4243058e0b2090af09f4f4ebb083f3a73b099f",
     "historian1.txt": "9f57b8ae775e5dab8ad5d0f42e1ffcf4151d09cdc7286f07582e10edf0781357",
     "historian2.txt": "3acd583825ebbefd36a0f062be2241feae3b18134b2fe5687b21cf9ae7558fd2",
     "historian3.txt": "3196897fb1ff88b0c8d1db0c3f26a41bd691c4a948a3212acc77409dd3cb02ed",
     "historian4.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "historian5.txt": "057f113e4d44ddbd39f05d1834164bd3c1c6ff5207753649366285a3d9d7f353",
     "historian6.txt": "03774b95cfa4559ffffeaac11afa4b81f0a90bd0d457a7d5fdafe0a49f621e4a",
-    "scenario_report.txt": "f249f8e691fff5c99f4b42a63500f99db4538cab932b4e5da2e7306878b511c9",
+    "scenario_report.txt": "162186fdb16f7c975dda535708372b3c4096676008022a4bdddfb69012b1a305",
 }
 
 SCENARIO_C = {
     "chain.txt": "d5f803af31cba05a28cd5a05a5d60fa512155df90f56c4bca8cae4ac1bfe2708",
-    "events.log": "3b9c5fa061e85cc67936d4f373ae60b7f3d0f079c2bacfee49ab2a4500d47f87",
+    "events.log": "3c476fc3433f0676ffdc87e2f0f3e49a2c5367060e90f54274dc8a33cdf5202e",
     "historian1.txt": "fdeee8d616d0d23a5f78eb7812eed7e8efbb37ec7d26c9fd76403ed720a076d0",
     "historian2.txt": "3acd583825ebbefd36a0f062be2241feae3b18134b2fe5687b21cf9ae7558fd2",
     "historian3.txt": "d77119bd4e8c79133d52a59f583d2b1abe9bfb6bb0cccca0adc3e553a8b23e78",
     "historian4.txt": "d77119bd4e8c79133d52a59f583d2b1abe9bfb6bb0cccca0adc3e553a8b23e78",
     "historian5.txt": "291db487b77ceb760a98b57a99b9f31b6cba84d8ab23ace2f9bdf693c0a71f6b",
     "historian6.txt": "9bab33e62092d7b37d9add8c0c9c9394a13940e02377ac2ee1834ebec5210ffe",
-    "scenario_report.txt": "5f2db6a8b68e5eda8db9c77fa96b641611da3a10e5f272d1e3b146e640ade0d2",
+    "scenario_report.txt": "8b394e4682c2573f50ddcd6302db18b0df569a245d541551464bdf26c1ad5414",
 }
 
 

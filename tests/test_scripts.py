@@ -21,8 +21,8 @@ def test_scaling_records_one_row_per_size(tmp_path, capsys):
     assert scaling.main(["--minutes", "1", "2", "--out", str(out)]) == 0
     runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
     assert [row["minutes"] for row in runs] == [1, 2]
-    # One clean seed-42 interval logs 17 events, CHECK_OK summaries included.
-    assert [row["events"] for row in runs] == [17, 34]
+    # One clean seed-42 interval logs 13 events, CHECK_OK summaries included.
+    assert [row["events"] for row in runs] == [13, 26]
     assert all(row["wall_s"] > 0 and row["audit_s"] > 0 and row["peak_rss_mb"] > 0
                for row in runs)
     for key in ("wall_s", "audit_s"):

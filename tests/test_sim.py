@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -54,6 +55,35 @@ class TestClosedLoopRun:
                           2: [{"plc1": [3, 4], "plc2": None}]})
         assert len(sim.chain_module.chain) == 3
         assert len(sim.events.by_code(ev.NO_BLOCK, "chain")) == 1
+        assert [(r.tick, r.actor) for r in sim.events.alarms()] == [
+            (59, "node2"), (119, "node1"), (119, "node2"), (179, "node2")]
+        assert {r.code for r in sim.events.alarms()} == {ev.MISSING_VECTOR}
+
+    def test_clean_interval_logs_thirteen_events(self):
+        """Per interval: two STORED, BLOCK_MINTED, four REPLICA_STORED and six
+        CHECK_OK; accepting an index logs nothing of its own."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(10)
+        per_tick = Counter(r.tick for r in sim.events.records)
+        assert list(per_tick.values()) == [13] * 10
+        codes = Counter(r.code for r in sim.events.records)
+        assert codes == {ev.STORED: 20, ev.BLOCK_MINTED: 10, ev.REPLICA_STORED: 40,
+                         ev.CHECK_OK: 60}
+
+    def test_stored_and_chain_carry_every_accepted_index(self, tmp_path):
+        """Each STORED line names its sender and digest, and chain.txt lists
+        that digest once, with the storing node first among its holders."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(5)
+        chain_lines = sim.write_artifacts(tmp_path)["chain"].read_text().splitlines()
+        listed = {fields[1]: fields[3] for fields in
+                  (line.split("|") for line in chain_lines) if fields[0] == "index"}
+        stored = {}
+        for r in sim.events.by_code(ev.STORED):
+            sender, digest = r.detail.split(" from ")[1].split("; digest=")
+            assert sender == {"node1": "plc1", "node2": "plc2"}[r.actor]
+            stored[digest] = r.actor.removeprefix("node")
+        assert {d: ids.split(",")[0] for d, ids in listed.items()} == stored
 
     def test_script_replaces_only_the_plcs_it_names(self):
         plant_run = Simulation(SimConfig(seed=42))
@@ -330,6 +360,27 @@ class TestIntake:
         assert [(r.actor, r.code) for r in new] == [(receiver, code)]
         assert "claimed=" in new[0].detail and "rebuilt=" in new[0].detail
         assert len(reached) == (sender in in_role)
+
+
+class TestMissingVector:
+    """A node whose PLC's link carries no frame in an interval names the
+    missing vector there; a frame that arrives and is refused is not missing."""
+
+    def test_dropped_measurement_raises_one_missing_vector(self):
+        sim = Simulation(SimConfig(seed=42))
+        run_plan(sim, 3, {1: [("plc1", "node1", lambda f: None)]})
+        assert [(r.tick // sim.cfg.interval_ticks, r.actor, r.code)
+                for r in sim.events.alarms()] == [(1, "node1", ev.MISSING_VECTOR)]
+
+    @pytest.mark.parametrize("fn, code", [
+        (lambda f: dataclasses.replace(f, msg_type=LOG), ev.ROLE_VIOLATION),
+        (lambda f: dataclasses.replace(f, payload=f.payload[:3]), ev.MALFORMED_PAYLOAD),
+    ], ids=["retyped", "truncated"])
+    def test_refused_measurement_is_not_missing(self, fn, code):
+        sim = Simulation(SimConfig(seed=42))
+        run_plan(sim, 3, {1: [("plc1", "node1", fn)]})
+        assert [(r.tick // sim.cfg.interval_ticks, r.actor, r.code)
+                for r in sim.events.alarms()] == [(1, "node1", code)]
 
 
 class TestInterceptors:
