@@ -234,14 +234,15 @@ def run_scenario_a(cfg: SimConfig | None = None, corrupt: int = 1,
 def cycles_to_alarm(records, actor: str, digest: str) -> int | None:
     """How many validator cycles `actor` ran in `records`, up to and
     including the first that raised FDI_ALARM naming `digest`; None if none
-    did. A cycle ends in CHECK_OK, or in CHAIN_INVALID when aborted."""
+    did. A cycle ends in CHECK_OK, or in CHAIN_INVALID or CHAIN_REWRITTEN
+    when aborted."""
     cycles = 1
     for r in records:
         if r.actor != actor:
             continue
         if r.code == ev.FDI_ALARM and digest in r.detail:
             return cycles
-        cycles += r.code in (ev.CHECK_OK, ev.CHAIN_INVALID)
+        cycles += r.code in (ev.CHECK_OK, ev.CHAIN_INVALID, ev.CHAIN_REWRITTEN)
     return None
 
 

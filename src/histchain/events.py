@@ -26,6 +26,7 @@ INDEX_REJECTED = "INDEX_REJECTED"
 FDI_ALARM = "FDI_ALARM"
 UNRECOVERABLE = "UNRECOVERABLE"
 CHAIN_INVALID = "CHAIN_INVALID"
+CHAIN_REWRITTEN = "CHAIN_REWRITTEN"
 STALE_LOG = "STALE_LOG"
 LOG_MISSING = "LOG_MISSING"
 MISSING_VECTOR = "MISSING_VECTOR"

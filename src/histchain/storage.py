@@ -12,10 +12,13 @@ in the interval it is minted, before any validator cycle, so a LOG must name
 the tip: any other hash raises STALE_LOG and owes nothing. The validator runs every interval,
 whether or not a block was minted or a LOG arrived. It first settles the
 node's submissions of that interval: each one the tip does not carry raises
-COVERAGE_GAP. On a valid chain whose tip no LOG named, it raises LOG_MISSING
-and owes the tip's copies then. It then re-walks the whole chain, recomputes
-the digest of every locally held vector, and raises FDI_ALARM when a digest
-disagrees or a record is missing.
+COVERAGE_GAP. A chain that verifies but no longer holds a block the node
+saw is a rewritten history: CHAIN_REWRITTEN names the first changed position
+and the cycle stops, as on CHAIN_INVALID, so no record is blamed. On a valid
+chain whose tip no LOG named, it raises LOG_MISSING and owes the tip's copies
+then. It then walks the node's duties, recomputes the digest of every locally
+held vector, and raises FDI_ALARM when a digest disagrees or a record is
+missing.
 
 Pull and recovery are one holder loop, `recover`, that only the duty walk
 calls: once per cycle for each copy newly found damaged or in `owed`, the
@@ -25,11 +28,13 @@ one. A copy no holder delivers stays owed and REPLICA_PENDING; one every
 other holder answered without is UNRECOVERABLE once and then `lost`.
 
 A Historian stores the frozen MeasurementVectors the PLCs seal, exactly as
-parsed, each with its canonical bytes: the very line `dump` persists. Each
-validator cycle hashes every held record once into a digest -> record map that
-dies with the cycle, and looks each ledger index listing the node up in it.
-Every store edit stores a new frozen record, so an at-rest edit is caught on
-the next cycle.
+parsed, each with its canonical bytes: the very line `dump` persists. A node
+keeps its duties, the ledger indexes listing it, in walk order; each new block
+puts its own at the front. Each validator cycle hashes every held record once
+into a digest -> record map that dies with the cycle, and looks each duty up
+in it. An intact duty reuses its INTACT finding, a ledger fact since a digest
+fixes its record's key, only while the map holds its digest; every store edit
+stores a new frozen record, so an at-rest edit is caught on the next cycle.
 
 The event log records decisions, not "still fine": each completed validator
 cycle logs one CHECK_OK summary per node (`checked=N intact=M chain_len=L`),
@@ -199,6 +204,11 @@ class StorageNode:
         # facts only; no record digest is kept.
         self.owed: dict[str, tuple[LedgerIndex, bool]] = {}
         self.lost: set[str] = set()  # digests of copies found UNRECOVERABLE, until held
+        # Ledger facts kept between cycles: the hash of each block the duties
+        # cover, by position, and the duties in walk order as mutable
+        # [index, its INTACT finding or None] pairs.
+        self.seen: list[str] = [genesis_block().block_hash]
+        self.duties: list[list] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -344,12 +354,15 @@ class StorageNode:
     # -- validator -----------------------------------------------------------
 
     def validate_cycle(self, chain: Chain) -> list[ValidationFinding]:
-        """Full-chain audit of this node's holdings, with automated recovery:
-        each held record is hashed once per cycle; each duty is one lookup.
+        """Full-chain audit of this node's holdings, with automated recovery.
         It first settles the interval's submissions, even on a bad chain; on a
-        good one it owes the copies of a tip whose LOG never came
-        (LOG_MISSING). The walk then gives one finding per duty, newest block
-        first, and is the only place a copy is asked for (`_check_index`)."""
+        chain that verifies but no longer holds a block this node saw, it
+        raises CHAIN_REWRITTEN and aborts; else it owes the copies of a tip
+        whose LOG never came (LOG_MISSING). Every held record is then hashed
+        once, and the walk gives one finding per duty, newest block first. A
+        duty intact last cycle whose digest is held and not owed reuses its
+        finding; `_check_index`, the only place a copy is asked for, looks at
+        any other afresh."""
         tip = chain.tip
         self._reconcile_submissions(tip)
         bad = verify_chain(chain)
@@ -358,19 +371,47 @@ class StorageNode:
                               f"chain fails verification at block {bad.position} "
                               f"({bad.reason}); validation aborted")
             return []
+        changed = self._extend_duties(chain.blocks)
+        if changed is not None:
+            self.events.alarm(self.name, ev.CHAIN_REWRITTEN,
+                              f"chain verifies but no longer holds the block this node "
+                              f"saw at position {changed}; validation aborted")
+            return []
         if tip.block_hash != self.pulled:
             self.events.alarm(self.name, ev.LOG_MISSING,
                               f"no LOG named tip block {tip.block_hash[:16]}..; pulling now")
             self._owe_replicas(tip)
         held = {vector_digest(r): r for r in self.historian.records()}
-        findings = [self._check_index(ix, held)
-                    for block in reversed(chain.blocks) for ix in block.indexes
-                    if self.node_id in ix.replica_ids]
-        intact = sum(f.verdict == INTACT for f in findings)
+        findings = []
+        intact = len(self.duties)
+        owed = self.owed
+        for duty in self.duties:
+            ix, finding = duty
+            expected = ix.vector_digest
+            if finding is None or expected not in held or expected in owed:
+                finding = self._check_index(duty, held)
+                intact -= finding.verdict != INTACT
+            findings.append(finding)
         self.events.info(self.name, ev.CHECK_OK,
                          f"checked={len(findings)} intact={intact} "
                          f"chain_len={len(chain.blocks)}")
         return findings
+
+    def _extend_duties(self, blocks: list[Block]) -> int | None:
+        """Put the duties of each block past `seen` at the front of `duties`
+        and return None, if `blocks` still holds the last block seen at its
+        position: on a verified chain every later hash commits to every
+        earlier block. Else return the first position whose block changed or
+        is gone, and change nothing."""
+        last = len(self.seen) - 1
+        if len(blocks) <= last or blocks[last].block_hash != self.seen[last]:
+            return next((pos for pos, (block, seen) in enumerate(zip(blocks, self.seen))
+                         if block.block_hash != seen), len(blocks))
+        for block in blocks[last + 1:]:
+            self.seen.append(block.block_hash)
+            self.duties[:0] = [[ix, None] for ix in block.indexes
+                               if self.node_id in ix.replica_ids]
+        return None
 
     def _reconcile_submissions(self, tip):
         """COVERAGE_GAP for each pending submission `tip` does not carry; all
@@ -386,20 +427,25 @@ class StorageNode:
                 )
         self.pending_submissions = {}
 
-    def _check_index(self, ix: LedgerIndex, held: dict) -> ValidationFinding:
-        """INTACT if `held` (digest -> record) has the index's digest at
-        its minute and it is not owed; a lost copy is TAMPERED_UNRECOVERABLE
-        unasked. Else alarm if newly damaged and ask once: INTACT for a pull,
-        TAMPERED_RECOVERED for a restore. No later duty of the walk reads
-        what a restore replaced or stored, since the minter indexes a digest
-        once and a digest fixes its record's key, so `held` is left as is."""
+    def _check_index(self, duty: list, held: dict) -> ValidationFinding:
+        """INTACT if `held` (digest -> record) has the digest of the duty's
+        index at its minute and it is not owed: that finding becomes the
+        duty's to reuse, and any other clears it. A lost copy is
+        TAMPERED_UNRECOVERABLE unasked. Else alarm if newly damaged and ask
+        once: INTACT for a pull, TAMPERED_RECOVERED for a restore. No later
+        duty of the walk reads what a restore replaced or stored, since the
+        minter indexes a digest once and a digest fixes its record's key, so
+        `held` is left as is."""
+        ix = duty[0]
         minute = ix.minute
         expected = ix.vector_digest
         record = held.get(expected)
         owed = self.owed.get(expected)
+        duty[1] = None
         if owed is None and record is not None and record.key[1] == minute:
             self.lost.discard(expected)
-            return ValidationFinding(record.key, INTACT)
+            duty[1] = ValidationFinding(record.key, INTACT)
+            return duty[1]
         if expected not in self.lost:
             if owed is None:
                 self.events.alarm(self.name, ev.FDI_ALARM,

@@ -216,15 +216,16 @@ class TestScenarioA:
 
 
 def test_cycles_to_alarm_counts_each_ended_cycle():
-    """A cycle ends in CHECK_OK or CHAIN_INVALID; other actors' records and
-    alarms for other digests do not count."""
+    """A cycle ends in CHECK_OK, CHAIN_INVALID or CHAIN_REWRITTEN; other
+    actors' records and alarms for other digests do not count."""
     def rec(actor, code, detail=""):
         return EventRecord(0, actor, "", code, detail)
-    records = [rec("node1", ev.CHAIN_INVALID), rec("node2", ev.CHECK_OK),
+    records = [rec("node1", ev.CHAIN_REWRITTEN), rec("node1", ev.CHAIN_INVALID),
+               rec("node2", ev.CHECK_OK),
                rec("node1", ev.FDI_ALARM, "digest bb"), rec("node1", ev.CHECK_OK),
                rec("node1", ev.FDI_ALARM, "digest aa"), rec("node1", ev.CHECK_OK)]
-    assert cycles_to_alarm(records, "node1", "aa") == 3
-    assert cycles_to_alarm(records, "node1", "bb") == 2
+    assert cycles_to_alarm(records, "node1", "aa") == 4
+    assert cycles_to_alarm(records, "node1", "bb") == 3
     assert cycles_to_alarm(records, "node2", "aa") is None
 
 

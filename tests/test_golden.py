@@ -43,6 +43,18 @@ RUN_25_MINUTES_NOISY = {
     "historian6.txt": "46a7eee7adaa1c4b58d74c7b90174a325560a1abd0e05006ad6e3a80d1801bd4",
 }
 
+# 240 minutes, 241 blocks: the pull order and every Historian's record order
+# held over many blocks, not only over the short runs above.
+RUN_240_MINUTES_SEED_42 = {
+    "chain.txt": "c5378857e783714e3cb741f410466409f46beb4fb09e4049ab006e0176760ea7",
+    "historian1.txt": "6b5d7eaed895120c3e4df422e20bc4fa03f0cb939bccc942f42ab36ee9348843",
+    "historian2.txt": "191c19fc29ee81b5703f68548feebaf10a5fbb67e9d1fae6e21d4e46c061a431",
+    "historian3.txt": "aa35593efb9783a5c93013173b2ce04d3040c7ec88d87696adbe299666afb897",
+    "historian4.txt": "ea6bf0c4c3851e0fe31c4e1f0829832f4855a094579f84609b3ccd646f8eb2ae",
+    "historian5.txt": "29575df85187b50023f65237640b834a62dc2d55ff7c6a5ee22c50233cf37860",
+    "historian6.txt": "309f9443798cd36fdec53b22e37712264d08937e5206563eff4e50dd12d9976b",
+}
+
 # SHA-256 of audit_directory(...).to_text() over the run above.
 AUDIT_10_MINUTES_SEED_42 = "94faefe4f4bc4bcfaf8dc24d997959120c56c85047de8bcb05fdbabb59a5c159"
 
@@ -108,6 +120,15 @@ def test_noisy_run_with_uneven_flows_pinned(tmp_path):
     pinned = {name: digest for name, digest in fingerprints(tmp_path).items()
               if name in RUN_25_MINUTES_NOISY}
     assert pinned == RUN_25_MINUTES_NOISY
+
+
+def test_long_run_chain_and_historians_pinned(tmp_path):
+    sim = Simulation(SimConfig(seed=42))
+    sim.run(240)
+    sim.write_artifacts(tmp_path)
+    pinned = {name: digest for name, digest in fingerprints(tmp_path).items()
+              if name in RUN_240_MINUTES_SEED_42}
+    assert pinned == RUN_240_MINUTES_SEED_42
 
 
 def test_parsers_give_back_the_pinned_bytes(tmp_path):

@@ -9,8 +9,8 @@ from pathlib import Path
 import histchain
 
 AUDIT = Path(histchain.__file__).parent / "audit.py"
-VALIDATOR_PARTS = {"StorageNode", "validate_cycle", "_check_index", "recover",
-                   "ValidationFinding", "owed", "lost"}
+VALIDATOR_PARTS = {"StorageNode", "validate_cycle", "_check_index", "_extend_duties",
+                   "recover", "ValidationFinding", "owed", "lost"}
 
 
 def storage_imports(tree: ast.Module) -> list[str]:

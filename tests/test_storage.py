@@ -1069,3 +1069,141 @@ class TestReplicaPull:
         flagged = {(f.node_id, f.expected_digest) for f in audit_report(sim).flagged()}
         assert flagged == {(n, d) for n in NODE_IDS for d in missing(sim, n)}
         assert not [n for _, d in flagged for n in holders(sim, d) if d in held_digests(sim, n)]
+
+
+def redraw_holders(position, holders):
+    """run_plan edit step: an insider at the minter gives the first index of
+    block `position` the holders `holders` and re-hashes that block and every
+    later one, so the rewritten chain still verifies."""
+    def edit(sim):
+        blocks = sim.chain_module.chain.blocks
+        first, *rest = blocks[position].indexes
+        blocks[position] = dataclasses.replace(blocks[position], indexes=(
+            LedgerIndex(first.vector_digest, first.captured_at, holders), *rest))
+        for pos in range(position, len(blocks)):
+            block = blocks[pos]
+            blocks[pos] = make_block(block.indexes, blocks[pos - 1].block_hash, block.minted_at)
+    return edit
+
+
+class TestRewrittenHistory:
+    """A chain that verifies but no longer holds a block a node saw is a
+    rewritten history: each node raises CHAIN_REWRITTEN, naming the first
+    changed position, and aborts the cycle, so no record is blamed."""
+
+    def test_redrawn_holders_raise_chain_rewritten_at_every_node(self):
+        """Seed 42: after 5 intervals, block 2's first index moves from
+        holders (1, 5, 2) to (1, 3, 4); 2 more intervals follow. Without the
+        check node3 and node4 blame their own records (FDI_ALARM) and
+        RECOVERED follows."""
+        sim = Simulation(SimConfig(seed=42))
+        redraw = redraw_holders(2, (1, 3, 4))
+        seen = []
+
+        def edit(sim_):
+            seen.append(sim_.chain_module.chain.blocks[2].indexes[0].replica_ids)
+            seen.append(len(sim_.events))
+            redraw(sim_)
+
+        run_plan(sim, 7, {4: [edit]})
+        holders, edited_at = seen
+        assert holders == (1, 5, 2)
+        after = sim.events.records[edited_at:]
+        alarms = [(r.tick // sim.cfg.interval_ticks, r.actor, r.code)
+                  for r in after if r.severity == ev.ALARM]
+        assert alarms == [(k, f"node{n}", ev.CHAIN_REWRITTEN) for k in (5, 6) for n in NODE_IDS]
+        assert all("at position 2;" in r.detail for r in after if r.code == ev.CHAIN_REWRITTEN)
+        assert not [r for r in after if r.code in (ev.RECOVERED, ev.CHECK_OK)]
+
+    def test_truncated_chain_names_its_first_missing_position(self):
+        sim = planned_sim()
+        chain = sim.chain_module.chain
+        for node in sim.nodes.values():
+            node.validate_cycle(chain)
+        shorter = Chain.from_blocks(chain.blocks[:-1])
+        assert sim.nodes[1].validate_cycle(shorter) == []
+        (alarm,) = sim.events.alarms()
+        assert alarm.code == ev.CHAIN_REWRITTEN
+        assert f"at position {len(shorter)};" in alarm.detail
+
+
+def record_walks(sim):
+    """Wrap each node's validate_cycle so that every cycle's findings are
+    checked against a walk of the chain from scratch, in length and minute
+    order; returns {node id: [(finding, duty) of each cycle]}."""
+    walks = {n: [] for n in sim.nodes}
+    for node in sim.nodes.values():
+        def walked(chain, node=node, validate=node.validate_cycle):
+            findings = validate(chain)
+            scratch = [ix for b in reversed(chain.blocks) for ix in b.indexes
+                       if node.node_id in ix.replica_ids]
+            assert [f.key[1] for f in findings] == [ix.minute for ix in scratch]
+            walks[node.node_id].append(list(zip(findings, scratch)))
+            return findings
+        node.validate_cycle = walked
+    return walks
+
+
+class TestIncrementalDuties:
+    """The duty list grows by each new block, and an intact duty reuses its
+    finding; the walk still gives a from-scratch walk's findings, and an
+    edit after an intact cycle is caught on the next one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.frozensets(st.sampled_from(NODE_IDS)),
+                              st.frozensets(st.sampled_from(NODE_IDS)),
+                              st.lists(st.tuples(st.sampled_from(NODE_IDS), st.integers(0, 99),
+                                                 st.sampled_from(sorted(EDITS))),
+                                       max_size=3)),
+                    min_size=1, max_size=5))
+    @example([(frozenset(), frozenset(), [(1, 0, "tamper"), (2, 5, "delete")]),
+              (frozenset({1}), frozenset({2, 3}), [(3, 1, "tamper")])])
+    def test_walk_matches_a_walk_from_scratch(self, intervals):
+        """Per interval, the INDEX of each node in the first set and the LOG
+        to each node in the second are dropped; after it, up to three
+        records found intact by that cycle are edited at rest. One clean
+        interval follows. Each edit raises FDI_ALARM for its digest at its
+        node in the next interval, and that duty is not found intact."""
+        drop = lambda frame: None  # noqa: E731
+        sim = Simulation(SimConfig(seed=42))
+        walks = record_walks(sim)
+        plan = {k: [(f"node{n}", "chain", drop) for n in indexes]
+                + [("chain", f"node{n}", drop) for n in logs]
+                for k, (indexes, logs, _) in enumerate(intervals)}
+        edited = set()
+        for k in range(len(intervals) + 1):
+            run_plan(sim, 1, plan)
+            assert {(n, d) for n, d in edited} <= alarmed(sim, ev.FDI_ALARM, k)
+            for n, d in edited:
+                (verdict,) = [f.verdict for f, ix in walks[n][-1] if ix.vector_digest == d]
+                assert verdict != INTACT
+            edited = set()
+            for n, pick, edit in intervals[k][2] if k < len(intervals) else ():
+                intact = [(f, ix) for f, ix in walks[n][-1] if f.verdict == INTACT
+                          and (n, ix.vector_digest) not in edited]
+                if intact:
+                    finding, ix = intact[pick % len(intact)]
+                    edited.add((n, ix.vector_digest))
+                    EDITS[edit](sim.historian(n), sim.historian(n).get(finding.key))
+        assert all(len(cycles) == len(intervals) + 1 for cycles in walks.values())
+
+    def test_copy_owed_again_is_asked_for_again(self):
+        """A LOG naming the tip again owes its replicas again, though their
+        holder found them intact in a cycle after the one that pulled them;
+        the next cycle asks for each once more instead of reusing its
+        finding."""
+        sim = Simulation(SimConfig(seed=42))
+        sim.run(3)
+        chain = sim.chain_module.chain
+        ix = chain.tip.indexes[0]
+        node = sim.nodes[ix.replica_ids[1]]
+        assert all(f.verdict == INTACT for f in node.validate_cycle(chain))
+        node.handle_log(chain.tip.block_hash.encode(), chain)
+        owed = [x for x in chain.tip.indexes if node.node_id in x.replica_ids[1:]]
+        assert sorted(node.owed) == sorted(x.vector_digest for x in owed)
+        before = len(sim.events)
+        findings = node.validate_cycle(chain)
+        assert not node.owed
+        assert [r.code for r in sim.events.records[before:]] == \
+            [ev.REPLICA_STORED] * len(owed) + [ev.CHECK_OK]
+        assert all(f.verdict == INTACT for f in findings)
