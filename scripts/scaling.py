@@ -14,8 +14,10 @@ then writes the artifacts to a temporary directory, and `audit_s` is the time
 Every size is run REPEATS times, the sizes interleaved (all sizes once, then
 again), so a drift of the host's speed spreads over every size instead of
 landing on one. A row records the median `wall_s` and `audit_s` with their
-[min, max] over the repeats, and the median peak RSS. The table goes to
-BENCH_scaling.json at the repo root unless --out says otherwise.
+[min, max] over the repeats, and the median peak RSS. The host block names
+the `cryptography` version too, since its X25519 and Ed25519 calls are most of
+every run's time. The table goes to BENCH_scaling.json at the repo root unless
+--out says otherwise.
 """
 
 import argparse
@@ -26,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import cryptography
 
 import histchain
 
@@ -101,7 +105,8 @@ def main(argv=None) -> int:
                "per m, sizes interleaved; each time is the median [min, max] of its "
                "runs; audit_s: audit_directory on that run's artifacts",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 "cryptography": cryptography.__version__},
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -16,6 +16,15 @@ Every inter-node message travels as a SignedEnvelope built from two pieces:
   so in-transit bit flips surface as a digest mismatch at the receiver rather
   than a decryption failure.
 
+  seal draws a fresh ephemeral key per envelope unless it is handed one from
+  ephemeral_key(). The minter hands one key to the six seals of a block
+  announcement: reusing one ephemeral across the recipients of one broadcast
+  is as secure as fresh randomness for each (Bellare, Boldyreva and Staddon,
+  "Randomness Re-use in Multi-recipient Encryption Schemes", PKC 2003;
+  Kurosawa, PKC 2002). Each envelope still does its own exchange with its
+  addressee's key and draws its own wrap nonce, symmetric key and body nonce,
+  so only the key-pair generation is shared.
+
 * signature: the payload digest in hex, followed by an Ed25519 signature over
   those digest bytes by the sender. Carrying the digest alongside its
   signature lets a receiver report both the claimed and the rebuilt digest
@@ -36,8 +45,8 @@ that raised, so a forged, flipped or wrong-key signature is checked, and
 rejected, on every open. Everything else still runs for every envelope: the
 X25519 exchange, HKDF, the key wrap, the body stream, the payload digest and
 its comparison with the signed one. Per clean interval that makes 11 real
-signs and 11 real verifications for 18 envelopes. Each Simulation starts
-with both caches empty.
+signs and 11 real verifications for 18 envelopes, under 13 ephemeral key
+pairs. Each Simulation starts with both caches empty.
 
 A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
 in plain decimal. A MeasurementVector builds these bytes once, on
@@ -290,13 +299,21 @@ def clear_signature_caches():
     _check_signature.cache_clear()
 
 
+def ephemeral_key(rng: random.Random) -> X25519PrivateKey:
+    """A fresh X25519 ephemeral key pair drawn from `rng`."""
+    return X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+
+
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
-         recipient_enc_pub: X25519PublicKey,
-         rng: random.Random) -> SignedEnvelope:
+         recipient_enc_pub: X25519PublicKey, rng: random.Random,
+         eph_priv: X25519PrivateKey | None = None) -> SignedEnvelope:
     """Encrypt plaintext to the recipient and sign its digest as the sender;
-    every random byte comes from `rng`, so a seeded stream gives the same bytes."""
+    every random byte comes from `rng`, so a seeded stream gives the same bytes.
+    `eph_priv`, from ephemeral_key(), is one broadcast's shared ephemeral;
+    without it a fresh one is drawn."""
     sym_key = rng.randbytes(32)
-    eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    if eph_priv is None:
+        eph_priv = ephemeral_key(rng)
     shared = eph_priv.exchange(recipient_enc_pub)
     wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
     wrap_nonce = rng.randbytes(WRAP_NONCE_LEN)

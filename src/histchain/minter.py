@@ -1,9 +1,11 @@
 """The single block-minting module: buffers, for each index submission it
 accepts, the ledger index it will mint, with its replica holders drawn as the
 submission is accepted; mints a block of the interval's buffer when it is not
-empty; and announces the new tip to every storage node under its own key. Each
-INDEX reaches `collect` through Simulation.intake, which authenticates it and
-checks that a storage node sent it.
+empty; and announces the new tip to every storage node under its own key. The
+six LOGs of one announcement are sealed under one ephemeral key, drawn for that
+block alone (see envelope). Each INDEX reaches `collect` through
+Simulation.intake, which authenticates it and checks that a storage node sent
+it.
 
 An accepted index logs nothing of its own: it always lands in the block the
 same interval mints, which logs BLOCK_MINTED, and chain.txt lists it with its
@@ -16,7 +18,7 @@ import random
 from datetime import datetime
 
 from . import events as ev
-from .envelope import KeyDirectory, NodeKeys, seal
+from .envelope import KeyDirectory, NodeKeys, ephemeral_key, seal
 from .ledger import Block, Chain, LedgerIndex, make_block, parse_vector_ref
 from .wire import LOG
 
@@ -73,7 +75,8 @@ class ChainModule:
 
     def close_interval(self, minted_at: datetime) -> Block | None:
         """Mint one block of the buffered indexes and send each storage node
-        its own sealed LOG of the new tip; nothing if none came."""
+        its own sealed LOG of the new tip, all under one ephemeral key; nothing
+        if none came."""
         indexes, self.buffer = self.buffer, []
         if not indexes:
             self.events.info("chain", ev.NO_BLOCK,
@@ -83,9 +86,10 @@ class ChainModule:
         self.chain.append(block)
         self.events.info("chain", ev.BLOCK_MINTED,
                          f"hash={block.block_hash} n_indexes={len(indexes)}")
+        eph_priv = ephemeral_key(self.crypto_rng)
         for i in range(1, self.n_storage_nodes + 1):
             name = f"node{i}"
             self.transport.send(name, LOG, seal(
                 block.block_hash.encode("ascii"), self.keys, name,
-                self.directory.enc_pub(name), self.crypto_rng))
+                self.directory.enc_pub(name), self.crypto_rng, eph_priv))
         return block

@@ -7,9 +7,11 @@ for. Register stores a vector from the node's PLC, logs one STORED line that
 names the sender and the digest, and submits the index to the block-minting
 module. A node whose PLC sent nothing that arrived in an interval raises
 MISSING_VECTOR there (Simulation._run_boundary). The replication handler owes
-the node the copies the announced block assigns to it. A block is announced
-in the interval it is minted, before any validator cycle, so a LOG must name
-the tip: any other hash raises STALE_LOG and owes nothing. The validator runs every interval,
+the node the copies the announced block assigns to it, while the chain still
+holds the last block the node saw; on a rewritten history it owes nothing, and
+the cycle raises CHAIN_REWRITTEN. A block is announced in the interval it is
+minted, before any validator cycle, so a LOG must name the tip: any other hash
+raises STALE_LOG and owes nothing. The validator runs every interval,
 whether or not a block was minted or a LOG arrived. It first settles the
 node's submissions of that interval: each one the tip does not carry raises
 COVERAGE_GAP. A chain that verifies but no longer holds a block the node
@@ -247,13 +249,16 @@ class StorageNode:
 
     def handle_log(self, plaintext: bytes, chain: Chain):
         """Owe the replicas of the block the minter announces, which must be
-        the tip: STALE_LOG for any other hash, known or not."""
+        the tip: STALE_LOG for any other hash, known or not. A tip on a
+        rewritten history owes nothing; the next cycle raises CHAIN_REWRITTEN
+        and would ask for none of its copies."""
         if plaintext != chain.tip.block_hash.encode():
             block_hash = plaintext.decode("ascii", errors="replace")
             self.events.alarm(self.name, ev.STALE_LOG,
                               f"announced block {block_hash[:16]}.. is not the tip; ignored")
             return
-        self._owe_replicas(chain.tip)
+        if self._rewritten_at(chain.blocks) is None:
+            self._owe_replicas(chain.tip)
 
     def _owe_replicas(self, block: Block):
         """Owe the copies `block` assigns to this node and mark it pulled; the
@@ -397,21 +402,27 @@ class StorageNode:
                          f"chain_len={len(chain.blocks)}")
         return findings
 
+    def _rewritten_at(self, blocks: list[Block]) -> int | None:
+        """None if `blocks` still holds, at its position, the last block
+        this node saw: on a verified chain every later hash commits to every
+        earlier block. Else the first position whose block changed or is gone."""
+        last = len(self.seen) - 1
+        if len(blocks) > last and blocks[last].block_hash == self.seen[last]:
+            return None
+        return next((pos for pos, (block, seen) in enumerate(zip(blocks, self.seen))
+                     if block.block_hash != seen), len(blocks))
+
     def _extend_duties(self, blocks: list[Block]) -> int | None:
         """Put the duties of each block past `seen` at the front of `duties`
-        and return None, if `blocks` still holds the last block seen at its
-        position: on a verified chain every later hash commits to every
-        earlier block. Else return the first position whose block changed or
-        is gone, and change nothing."""
-        last = len(self.seen) - 1
-        if len(blocks) <= last or blocks[last].block_hash != self.seen[last]:
-            return next((pos for pos, (block, seen) in enumerate(zip(blocks, self.seen))
-                         if block.block_hash != seen), len(blocks))
-        for block in blocks[last + 1:]:
-            self.seen.append(block.block_hash)
-            self.duties[:0] = [[ix, None] for ix in block.indexes
-                               if self.node_id in ix.replica_ids]
-        return None
+        and return None, unless the history is rewritten: then return
+        _rewritten_at's position and change nothing."""
+        changed = self._rewritten_at(blocks)
+        if changed is None:
+            for block in blocks[len(self.seen):]:
+                self.seen.append(block.block_hash)
+                self.duties[:0] = [[ix, None] for ix in block.indexes
+                                   if self.node_id in ix.replica_ids]
+        return changed
 
     def _reconcile_submissions(self, tip):
         """COVERAGE_GAP for each pending submission `tip` does not carry; all

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from datetime import datetime
 
 import hypothesis.strategies as st
@@ -25,6 +26,9 @@ from histchain.envelope import (
     seal,
     vector_digest,
 )
+from histchain.config import SimConfig
+from histchain.sim import Simulation
+from histchain.wire import LOG, decode_frame, unpack_envelope
 
 # SHA-256 of the empty string, the algorithm's published test vector.
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -179,6 +183,39 @@ class TestSealOpen:
         env1 = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))
         env2 = seal(b"payload", sender, "node1", recipient.enc_pub, random.Random(5))
         assert env1 == env2
+
+    def test_shared_ephemeral_opens_only_at_each_addressee(self):
+        """One plaintext sealed to two recipients under one ephemeral: both
+        ciphertexts carry its public key, and each opens only where it is
+        addressed, since each wrap key comes from that addressee's exchange."""
+        sender, first = fresh_keys()
+        second = generate_node_keys("node2", random.Random(9))
+        rng = random.Random(8)
+        eph_priv = envelope.ephemeral_key(rng)
+        envs = [seal(b"block hash", sender, keys.node_id, keys.enc_pub, rng, eph_priv)
+                for keys in (first, second)]
+        eph_pub = eph_priv.public_key().public_bytes_raw()
+        assert [env.ciphertext[:32] for env in envs] == [eph_pub, eph_pub]
+        assert envs[0].ciphertext[32:] != envs[1].ciphertext[32:]
+        for env, own, other in ((envs[0], first, second), (envs[1], second, first)):
+            assert open_envelope(env, own, sender.sig_pub) == b"block hash"
+            with pytest.raises(AuthError) as exc:
+                open_envelope(env, other, sender.sig_pub)
+            assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+    def test_each_block_announcement_has_its_own_ephemeral(self):
+        """Seed 42, 10 intervals: the six LOG frames of each interval share
+        one ephemeral public key, and no other frame of the run carries it."""
+        sim = Simulation(SimConfig(seed=42, trace_wire=True))
+        sim.run(10)
+        frames = [decode_frame(data) for data in sim.network.trace]
+        eph_pubs = [unpack_envelope(f.payload, "", "").ciphertext[:32] for f in frames]
+        logs = [pub for f, pub in zip(frames, eph_pubs) if f.msg_type == LOG]
+        assert len(logs) == 6 * 10
+        per_block = [set(logs[i:i + 6]) for i in range(0, len(logs), 6)]
+        assert all(len(pubs) == 1 for pubs in per_block)
+        counts = Counter(eph_pubs)
+        assert [counts[pub] for (pub,) in per_block] == [6] * 10
 
     def test_digest_of_opened_vector_matches_standalone_oracle(self):
         sender, recipient = fresh_keys()

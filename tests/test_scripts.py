@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import cryptography
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -19,7 +21,10 @@ def test_scaling_records_one_row_per_size(tmp_path, capsys):
     scaling = load_script("scaling")
     out = tmp_path / "scaling.json"
     assert scaling.main(["--minutes", "1", "2", "--out", str(out)]) == 0
-    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    record = json.loads(out.read_text(encoding="utf-8"))
+    # Every figure rests on the crypto library's speed, so its version is kept.
+    assert record["host"]["cryptography"] == cryptography.__version__
+    runs = record["runs"]
     assert [row["minutes"] for row in runs] == [1, 2]
     # One clean seed-42 interval logs 13 events, CHECK_OK summaries included.
     assert [row["events"] for row in runs] == [13, 26]

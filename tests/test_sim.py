@@ -4,6 +4,7 @@ import dataclasses
 import random
 from collections import Counter
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 
@@ -130,9 +131,15 @@ class TestEnvelopeTraffic:
     def test_clean_interval_signs_and_verifies_11_of_18_envelopes(self, monkeypatch):
         """Per interval: 2 MEASUREMENT, 2 INDEX, 6 LOG, 4 REPLICA_REQ and 4
         REPLICA_RESP envelopes. The six LOGs share one signature, and so do
-        the two answers for one vector, so 11 are signed and verified. A
-        Simulation starts with both signature caches empty."""
+        the two answers for one vector, so 11 are signed and verified. The
+        six LOGs also share one ephemeral key, so 13 X25519 key pairs are
+        made. A Simulation starts with both signature caches empty."""
         seals = count_calls(monkeypatch, envelope.seal, sim_module, storage, minter)
+        # envelope makes every X25519 key pair through from_private_bytes.
+        x25519 = SimpleNamespace(
+            from_private_bytes=envelope.X25519PrivateKey.from_private_bytes)
+        key_pairs = count_calls(monkeypatch, x25519.from_private_bytes, x25519)
+        monkeypatch.setattr(envelope, "X25519PrivateKey", x25519)
         opens = count_calls(monkeypatch, envelope.open_envelope, sim_module, storage)
         digests = count_calls(monkeypatch, envelope.vector_digest, storage)
         # A cache entry left by earlier work, which a new run must not count on.
@@ -145,12 +152,15 @@ class TestEnvelopeTraffic:
             per_interval.append((seals[0], opens[0],
                                  envelope._sign.cache_info().misses,
                                  envelope._check_signature.cache_info().misses))
+            made.append(key_pairs[0])
 
         sim = Simulation(SimConfig(seed=42))
         assert envelope._sign.cache_info().currsize == 0
+        made = [key_pairs[0]]  # the endpoints' own keys
         sim.run(10, after_boundary=count_signatures)
         assert sim.events.alarms() == []
         assert per_interval == [(18 * k, 18 * k, 11 * k, 11 * k) for k in range(1, 11)]
+        assert [n - made[0] for n in made[1:]] == [13 * k for k in range(1, 11)]
         checked = sum(int(r.detail.split()[0].removeprefix("checked="))
                       for r in sim.events.by_code(ev.CHECK_OK))
         # Interval k re-checks k blocks of 2 indexes with 3 holders each.

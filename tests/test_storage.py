@@ -1115,6 +1115,22 @@ class TestRewrittenHistory:
         assert all("at position 2;" in r.detail for r in after if r.code == ev.CHAIN_REWRITTEN)
         assert not [r for r in after if r.code in (ev.RECOVERED, ev.CHECK_OK)]
 
+    def test_no_copy_is_owed_on_a_rewritten_history(self):
+        """After the redraw above, a LOG naming a rewritten tip owes
+        nothing, since no aborted cycle would ask for it: no node's `owed`
+        grows over the next three intervals."""
+        sim = Simulation(SimConfig(seed=42))
+        run_plan(sim, 5, {4: [redraw_holders(2, (1, 3, 4))]})
+        owed = []
+
+        def sizes(sim_, k=None):
+            owed.append({n: len(node.owed) for n, node in sim_.nodes.items()})
+
+        sizes(sim)
+        sim.run(3, after_boundary=sizes)
+        assert sim.events.by_code(ev.CHAIN_REWRITTEN)
+        assert owed == [owed[0]] * 4
+
     def test_truncated_chain_names_its_first_missing_position(self):
         sim = planned_sim()
         chain = sim.chain_module.chain
