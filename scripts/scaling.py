@@ -31,8 +31,6 @@ from pathlib import Path
 
 import cryptography
 
-import histchain
-
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_MINUTES = (10, 160, 640, 1440)
 SEED = 42
@@ -61,10 +59,11 @@ json.dump({{"minutes": {minutes}, "wall_s": round(wall, 3), "audit_s": round(aud
 
 
 def measure(minutes: int) -> dict:
-    """One run of `minutes` intervals in a child interpreter."""
+    """One run of `minutes` intervals in a child interpreter, which imports
+    the program from src/ next to this script."""
     env = dict(os.environ)
-    src = str(Path(histchain.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", CHILD_CODE.format(seed=SEED, minutes=minutes)],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)

@@ -25,6 +25,23 @@ Every inter-node message travels as a SignedEnvelope built from two pieces:
   addressee's key and draws its own wrap nonce, symmetric key and body nonce,
   so only the key-pair generation is shared.
 
+  A replica answer is sealed under its request's Agreement instead: the
+  X25519 secret between the request's ephemeral key and the addressee's
+  static key, which the asker's seal and the addressee's open of the request
+  record. Its header is
+
+      request's eph_x25519_pub (32) | wrap_nonce (12) | wrapped_sym_key (48)
+      | body_nonce (16) | body (len(payload))
+
+  and its wrap key is HKDF of that secret under its own label, so it
+  differs from the request's wrap key. The tag over `eph_x25519_pub |
+  body_nonce` thus binds the answer to its request: an answer replayed into
+  another round trip, or a request sent back as its own answer, fails the
+  unwrap. This is the bidirectional pattern of HPKE (RFC 9180, section 9.8)
+  and Oblivious HTTP (RFC 9458, section 4.4). An answer makes no key pair
+  and does no exchange at either end; it still draws its own wrap nonce,
+  symmetric key and body nonce and is signed and checked like any envelope.
+
 * signature: the payload digest in hex, followed by an Ed25519 signature over
   those digest bytes by the sender. Carrying the digest alongside its
   signature lets a receiver report both the claimed and the rebuilt digest
@@ -43,10 +60,11 @@ through two small LRU caches of fixed size, _sign and _check_signature. Only
 triples that verified are remembered, because lru_cache does not keep a call
 that raised, so a forged, flipped or wrong-key signature is checked, and
 rejected, on every open. Everything else still runs for every envelope: the
-X25519 exchange, HKDF, the key wrap, the body stream, the payload digest and
-its comparison with the signed one. Per clean interval that makes 11 real
-signs and 11 real verifications for 18 envelopes, under 13 ephemeral key
-pairs. Each Simulation starts with both caches empty.
+X25519 exchange (an answer's is its request's), HKDF, the key wrap, the body
+stream, the payload digest and its comparison with the signed one. Per clean
+interval that makes 11 real signs and 11 real verifications for 18
+envelopes, under 9 ephemeral key pairs. Each Simulation starts with both
+caches empty.
 
 A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
 in plain decimal. A MeasurementVector builds these bytes once, on
@@ -95,6 +113,7 @@ CIPHER_HEADER_LEN = EPH_PUB_LEN + WRAP_NONCE_LEN + WRAPPED_KEY_LEN + BODY_NONCE_
 SIG_LEN = 64  # Ed25519 signature size
 
 _HKDF_INFO = b"histchain envelope key wrap"
+_REPLY_HKDF_INFO = b"histchain envelope reply wrap"
 # An interval's repeated signatures fall within a few dozen envelopes of each
 # other, so a small fixed bound keeps every repeat and little else.
 _SIGNATURE_CACHE_SIZE = 64
@@ -304,21 +323,48 @@ def ephemeral_key(rng: random.Random) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(rng.randbytes(32))
 
 
+class Agreement:
+    """One request envelope's X25519 agreement, for sealing and opening its
+    one answer: the request's ephemeral public key and the secret it shares
+    with the addressee's static key. Empty until the asker's seal or the
+    addressee's open of the request records it. Each end keeps it as a local
+    value of one round trip, so no secret outlives that round trip."""
+
+    __slots__ = ("eph_pub", "secret")
+
+    def __init__(self):
+        self.eph_pub: bytes | None = None
+        self.secret: bytes | None = None
+
+
+def _wrap_key(secret: bytes, info: bytes) -> bytes:
+    return HKDF(algorithm=SHA256(), length=32, salt=None, info=info).derive(secret)
+
+
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
-         recipient_enc_pub: X25519PublicKey, rng: random.Random,
-         eph_priv: X25519PrivateKey | None = None) -> SignedEnvelope:
+         recipient_enc_pub: X25519PublicKey | None, rng: random.Random,
+         eph_priv: X25519PrivateKey | None = None,
+         reply: Agreement | None = None) -> SignedEnvelope:
     """Encrypt plaintext to the recipient and sign its digest as the sender;
     every random byte comes from `rng`, so a seeded stream gives the same bytes.
     `eph_priv`, from ephemeral_key(), is one broadcast's shared ephemeral;
-    without it a fresh one is drawn."""
+    without it a fresh one is drawn. An empty `reply` records this request's
+    agreement; a recorded one seals the answer to that request under it,
+    with no ephemeral and no `recipient_enc_pub`."""
     sym_key = rng.randbytes(32)
-    if eph_priv is None:
-        eph_priv = ephemeral_key(rng)
-    shared = eph_priv.exchange(recipient_enc_pub)
-    wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
+    if reply is not None and reply.secret is not None:
+        eph_pub = reply.eph_pub
+        wrap_key = _wrap_key(reply.secret, _REPLY_HKDF_INFO)
+    else:
+        if eph_priv is None:
+            eph_priv = ephemeral_key(rng)
+        shared = eph_priv.exchange(recipient_enc_pub)
+        eph_pub = eph_priv.public_key().public_bytes_raw()
+        wrap_key = _wrap_key(shared, _HKDF_INFO)
+        if reply is not None:
+            reply.eph_pub, reply.secret = eph_pub, shared
     wrap_nonce = rng.randbytes(WRAP_NONCE_LEN)
     body_nonce = rng.randbytes(BODY_NONCE_LEN)
-    eph_pub = eph_priv.public_key().public_bytes_raw()
     wrapped = ChaCha20Poly1305(wrap_key).encrypt(wrap_nonce, sym_key, eph_pub + body_nonce)
     body = Cipher(ChaCha20(sym_key, body_nonce), mode=None).encryptor().update(plaintext)
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
@@ -329,8 +375,11 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
 
 
 def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
-                  sender_sig_pub: Ed25519PublicKey) -> bytes:
-    """Decrypt and authenticate an envelope; raises AuthError on any failure."""
+                  sender_sig_pub: Ed25519PublicKey,
+                  reply: Agreement | None = None) -> bytes:
+    """Decrypt and authenticate an envelope; raises AuthError on any failure.
+    An empty `reply` records the agreement of the request this opens, once it
+    is authentic; a recorded one opens the answer to that request under it."""
     ct = env.ciphertext
     if len(ct) < CIPHER_HEADER_LEN:
         raise AuthError(AuthError.DECRYPT_FAILED, "ciphertext too short")
@@ -339,9 +388,13 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
     wrapped = ct[EPH_PUB_LEN + WRAP_NONCE_LEN:EPH_PUB_LEN + WRAP_NONCE_LEN + WRAPPED_KEY_LEN]
     body_nonce = ct[CIPHER_HEADER_LEN - BODY_NONCE_LEN:CIPHER_HEADER_LEN]
     body = ct[CIPHER_HEADER_LEN:]
+    answer = reply is not None and reply.secret is not None
     try:
-        shared = recipient.enc_priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
+        if answer:
+            wrap_key = _wrap_key(reply.secret, _REPLY_HKDF_INFO)
+        else:
+            shared = recipient.enc_priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            wrap_key = _wrap_key(shared, _HKDF_INFO)
         sym_key = ChaCha20Poly1305(wrap_key).decrypt(wrap_nonce, wrapped, eph_pub + body_nonce)
     except (InvalidTag, ValueError) as exc:
         raise AuthError(AuthError.DECRYPT_FAILED, f"key unwrap failed: {exc}") from None
@@ -365,4 +418,6 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
             "rebuilt digest disagrees with the signed digest",
             claimed=claimed, rebuilt=rebuilt,
         )
+    if reply is not None and not answer:
+        reply.eph_pub, reply.secret = eph_pub, shared
     return plaintext

@@ -6,7 +6,9 @@ flush, wire delivery, block minting plus announcement, then one validator
 pass per storage node, which also pulls the node's replicas. Identical config
 and seed reproduce byte-identical artifacts. `Simulation.run` is the one
 interval driver: clean, attacked (`attacks.run_plan`) and benchmarked runs
-differ only in its hooks.
+differ only in its hooks. A replica pull is one synchronous round trip on the
+wire; the answer is sealed under the agreement its request's open recorded,
+which lives only for that round trip.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 from . import events as ev
 from .config import PLC_TARGET_NODE, SimConfig, rng_stream
 from .envelope import (
+    Agreement,
     AuthError,
     KeyDirectory,
     MeasurementVector,
@@ -186,23 +189,34 @@ class Simulation:
             node.handle_log(plaintext, self.chain_module.chain)
 
     def _answer(self, receiver: str, data: bytes) -> Frame | None:
-        """A node's REPLICA_RESP to a REPLICA_REQ, or None for no answer."""
-        taken = self.intake(data, receiver, REPLICA_REQ)
-        node = self.nodes[int(receiver.removeprefix("node"))]
-        reply = None if taken is None else node.serve_replica(*taken[1:])
-        if reply is None:
+        """A node's REPLICA_RESP to a REPLICA_REQ, or None for no answer. The
+        body serve_replica gives is sealed under the request's own agreement,
+        which intake records as it opens the request and which dies with this
+        call; the answer makes no key pair and does no exchange."""
+        agreement = Agreement()
+        taken = self.intake(data, receiver, REPLICA_REQ, agreement=agreement)
+        if taken is None:
             return None
-        return node.transport.frame(reply.recipient_id, REPLICA_RESP, reply)
+        _, sender, plaintext = taken
+        node = self.nodes[int(receiver.removeprefix("node"))]
+        body = node.serve_replica(sender, plaintext)
+        if body is None:
+            return None
+        reply = seal(body, node.keys, sender, None, node.rng, reply=agreement)
+        return node.transport.frame(sender, REPLICA_RESP, reply)
 
-    def intake(self, data: bytes, receiver: str, *accepted: int):
+    def intake(self, data: bytes, receiver: str, *accepted: int,
+               agreement: Agreement | None = None):
         """(msg_type, sender, plaintext) of a frame `receiver` takes unasked,
         or None: the one step that opens such a frame's envelope, under the
         key of the sender its header names, and checks that sender against
         INTAKE's kind for the type and the links. On failure `receiver`
         raises the type's alarm, or ROLE_VIOLATION for an authentic sender out
-        of its role, and the frame reaches no handler. A replica answer is
-        opened by its asker, which alone knows whom it asked and what digest
-        it expects."""
+        of its role, and the frame reaches no handler. An empty `agreement`
+        records the envelope's X25519 agreement, which a replica request's
+        answer is sealed under. A replica answer is opened by its asker,
+        which alone knows whom it asked, what digest it expects and the
+        agreement of its request."""
         unpacked = self.unpack_frame(data, receiver, *accepted)
         if unpacked is None:
             return None
@@ -211,7 +225,7 @@ class Simulation:
         kind, what, refused, code = INTAKE[msg_type]
         try:
             plaintext = open_envelope(env, self.keystore[receiver],
-                                      self.directory.sig_pub(sender))
+                                      self.directory.sig_pub(sender), agreement)
         except AuthError as exc:
             if code is None:
                 code = (ev.DECRYPT_FAILED if exc.kind == AuthError.DECRYPT_FAILED

@@ -3,11 +3,13 @@
 Simulation.intake authenticates and role-checks each MEASUREMENT, LOG and
 REPLICA_REQ a node takes, so each handler gets the sender and the plaintext
 and checks only the body; a node opens only the replica answers it asked
-for. Register stores a vector from the node's PLC, logs one STORED line that
-names the sender and the digest, and submits the index to the block-minting
-module. A node whose PLC sent nothing that arrived in an interval raises
-MISSING_VECTOR there (Simulation._run_boundary). The replication handler owes
-the node the copies the announced block assigns to it, while the chain still
+for, each under the X25519 agreement of its own request (see envelope), so
+an answer replayed from another round trip fails to open. Register stores a
+vector from the node's PLC, logs one STORED line that names the sender and
+the digest, and submits the index to the block-minting module. A node whose
+PLC sent nothing that arrived in an interval raises MISSING_VECTOR there
+(Simulation._run_boundary). The replication handler owes the node the copies
+the announced block assigns to it, while the chain still
 holds the last block the node saw; on a rewritten history it owes nothing, and
 the cycle raises CHAIN_REWRITTEN. A block is announced in the interval it is
 minted, before any validator cycle, so a LOG must name the tip: any other hash
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 from . import events as ev
 from .config import fmt_minute
 from .envelope import (
+    Agreement,
     AuthError,
     KeyDirectory,
     MeasurementVector,
@@ -214,9 +217,9 @@ class StorageNode:
 
     # -- helpers ----------------------------------------------------------
 
-    def _seal_to(self, recipient: str, plaintext: bytes):
+    def _seal_to(self, recipient: str, plaintext: bytes, agreement: Agreement | None = None):
         return seal(plaintext, self.keys, recipient,
-                    self.directory.enc_pub(recipient), self.rng)
+                    self.directory.enc_pub(recipient), self.rng, reply=agreement)
 
     # -- register ----------------------------------------------------------
 
@@ -306,45 +309,51 @@ class StorageNode:
     def _request_vector(self, source: int, ix: LedgerIndex) -> MeasurementVector | bytes | None:
         """Sealed replica request to one holder: the copy if it matches the
         ledger digest, NOT_FOUND_MARKER for an authentic answer without it, or
-        None for no usable answer (none came, dropped, or failed to open)."""
-        request = format_vector_ref(ix.vector_digest, ix.captured_at)
-        response = self.transport.round_trip(
-            f"node{source}", REPLICA_REQ, self._seal_to(f"node{source}", request))
+        None for no usable answer (none came, dropped, or failed to open). The
+        answer opens only under the agreement this request's seal records, a
+        local value that dies with the call: an answer to any other request,
+        or this request sent back, fails the unwrap as REPLICA_MISMATCH."""
+        holder = f"node{source}"
+        agreement = Agreement()
+        request = self._seal_to(holder, format_vector_ref(ix.vector_digest, ix.captured_at),
+                                agreement)
+        response = self.transport.round_trip(holder, REPLICA_REQ, request)
         if response is None:
             self.events.alarm(self.name, ev.REPLICA_NO_RESPONSE,
-                              f"node{source} did not answer for {ix.vector_digest}")
+                              f"{holder} did not answer for {ix.vector_digest}")
             return None
         if response is ANSWER_DROPPED:  # already alarmed as MALFORMED_PAYLOAD
             return None
         try:
-            plaintext = open_envelope(response, self.keys,
-                                      self.directory.sig_pub(f"node{source}"))
+            plaintext = open_envelope(response, self.keys, self.directory.sig_pub(holder),
+                                      agreement)
         except AuthError as exc:
             self.events.alarm(self.name, ev.REPLICA_MISMATCH,
-                              f"replica answer from node{source} failed: {exc.detail}")
+                              f"replica answer from {holder} failed: {exc.detail}")
             return None
         if plaintext == NOT_FOUND_MARKER:
             self.events.info(self.name, ev.REPLICA_NOT_FOUND,
-                             f"node{source} holds nothing for {ix.vector_digest}")
+                             f"{holder} holds nothing for {ix.vector_digest}")
             return NOT_FOUND_MARKER
         try:
             vector = parse_canonical(plaintext)
         except SerializationError as exc:
             self.events.alarm(self.name, ev.REPLICA_MISMATCH,
-                              f"replica answer from node{source} unparseable: {exc}")
+                              f"replica answer from {holder} unparseable: {exc}")
             return NOT_FOUND_MARKER
         rebuilt = vector_digest(vector)
         if rebuilt != ix.vector_digest:
             self.events.alarm(self.name, ev.REPLICA_MISMATCH,
-                              f"replica from node{source} hashes to {rebuilt}, "
+                              f"replica from {holder} hashes to {rebuilt}, "
                               f"ledger says {ix.vector_digest}; discarded")
             return NOT_FOUND_MARKER
         return vector
 
-    def serve_replica(self, sender: str, plaintext: bytes):
-        """Answer storage node `sender`'s replica request with the sealed local
-        copy of exactly the digest asked for (a bad copy is this node's own
-        validator's to catch), NotFound, or nothing."""
+    def serve_replica(self, sender: str, plaintext: bytes) -> bytes | None:
+        """The body of the answer to storage node `sender`'s replica request:
+        the local copy of exactly the digest asked for (a bad copy is this
+        node's own validator's to catch), NOT_FOUND_MARKER, or None for no
+        answer. Simulation._answer seals it under the request's agreement."""
         try:
             wanted, captured_at = parse_vector_ref(plaintext)
         except ValueError:
@@ -353,8 +362,7 @@ class StorageNode:
             return None
         record = next((r for r in self.historian.at_time(fmt_minute(captured_at))
                        if vector_digest(r) == wanted), None)
-        body = NOT_FOUND_MARKER if record is None else record.canonical
-        return self._seal_to(sender, body)
+        return NOT_FOUND_MARKER if record is None else record.canonical
 
     # -- validator -----------------------------------------------------------
 

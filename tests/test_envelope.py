@@ -11,8 +11,10 @@ from hypothesis import given, settings
 
 from histchain import envelope
 from histchain.envelope import (
+    Agreement,
     AuthError,
     CIPHER_HEADER_LEN,
+    EPH_PUB_LEN,
     KeyDirectory,
     MeasurementVector,
     SIG_LEN,
@@ -28,7 +30,7 @@ from histchain.envelope import (
 )
 from histchain.config import SimConfig
 from histchain.sim import Simulation
-from histchain.wire import LOG, decode_frame, unpack_envelope
+from histchain.wire import LOG, REPLICA_REQ, REPLICA_RESP, decode_frame, unpack_envelope
 
 # SHA-256 of the empty string, the algorithm's published test vector.
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -268,6 +270,102 @@ class TestSealOpen:
         with pytest.raises(AuthError) as exc:
             open_envelope(mutated, recipient, sender.sig_pub)
         assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+
+def with_ciphertext(env, ciphertext):
+    return type(env)(env.sender_id, env.recipient_id, ciphertext, env.signature)
+
+
+class TestReplyAgreement:
+    """A replica answer is sealed and opened under its request's agreement:
+    the X25519 secret of the request's ephemeral key and the addressee's
+    static key, which the asker's seal and the addressee's open record."""
+
+    def round_trip(self, seed, answer=b"Sensor 1|2020-12-23T17:27|2,5"):
+        """(asker keys, origin keys, request, answer, the asker's agreement)
+        of one request from node2 to node1 and node1's answer to it."""
+        asker = generate_node_keys("node2", random.Random(9))
+        origin = generate_node_keys("node1", random.Random(10))
+        rng = random.Random(seed)
+        asked = Agreement()
+        request = seal(b"digest|minute", asker, "node1", origin.enc_pub, rng, reply=asked)
+        served = Agreement()
+        assert open_envelope(request, origin, asker.sig_pub, served) == b"digest|minute"
+        assert (served.eph_pub, served.secret) == (asked.eph_pub, asked.secret)
+        reply = seal(answer, origin, "node2", None, rng, reply=served)
+        return asker, origin, request, reply, asked
+
+    def test_reply_opens_only_with_its_own_requests_agreement(self):
+        asker, origin, request, reply, asked = self.round_trip(1)
+        assert request.ciphertext[:EPH_PUB_LEN] == reply.ciphertext[:EPH_PUB_LEN] \
+            == asked.eph_pub
+        assert open_envelope(reply, asker, origin.sig_pub, asked) == \
+            b"Sensor 1|2020-12-23T17:27|2,5"
+        with pytest.raises(AuthError) as exc:  # under the asker's static key
+            open_envelope(reply, asker, origin.sig_pub)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+    def test_reply_under_one_agreement_fails_under_another(self):
+        asker, origin, _, reply, _ = self.round_trip(1)
+        *_, other = self.round_trip(2)
+        with pytest.raises(AuthError) as exc:
+            open_envelope(reply, asker, origin.sig_pub, other)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+    @pytest.mark.parametrize("pos", [0, EPH_PUB_LEN - 1, EPH_PUB_LEN],
+                             ids=["eph_first_byte", "eph_last_byte", "wrap_nonce"])
+    def test_flipped_ephemeral_field_or_wrap_nonce_fails_the_unwrap(self, pos):
+        asker, origin, _, reply, asked = self.round_trip(3)
+        ct = bytearray(reply.ciphertext)
+        ct[pos] ^= 0x01
+        with pytest.raises(AuthError) as exc:
+            open_envelope(with_ciphertext(reply, bytes(ct)), asker, origin.sig_pub, asked)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+    def test_request_does_not_open_as_a_reply(self):
+        """The request and its answer share a secret but not a wrap key: the
+        request's is HKDF under another label."""
+        asker, _, request, _, asked = self.round_trip(4)
+        with pytest.raises(AuthError) as exc:
+            open_envelope(request, asker, asker.sig_pub, asked)
+        assert exc.value.kind == AuthError.DECRYPT_FAILED
+
+    def test_flipped_reply_body_reports_both_digests(self):
+        plaintext = b"Sensor 1|2020-12-23T17:27|6,7,7,6,7,7,6,7,7,6"
+        asker, origin, _, reply, asked = self.round_trip(5, plaintext)
+        ct = bytearray(reply.ciphertext)
+        ct[CIPHER_HEADER_LEN] ^= 0xFF
+        with pytest.raises(AuthError) as exc:
+            open_envelope(with_ciphertext(reply, bytes(ct)), asker, origin.sig_pub, asked)
+        assert exc.value.kind == AuthError.DIGEST_MISMATCH
+        assert exc.value.claimed == digest(plaintext)
+        assert exc.value.rebuilt not in (None, exc.value.claimed)
+
+    def test_failed_open_records_no_agreement(self):
+        asker, origin, request, _, _ = self.round_trip(6)
+        agreement = Agreement()
+        with pytest.raises(AuthError):
+            open_envelope(request, origin, origin.sig_pub, agreement)
+        assert (agreement.eph_pub, agreement.secret) == (None, None)
+
+    def test_each_answer_repeats_its_requests_ephemeral_alone(self):
+        """Seed 42, 10 intervals: each REPLICA_RESP frame starts its
+        ciphertext with the ephemeral public key of the REPLICA_REQ it
+        answers, which it follows on the wire, and no other frame carries
+        that key."""
+        sim = Simulation(SimConfig(seed=42, trace_wire=True))
+        sim.run(10)
+        frames = [decode_frame(data) for data in sim.network.trace]
+        eph_pubs = [unpack_envelope(f.payload, "", "").ciphertext[:EPH_PUB_LEN]
+                    for f in frames]
+        answers = [i for i, f in enumerate(frames) if f.msg_type == REPLICA_RESP]
+        assert len(answers) == 4 * 10
+        assert all(frames[i - 1].msg_type == REPLICA_REQ for i in answers)
+        assert all((frames[i].sender_id, frames[i].recipient_id)
+                   == (frames[i - 1].recipient_id, frames[i - 1].sender_id) for i in answers)
+        assert all(eph_pubs[i] == eph_pubs[i - 1] for i in answers)
+        counts = Counter(eph_pubs)
+        assert all(counts[eph_pubs[i]] == 2 for i in answers)
 
 
 def with_signature(env, signature):

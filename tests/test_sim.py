@@ -132,14 +132,21 @@ class TestEnvelopeTraffic:
         """Per interval: 2 MEASUREMENT, 2 INDEX, 6 LOG, 4 REPLICA_REQ and 4
         REPLICA_RESP envelopes. The six LOGs share one signature, and so do
         the two answers for one vector, so 11 are signed and verified. The
-        six LOGs also share one ephemeral key, so 13 X25519 key pairs are
-        made. A Simulation starts with both signature caches empty."""
+        six LOGs also share one ephemeral key, and each answer is sealed and
+        opened under its request's agreement, so 9 X25519 key pairs are made
+        and 14 ephemeral public keys are read, one per open but the answers'.
+        A Simulation starts with both signature caches empty."""
         seals = count_calls(monkeypatch, envelope.seal, sim_module, storage, minter)
-        # envelope makes every X25519 key pair through from_private_bytes.
+        # envelope makes every X25519 key pair through from_private_bytes,
+        # and reads every received ephemeral key through from_public_bytes.
         x25519 = SimpleNamespace(
             from_private_bytes=envelope.X25519PrivateKey.from_private_bytes)
         key_pairs = count_calls(monkeypatch, x25519.from_private_bytes, x25519)
         monkeypatch.setattr(envelope, "X25519PrivateKey", x25519)
+        x25519_pub = SimpleNamespace(
+            from_public_bytes=envelope.X25519PublicKey.from_public_bytes)
+        pub_reads = count_calls(monkeypatch, x25519_pub.from_public_bytes, x25519_pub)
+        monkeypatch.setattr(envelope, "X25519PublicKey", x25519_pub)
         opens = count_calls(monkeypatch, envelope.open_envelope, sim_module, storage)
         digests = count_calls(monkeypatch, envelope.vector_digest, storage)
         # A cache entry left by earlier work, which a new run must not count on.
@@ -152,15 +159,16 @@ class TestEnvelopeTraffic:
             per_interval.append((seals[0], opens[0],
                                  envelope._sign.cache_info().misses,
                                  envelope._check_signature.cache_info().misses))
-            made.append(key_pairs[0])
+            made.append((key_pairs[0], pub_reads[0]))
 
         sim = Simulation(SimConfig(seed=42))
         assert envelope._sign.cache_info().currsize == 0
-        made = [key_pairs[0]]  # the endpoints' own keys
+        made = [(key_pairs[0], pub_reads[0])]  # the endpoints' own keys
         sim.run(10, after_boundary=count_signatures)
         assert sim.events.alarms() == []
         assert per_interval == [(18 * k, 18 * k, 11 * k, 11 * k) for k in range(1, 11)]
-        assert [n - made[0] for n in made[1:]] == [13 * k for k in range(1, 11)]
+        assert [(pairs - made[0][0], reads - made[0][1]) for pairs, reads in made[1:]] == [
+            (9 * k, 14 * k) for k in range(1, 11)]
         checked = sum(int(r.detail.split()[0].removeprefix("checked="))
                       for r in sim.events.by_code(ev.CHECK_OK))
         # Interval k re-checks k blocks of 2 indexes with 3 holders each.

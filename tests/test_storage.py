@@ -17,6 +17,7 @@ from histchain.audit import audit_directory
 from histchain.attacks import flip_body_bytes, run_plan, run_scenario_a
 from histchain.config import SimConfig, fmt_minute
 from histchain.envelope import (
+    Agreement,
     Digest,
     KeyDirectory,
     MeasurementVector,
@@ -289,9 +290,16 @@ class TestReplication:
                    for name in ("node2", "node3")}
         for holder in holders.values():
             node.directory.register(holder)
-        transport.round_trip = lambda dst, msg_type, env: (
-            seal(storage.NOT_FOUND_MARKER, holders[dst], "node1", keys["node1"].enc_pub,
-                 random.Random(dst)) if dst in not_found else None)
+
+        def round_trip(dst, msg_type, env):
+            if dst not in not_found:
+                return None
+            agreement = Agreement()
+            open_envelope(env, holders[dst], keys["node1"].sig_pub, agreement)
+            return seal(storage.NOT_FOUND_MARKER, holders[dst], "node1", None,
+                        random.Random(dst), reply=agreement)
+
+        transport.round_trip = round_trip
         chain = Chain()
         chain.append(make_block([LedgerIndex(vector_digest(VEC), TS,
                                              (1, 2, 3) if damaged else (2, 1, 3))],
@@ -333,7 +341,7 @@ class TestServeReplica:
         (first, *_) = indexes_of(sim)
         origin = sim.nodes[first.replica_ids[0]]
         requester = sim.nodes[first.replica_ids[1]]
-        origin.serve_replica = lambda sender, _: origin._seal_to(sender, b"not a record")
+        origin.serve_replica = lambda sender, _: b"not a record"
         dump = requester.historian.dump()
         records_before = len(sim.events)
         assert requester._request_vector(origin.node_id, first) == storage.NOT_FOUND_MARKER
@@ -981,6 +989,74 @@ class TestReplicaPull:
         findings = sim.nodes[1].validate_cycle(sim.chain_module.chain)
         assert all(f.verdict == INTACT for f in findings)
         assert not sim.nodes[1].lost
+
+    def test_answer_replayed_into_a_later_round_trip_fails_the_unwrap(self):
+        """node1's answer to node3's interval-0 request for Sensor 1@17:26 is
+        kept off the wire. In interval 1 it is replayed in place of node1's
+        answer to node3's new request for that copy, and node4's answers to
+        node3 are dropped. The replay is sealed under the first request's
+        agreement, so node3 refuses it at the unwrap and still owes the copy;
+        a clean interval then delivers it."""
+        sim = Simulation(SimConfig(seed=42))
+        kept, replaced = [], []
+
+        def keep(frame):
+            if frame.msg_type != REPLICA_RESP:
+                return frame
+            kept.append(frame)
+            return None
+
+        def replay(frame):
+            if frame.msg_type != REPLICA_RESP:
+                return frame
+            replaced.append(frame)
+            return kept[0]
+
+        run_plan(sim, 3, {0: [("node1", "node3", keep)],
+                          1: [("node1", "node3", replay),
+                              ("node4", "node3", REPLICA_FATES["drop"])]})
+        (ix,) = [ix for ix in sim.chain_module.chain.blocks[1].indexes if ix.replica_ids[0] == 1]
+        assert ix.replica_ids == (1, 4, 3) and len(kept) == len(replaced) == 1
+        mismatches = sim.events.by_code(ev.REPLICA_MISMATCH, "node3")
+        assert [(r.tick, r.detail.split(": ")[1]) for r in mismatches] == [
+            (119, "key unwrap failed")]
+        assert [(r.tick, r.detail.split()[1]) for r in
+                sim.events.by_code(ev.REPLICA_PENDING, "node3")] == [
+            (59, ix.vector_digest), (119, ix.vector_digest)]
+        assert [(r.tick, r.detail) for r in sim.events.by_code(ev.REPLICA_STORED, "node3")
+                if r.detail.startswith("replica Sensor 1@2020-12-23T17:26")] == [
+            (179, "replica Sensor 1@2020-12-23T17:26 pulled from node1")]
+        assert all(not node.owed for node in sim.nodes.values())
+
+    def test_request_sent_back_as_its_own_answer_fails_the_unwrap(self):
+        """In interval 0 node1's answer to node3 is replaced by node3's own
+        request, retyped REPLICA_RESP and addressed back to node3. The request
+        and its answer share one agreement but not a wrap key, so node3
+        refuses it at the unwrap and stores nothing."""
+        sim = Simulation(SimConfig(seed=42))
+        requests = []
+
+        def keep_request(frame):
+            if frame.msg_type == REPLICA_REQ:
+                requests.append(frame)
+            return frame
+
+        def reflect(frame):
+            if frame.msg_type != REPLICA_RESP:
+                return frame
+            request = requests[-1]
+            return dataclasses.replace(request, msg_type=REPLICA_RESP,
+                                       sender_id=request.recipient_id,
+                                       recipient_id=request.sender_id)
+
+        run_plan(sim, 1, {0: [("node3", "node1", keep_request), ("node1", "node3", reflect)]})
+        (ix,) = [ix for ix in sim.chain_module.chain.blocks[1].indexes if ix.replica_ids[0] == 1]
+        assert len(requests) == 1
+        mismatches = sim.events.by_code(ev.REPLICA_MISMATCH, "node3")
+        assert [r.detail.split(": ")[1] for r in mismatches] == ["key unwrap failed"]
+        assert sim.events.by_code(ev.REPLICA_STORED, "node3") == []
+        assert ix.vector_digest not in {vector_digest(r) for r in sim.historian(3).records()}
+        assert list(sim.nodes[3].owed) == [ix.vector_digest]
 
     @pytest.mark.parametrize("kind", BLOCK_MUTATIONS)
     def test_owed_copies_wait_out_an_invalid_chain(self, kind):
