@@ -9,7 +9,9 @@ Each run of `Simulation(SimConfig(seed=42)).run(m)` is made in a fresh Python
 process, so one run's heap never inflates the next one's peak RSS. `wall_s`
 covers `run` alone: no import, no set-up, no artifact writing. The process
 then writes the artifacts to a temporary directory, and `audit_s` is the time
-`audit_directory` takes on them.
+`audit_directory` takes on them. A full garbage collection runs just before
+that timer starts, so `audit_s` never pays for collecting the run's garbage
+and does not move with how much the run allocated.
 
 Every size is run REPEATS times, the sizes interleaved (all sizes once, then
 again), so a drift of the host's speed spreads over every size instead of
@@ -37,7 +39,7 @@ SEED = 42
 REPEATS = 3
 
 CHILD_CODE = """\
-import json, resource, sys, tempfile
+import gc, json, resource, sys, tempfile
 from time import perf_counter
 from histchain.audit import audit_directory
 from histchain.config import SimConfig
@@ -49,6 +51,7 @@ wall = perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 with tempfile.TemporaryDirectory() as outdir:
     sim.write_artifacts(outdir)
+    gc.collect()
     start = perf_counter()
     audit_directory(outdir)
     audit = perf_counter() - start

@@ -40,31 +40,42 @@ Every inter-node message travels as a SignedEnvelope built from two pieces:
   unwrap. This is the bidirectional pattern of HPKE (RFC 9180, section 9.8)
   and Oblivious HTTP (RFC 9458, section 4.4). An answer makes no key pair
   and does no exchange at either end; it still draws its own wrap nonce,
-  symmetric key and body nonce and is signed and checked like any envelope.
+  symmetric key and body nonce.
 
-* signature: the payload digest in hex, followed by an Ed25519 signature over
-  those digest bytes by the sender. Carrying the digest alongside its
-  signature lets a receiver report both the claimed and the rebuilt digest
-  when they disagree.
+* signature: the payload digest in hex, followed by SIG_LEN bytes that
+  authenticate those digest bytes. For every envelope but an answer they are
+  the sender's Ed25519 signature. For an answer they are HMAC-SHA512 of the
+  digest under a MAC key: the last 32 of 64 bytes HKDF derives from the
+  request's secret under the reply label, whose first 32 are the answer's
+  wrap key. Only the asker and the addressee of the request know that
+  secret, so a tag that checks proves to the asker what the holder's
+  signature would: the node it asked made this answer. Oblivious HTTP
+  authenticates its responses the same way (RFC 9458, section 4.4). What an
+  answer gives up is that a third party could check who made it, and
+  nothing stores or forwards an answer with its signature field. Carrying
+  the digest alongside its authenticator lets a receiver report both the
+  claimed and the rebuilt digest when they disagree.
 
 open_envelope() decrypts, recomputes the payload digest, authenticates the
 claimed digest, and compares the two; any disagreement raises AuthError and
-the message must be discarded.
+the message must be discarded. An answer's tag is compared in constant time,
+and a bad one raises the same DIGEST_MISMATCH as a bad signature.
 
 Ed25519 is deterministic (RFC 8032): a signature is a pure function of the key
 and the message, and so is whether a (public key, message, signature) triple
 verifies. Many envelopes share one: the minter's six LOG announcements sign
-the same block hash, and both replica holders of a vector get the origin's
-signature over the same record. So the Ed25519 sign and verify calls go
-through two small LRU caches of fixed size, _sign and _check_signature. Only
-triples that verified are remembered, because lru_cache does not keep a call
-that raised, so a forged, flipped or wrong-key signature is checked, and
-rejected, on every open. Everything else still runs for every envelope: the
-X25519 exchange (an answer's is its request's), HKDF, the key wrap, the body
-stream, the payload digest and its comparison with the signed one. Per clean
-interval that makes 11 real signs and 11 real verifications for 18
-envelopes, under 9 ephemeral key pairs. Each Simulation starts with both
-caches empty.
+the same block hash. So the Ed25519 sign and verify calls go through two
+small LRU caches of fixed size, _sign and _check_signature. Only triples
+that verified are remembered, because lru_cache does not keep a call that
+raised, so a forged, flipped or wrong-key signature is checked, and
+rejected, on every open. An answer uses neither cache: its tag is computed
+and checked for every answer. Everything else still runs for every
+envelope: the X25519 exchange (an answer's is its request's), HKDF, the key
+wrap, the body stream, the payload digest and its comparison with the
+authenticated one. Per clean interval that makes 9 real signs and 9 real
+verifications for 18 envelopes, under 9 ephemeral key pairs: 2
+MEASUREMENTs, 2 INDEXes, one block hash for the 6 LOGs and 4 replica
+requests. Each Simulation starts with both caches empty.
 
 A measurement's canonical form is `name|ISO minute|v1,v2,...` with the values
 in plain decimal. A MeasurementVector builds these bytes once, on
@@ -81,6 +92,7 @@ no `|` and no line boundary, so a record is always one dump line.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import random
 import re
 from dataclasses import dataclass, field
@@ -110,7 +122,7 @@ WRAP_NONCE_LEN = 12
 WRAPPED_KEY_LEN = 48  # 32-byte key + 16-byte Poly1305 tag
 BODY_NONCE_LEN = 16
 CIPHER_HEADER_LEN = EPH_PUB_LEN + WRAP_NONCE_LEN + WRAPPED_KEY_LEN + BODY_NONCE_LEN
-SIG_LEN = 64  # Ed25519 signature size
+SIG_LEN = 64  # an Ed25519 signature, or an answer's HMAC-SHA512 tag
 
 _HKDF_INFO = b"histchain envelope key wrap"
 _REPLY_HKDF_INFO = b"histchain envelope reply wrap"
@@ -291,6 +303,10 @@ class KeyDirectory:
 
 @dataclass(frozen=True)
 class SignedEnvelope:
+    """A sealed message. `signature` is the hex payload digest and then
+    SIG_LEN bytes: the sender's Ed25519 signature, or for a replica answer an
+    HMAC-SHA512 tag under its request's agreement (the module docstring)."""
+
     sender_id: str
     recipient_id: str
     ciphertext: bytes
@@ -337,8 +353,22 @@ class Agreement:
         self.secret: bytes | None = None
 
 
-def _wrap_key(secret: bytes, info: bytes) -> bytes:
-    return HKDF(algorithm=SHA256(), length=32, salt=None, info=info).derive(secret)
+def _wrap_key(shared: bytes) -> bytes:
+    return HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
+
+
+def _reply_keys(secret: bytes) -> tuple[bytes, bytes]:
+    """(wrap key, MAC key) of an answer: 64 bytes of HKDF of its request's
+    secret under the reply label. HKDF-Expand's first block does not depend
+    on the output length, so the wrap key is the 32-byte derivation's."""
+    okm = HKDF(algorithm=SHA256(), length=64, salt=None, info=_REPLY_HKDF_INFO).derive(secret)
+    return okm[:32], okm[32:]
+
+
+def _reply_tag(mac_key: bytes, claimed: bytes) -> bytes:
+    """HMAC-SHA512 of an answer's claimed digest: SIG_LEN bytes, in the
+    place a signature takes."""
+    return hmac.digest(mac_key, claimed, "sha512")
 
 
 def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
@@ -350,17 +380,19 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     `eph_priv`, from ephemeral_key(), is one broadcast's shared ephemeral;
     without it a fresh one is drawn. An empty `reply` records this request's
     agreement; a recorded one seals the answer to that request under it,
-    with no ephemeral and no `recipient_enc_pub`."""
+    with no ephemeral and no `recipient_enc_pub`, and tags its digest with
+    the agreement's MAC key instead of signing it."""
     sym_key = rng.randbytes(32)
-    if reply is not None and reply.secret is not None:
+    answer = reply is not None and reply.secret is not None
+    if answer:
         eph_pub = reply.eph_pub
-        wrap_key = _wrap_key(reply.secret, _REPLY_HKDF_INFO)
+        wrap_key, mac_key = _reply_keys(reply.secret)
     else:
         if eph_priv is None:
             eph_priv = ephemeral_key(rng)
         shared = eph_priv.exchange(recipient_enc_pub)
         eph_pub = eph_priv.public_key().public_bytes_raw()
-        wrap_key = _wrap_key(shared, _HKDF_INFO)
+        wrap_key = _wrap_key(shared)
         if reply is not None:
             reply.eph_pub, reply.secret = eph_pub, shared
     wrap_nonce = rng.randbytes(WRAP_NONCE_LEN)
@@ -370,8 +402,8 @@ def seal(plaintext: bytes, sender: NodeKeys, recipient_id: str,
     ciphertext = eph_pub + wrap_nonce + wrapped + body_nonce + body
 
     claimed = digest(plaintext).encode("ascii")
-    signature = claimed + _sign(sender.sig_priv, claimed)
-    return SignedEnvelope(sender.node_id, recipient_id, ciphertext, signature)
+    tag = _reply_tag(mac_key, claimed) if answer else _sign(sender.sig_priv, claimed)
+    return SignedEnvelope(sender.node_id, recipient_id, ciphertext, claimed + tag)
 
 
 def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
@@ -379,7 +411,9 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
                   reply: Agreement | None = None) -> bytes:
     """Decrypt and authenticate an envelope; raises AuthError on any failure.
     An empty `reply` records the agreement of the request this opens, once it
-    is authentic; a recorded one opens the answer to that request under it."""
+    is authentic; a recorded one opens the answer to that request under it
+    and checks its tag with the agreement's MAC key, so `sender_sig_pub` is
+    not read for an answer."""
     ct = env.ciphertext
     if len(ct) < CIPHER_HEADER_LEN:
         raise AuthError(AuthError.DECRYPT_FAILED, "ciphertext too short")
@@ -391,10 +425,10 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
     answer = reply is not None and reply.secret is not None
     try:
         if answer:
-            wrap_key = _wrap_key(reply.secret, _REPLY_HKDF_INFO)
+            wrap_key, mac_key = _reply_keys(reply.secret)
         else:
             shared = recipient.enc_priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-            wrap_key = _wrap_key(shared, _HKDF_INFO)
+            wrap_key = _wrap_key(shared)
         sym_key = ChaCha20Poly1305(wrap_key).decrypt(wrap_nonce, wrapped, eph_pub + body_nonce)
     except (InvalidTag, ValueError) as exc:
         raise AuthError(AuthError.DECRYPT_FAILED, f"key unwrap failed: {exc}") from None
@@ -405,11 +439,16 @@ def open_envelope(env: SignedEnvelope, recipient: NodeKeys,
     sig = env.signature[-SIG_LEN:]
     claimed = claimed_bytes.decode("ascii", errors="replace")
     try:
-        _check_signature(sender_sig_pub.public_bytes_raw(), claimed_bytes, sig)
+        if answer:
+            if not hmac.compare_digest(sig, _reply_tag(mac_key, claimed_bytes)):
+                raise InvalidSignature
+        else:
+            _check_signature(sender_sig_pub.public_bytes_raw(), claimed_bytes, sig)
     except InvalidSignature:
+        against = "the request's agreement" if answer else "the sender key"
         raise AuthError(
             AuthError.DIGEST_MISMATCH,
-            "claimed digest cannot be authenticated against the sender key",
+            f"claimed digest cannot be authenticated against {against}",
             claimed=claimed, rebuilt=rebuilt,
         ) from None
     if claimed != rebuilt:

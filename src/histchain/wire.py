@@ -6,8 +6,11 @@ Frame layout (big-endian), bit-exact:
     | payload_len(4) | payload
 
 The payload of every frame is a packed envelope: ciphertext_len(4) followed by
-the ciphertext and then the signature bytes. Adversaries sit on links as
-interceptors: pure functions Frame -> Frame (mutate) or None (drop).
+the ciphertext and then the signature bytes: the payload's hex digest and 64
+bytes that authenticate it, the sender's Ed25519 signature or, in a
+REPLICA_RESP, an HMAC-SHA512 tag under its request's agreement (envelope.py).
+Adversaries sit on links as interceptors: pure functions Frame -> Frame
+(mutate) or None (drop).
 
 The wire carries bytes and decodes nothing. A link's delivered frame goes on
 the wire as pack_frame writes it, any header included: an honest frame comes

@@ -348,6 +348,46 @@ class TestReplyAgreement:
             open_envelope(request, origin, origin.sig_pub, agreement)
         assert (agreement.eph_pub, agreement.secret) == (None, None)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=SIG_LEN - 1),
+           st.integers(min_value=0, max_value=7))
+    def test_flipped_tag_bit_rejected(self, pos, bit):
+        """An answer's last SIG_LEN bytes are an HMAC-SHA512 tag over its
+        digest; any flipped bit of it fails the open."""
+        plaintext = b"Sensor 1|2020-12-23T17:27|2,5"
+        asker, origin, _, reply, asked = self.round_trip(7, plaintext)
+        sig = bytearray(reply.signature)
+        sig[len(sig) - SIG_LEN + pos] ^= 1 << bit
+        with pytest.raises(AuthError) as exc:
+            open_envelope(with_signature(reply, bytes(sig)), asker, origin.sig_pub, asked)
+        assert exc.value.kind == AuthError.DIGEST_MISMATCH
+        assert exc.value.claimed == exc.value.rebuilt == digest(plaintext)
+        assert "request's agreement" in exc.value.detail
+
+    def test_holders_signature_in_place_of_the_tag_rejected(self):
+        """An answer carrying the holder's genuine Ed25519 signature over its
+        digest, the layout of a signed envelope, does not open: an answer is
+        authenticated by its request's agreement alone."""
+        asker, origin, _, reply, asked = self.round_trip(8)
+        claimed = reply.signature[:-SIG_LEN]
+        signed = with_signature(reply, claimed + origin.sig_priv.sign(claimed))
+        with pytest.raises(AuthError) as exc:
+            open_envelope(signed, asker, origin.sig_pub, asked)
+        assert exc.value.kind == AuthError.DIGEST_MISMATCH
+        assert exc.value.claimed == exc.value.rebuilt
+
+    def test_answer_neither_signs_nor_verifies(self):
+        """Sealing and opening an answer leaves both signature caches as
+        they were: no Ed25519 sign, verify or cache hit. Both ends record
+        the same agreement, so sealing under the asker's copy makes the
+        answer the origin's copy would."""
+        plaintext = b"Sensor 1|2020-12-23T17:27|2,5"
+        asker, origin, _, _, asked = self.round_trip(11)
+        before = envelope._sign.cache_info(), envelope._check_signature.cache_info()
+        reply = seal(plaintext, origin, "node2", None, random.Random(12), reply=asked)
+        assert open_envelope(reply, asker, origin.sig_pub, asked) == plaintext
+        assert (envelope._sign.cache_info(), envelope._check_signature.cache_info()) == before
+
     def test_each_answer_repeats_its_requests_ephemeral_alone(self):
         """Seed 42, 10 intervals: each REPLICA_RESP frame starts its
         ciphertext with the ephemeral public key of the REPLICA_REQ it

@@ -26,7 +26,7 @@ RUN_10_MINUTES_SEED_42 = {
     "historian4.txt": "14b3305bfad0d9fcf2ca3e7f4fab4294f7be27aaa008f75401daebde0ef2b777",
     "historian5.txt": "6aeaef352e477c4f57f337a0f72cf9e86ab37ac177bc99db8df26eb09397ad2c",
     "historian6.txt": "c4a696f6ed99f99f8018714200fa7d7b1e477f1fb7452d3eccb6a850c58b82cd",
-    "wire_trace.txt": "10eea19e38ed45055c2842ababb617f9462811314a662f5791a5c06dc84618ce",
+    "wire_trace.txt": "787ee76de6383eb9792131dc4b244340d43333f01599a65fe7fca096c06ca93e",
 }
 
 # Sensor noise, non-unit flow rates and a capacity that is not a whole number,

@@ -1,11 +1,15 @@
 """Smoke test: scripts/scaling.py runs end to end and records one row per
 size, each the median of its repeated runs."""
 
+import gc
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import cryptography
+
+from histchain import audit
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -45,3 +49,18 @@ def test_scaling_row_is_the_median_of_its_runs():
     assert load_script("scaling").summarize(1, rows) == {
         "minutes": 1, "wall_s": 0.2, "wall_s_range": [0.1, 0.3],
         "audit_s": 0.002, "audit_s_range": [0.001, 0.004], "peak_rss_mb": 29.0, "events": 17}
+
+
+def test_scaling_collects_garbage_just_before_the_audit_timer(monkeypatch, capsys):
+    """The child runs a full collection between writing the artifacts and
+    starting the audit timer, so audit_s times the audit alone, not a
+    generation-2 collection of the run's garbage."""
+    scaling = load_script("scaling")
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append("collect") or 0)
+    monkeypatch.setattr(time, "perf_counter", lambda: calls.append("clock") or 0.0)
+    monkeypatch.setattr(audit, "audit_directory", lambda outdir: calls.append("audit"))
+    exec(scaling.CHILD_CODE.format(seed=42, minutes=1), {})
+    assert calls[-4:] == ["collect", "clock", "audit", "clock"]
+    assert calls.count("collect") == 1
+    assert json.loads(capsys.readouterr().out)["events"] == 13

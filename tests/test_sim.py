@@ -25,6 +25,7 @@ from histchain.wire import (
     REPLICA_REQ,
     REPLICA_RESP,
     EncodeError,
+    decode_frame,
     pack_frame,
 )
 from .helpers import deliver, flip_body
@@ -128,13 +129,14 @@ def count_calls(monkeypatch, fn, *modules):
 
 
 class TestEnvelopeTraffic:
-    def test_clean_interval_signs_and_verifies_11_of_18_envelopes(self, monkeypatch):
+    def test_clean_interval_signs_and_verifies_9_of_18_envelopes(self, monkeypatch):
         """Per interval: 2 MEASUREMENT, 2 INDEX, 6 LOG, 4 REPLICA_REQ and 4
-        REPLICA_RESP envelopes. The six LOGs share one signature, and so do
-        the two answers for one vector, so 11 are signed and verified. The
-        six LOGs also share one ephemeral key, and each answer is sealed and
-        opened under its request's agreement, so 9 X25519 key pairs are made
-        and 14 ephemeral public keys are read, one per open but the answers'.
+        REPLICA_RESP envelopes. The six LOGs share one signature, and each
+        answer is tagged under its request's agreement instead of signed, so
+        9 are signed and verified. The six LOGs also share one ephemeral key,
+        and each answer is sealed and opened under its request's agreement,
+        so 9 X25519 key pairs are made and 14 ephemeral public keys are read,
+        one per open but the answers'.
         A Simulation starts with both signature caches empty."""
         seals = count_calls(monkeypatch, envelope.seal, sim_module, storage, minter)
         # envelope makes every X25519 key pair through from_private_bytes,
@@ -166,7 +168,7 @@ class TestEnvelopeTraffic:
         made = [(key_pairs[0], pub_reads[0])]  # the endpoints' own keys
         sim.run(10, after_boundary=count_signatures)
         assert sim.events.alarms() == []
-        assert per_interval == [(18 * k, 18 * k, 11 * k, 11 * k) for k in range(1, 11)]
+        assert per_interval == [(18 * k, 18 * k, 9 * k, 9 * k) for k in range(1, 11)]
         assert [(pairs - made[0][0], reads - made[0][1]) for pairs, reads in made[1:]] == [
             (9 * k, 14 * k) for k in range(1, 11)]
         checked = sum(int(r.detail.split()[0].removeprefix("checked="))
@@ -174,6 +176,28 @@ class TestEnvelopeTraffic:
         # Interval k re-checks k blocks of 2 indexes with 3 holders each.
         assert checked == sum(2 * 3 * k for k in range(1, 11))
         assert digests[0] >= checked
+
+    def test_node_rebuild_tags_every_answer_without_ed25519(self, monkeypatch):
+        """Seed 42, 160 minutes, then every record of node1 is deleted and
+        node1's next cycle rebuilds it. Each REPLICA_RESP of that rebuild is
+        sealed and opened under its request's agreement: the only Ed25519
+        signs and verifies are the requests' own, one each."""
+        sim = Simulation(SimConfig(seed=42, trace_wire=True))
+        sim.run(160)
+        historian = sim.historian(1)
+        for record in historian.records():
+            historian.delete(record.key)
+        signs = count_calls(monkeypatch, envelope._sign, envelope)
+        verifies = count_calls(monkeypatch, envelope._check_signature, envelope)
+        frames_before, events_before = len(sim.network.trace), len(sim.events)
+        sim.nodes[1].validate_cycle(sim.chain_module.chain)
+        frames = Counter(decode_frame(data).msg_type
+                         for data in sim.network.trace[frames_before:])
+        codes = Counter(r.code for r in sim.events.records[events_before:])
+        assert codes[ev.RECOVERED] == codes[ev.FDI_ALARM] == 230
+        assert sum(frames.values()) == frames[REPLICA_REQ] + frames[REPLICA_RESP]
+        assert frames[REPLICA_RESP] == frames[REPLICA_REQ] >= 230
+        assert signs[0] == verifies[0] == frames[REPLICA_REQ]
 
 
 def cut_payload(frame):
